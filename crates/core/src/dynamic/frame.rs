@@ -265,22 +265,21 @@ impl<S: StaticScheduler> DynamicProtocol<S> {
         if alg.is_done() {
             return;
         }
+        // `begin_frame` built the main requests from `active`, and both
+        // stay untouched until the clean-up rebuild: each attempt's
+        // `(link, packet)` is already in `request_scratch`.
+        debug_assert_eq!(self.request_scratch.len(), self.active.len());
         alg.attempts_into(rng, &mut self.idx_scratch);
         if self.idx_scratch.is_empty() {
             return;
         }
         self.attempt_scratch.clear();
-        {
-            let (routes, store, active) = (&self.routes, &self.store, &self.active);
-            self.attempt_scratch
-                .extend(self.idx_scratch.iter().map(|&i| {
-                    let pkt = active[i];
-                    Attempt {
-                        link: routes.link_at(store.route(pkt), store.hop(pkt)),
-                        packet: store.id(pkt),
-                    }
-                }));
-        }
+        let requests = &self.request_scratch;
+        self.attempt_scratch
+            .extend(self.idx_scratch.iter().map(|&i| Attempt {
+                link: requests[i].link,
+                packet: requests[i].packet,
+            }));
         outcome.attempts += self.attempt_scratch.len();
         phy.successes_into(&self.attempt_scratch, &mut self.success_scratch, rng);
         for (&idx, &ok) in self.idx_scratch.iter().zip(&self.success_scratch) {

@@ -111,10 +111,10 @@ impl PerLinkFeasibility {
 }
 
 thread_local! {
-    /// Per-thread scratch of attempted-link ids for
+    /// Per-thread scratch of packed `(link << 32) | position` keys for
     /// [`PerLinkFeasibility::successes_into`]: keeps the slot check
     /// allocation-free in steady state without an `O(m)` array.
-    static LINK_SCRATCH: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
+    static KEY_SCRATCH: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 impl Feasibility for PerLinkFeasibility {
@@ -123,22 +123,33 @@ impl Feasibility for PerLinkFeasibility {
         attempts.iter().map(|a| mult[a.link.index()] == 1).collect()
     }
 
-    // Allocation-free variant: sort the k attempted link ids and check
-    // each attempt's neighbourhood — O(k log k) per slot, independent of
-    // the network size m and without the O(m) zeroed multiplicity array.
+    // Allocation-free variant: sort one key per attempt, link in the high
+    // half and attempt position in the low half, so equal links form runs;
+    // an attempt succeeds iff its run has length one. O(k log k) per slot
+    // (linear on the already-ascending attempts of the greedy run),
+    // independent of the network size m.
     fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, _rng: &mut dyn RngCore) {
+        assert!(
+            u32::try_from(attempts.len()).is_ok(),
+            "attempt positions must fit in the low key half"
+        );
         out.clear();
-        LINK_SCRATCH.with(|scratch| {
-            let links = &mut *scratch.borrow_mut();
-            links.clear();
-            links.extend(attempts.iter().map(|a| a.link.0));
-            links.sort_unstable();
-            out.extend(attempts.iter().map(|a| {
-                // First sorted slot holding this link; it is alone iff the
-                // next slot holds a different link.
-                let first = links.partition_point(|&l| l < a.link.0);
-                links.get(first + 1) != Some(&a.link.0)
-            }));
+        out.resize(attempts.len(), false);
+        KEY_SCRATCH.with(|scratch| {
+            let keys = &mut *scratch.borrow_mut();
+            keys.clear();
+            keys.extend(
+                attempts
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, a)| (u64::from(a.link.0) << 32) | pos as u64),
+            );
+            keys.sort_unstable();
+            for run in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+                if let [key] = run {
+                    out[*key as u32 as usize] = true;
+                }
+            }
         });
     }
 }

@@ -6,14 +6,27 @@
 //! measure `I`. Plugged into the dynamic transformation it yields stable
 //! protocols for every injection rate `λ < 1`, the classic
 //! adversarial-queuing result the paper recovers as a special case.
+//!
+//! # Ordering contract
+//!
+//! Each slot's attempts are the front request of every link with pending
+//! requests, in **ascending link order**; within a link, requests are
+//! served **FIFO by request index**. The frame protocol hands these
+//! indices to the feasibility oracle in exactly this order, so the order
+//! fixes which RNG draws a lossy or jammed oracle spends on which packet —
+//! the golden frame fingerprint and the benchmark fingerprints depend on
+//! it, and the BTreeMap-of-queues referee in `prop_core.rs` pins it.
 
-use crate::ids::LinkId;
 use crate::staticsched::{Request, StaticAlgorithm, StaticScheduler};
 use rand::RngCore;
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
 
 /// Factory for the greedy one-packet-per-link-per-slot algorithm.
+///
+/// [`StaticScheduler::instantiate`] counting-sorts the request indices by
+/// link into one CSR array (a stable scatter, so FIFO order survives
+/// within each link) plus the ascending list of occupied links: `O(n +
+/// max link id)` with no per-link allocation. A slot then costs
+/// `O(occupied links)` and an acknowledgement `O(1)`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GreedyPerLink;
 
@@ -31,14 +44,42 @@ impl StaticScheduler for GreedyPerLink {
         _measure_bound: f64,
         _rng: &mut dyn RngCore,
     ) -> Box<dyn StaticAlgorithm> {
-        let mut queues: BTreeMap<LinkId, VecDeque<usize>> = BTreeMap::new();
-        let mut links = Vec::with_capacity(requests.len());
-        for (idx, req) in requests.iter().enumerate() {
-            queues.entry(req.link).or_default().push_back(idx);
-            links.push(req.link);
+        assert!(
+            u32::try_from(requests.len()).is_ok(),
+            "request indices must fit in u32"
+        );
+        let links: Vec<u32> = requests.iter().map(|r| r.link.0).collect();
+        let span = links.iter().max().map_or(0, |&l| l as usize + 1);
+        // Count per link, then turn the counts into each link's CSR range:
+        // `head` is the range start, `end` doubles as the scatter cursor
+        // and finishes at the range end.
+        let mut end = vec![0u32; span];
+        for &l in &links {
+            end[l as usize] += 1;
+        }
+        let mut head = Vec::with_capacity(span);
+        let mut occupied = Vec::new();
+        let mut offset = 0u32;
+        for (l, count) in end.iter_mut().enumerate() {
+            if *count > 0 {
+                occupied.push(l as u32);
+            }
+            let start = offset;
+            head.push(start);
+            offset += *count;
+            *count = start;
+        }
+        let mut order = vec![0u32; links.len()];
+        for (idx, &l) in links.iter().enumerate() {
+            let cursor = &mut end[l as usize];
+            order[*cursor as usize] = idx as u32;
+            *cursor += 1;
         }
         Box::new(GreedyRun {
-            queues,
+            order,
+            head,
+            end,
+            occupied,
             links,
             remaining: requests.len(),
         })
@@ -57,42 +98,60 @@ impl StaticScheduler for GreedyPerLink {
     }
 }
 
+/// One greedy run: per-link FIFO queues laid out as one CSR array.
 struct GreedyRun {
-    queues: BTreeMap<LinkId, VecDeque<usize>>,
-    /// Link of each request index, for O(1) acknowledgement lookup (the
-    /// frame protocol acks every success of a slot; a linear scan over
-    /// all queues per ack made acknowledgement O(m) and dominated the
-    /// slot loop at m ≥ 1024).
-    links: Vec<LinkId>,
+    /// Request indices grouped by link (ascending), FIFO within a link.
+    order: Vec<u32>,
+    /// Per link id: position in `order` of the link's next pending
+    /// request.
+    head: Vec<u32>,
+    /// Per link id: end of the link's range in `order`; the link is
+    /// drained once `head` reaches it.
+    end: Vec<u32>,
+    /// Links that had pending requests at the last
+    /// [`StaticAlgorithm::attempts_into`], ascending; drained links are
+    /// compacted out there.
+    occupied: Vec<u32>,
+    /// Link of each request index, for the O(1) acknowledgement.
+    links: Vec<u32>,
     remaining: usize,
 }
 
 impl StaticAlgorithm for GreedyRun {
-    fn attempts(&mut self, _rng: &mut dyn RngCore) -> Vec<usize> {
-        self.queues
-            .values()
-            .filter_map(|q| q.front().copied())
-            .collect()
+    fn attempts(&mut self, rng: &mut dyn RngCore) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.attempts_into(rng, &mut out);
+        out
     }
 
     fn attempts_into(&mut self, _rng: &mut dyn RngCore, out: &mut Vec<usize>) {
         out.clear();
-        out.extend(self.queues.values().filter_map(|q| q.front().copied()));
+        let mut kept = 0;
+        for i in 0..self.occupied.len() {
+            let l = self.occupied[i] as usize;
+            let h = self.head[l];
+            if h < self.end[l] {
+                out.push(self.order[h as usize] as usize);
+                self.occupied[kept] = l as u32;
+                kept += 1;
+            }
+        }
+        self.occupied.truncate(kept);
     }
 
     fn ack(&mut self, idx: usize) {
-        // The acked request is at the front of its link's queue.
-        let Some(&link) = self.links.get(idx) else {
+        let Some(&l) = self.links.get(idx) else {
             return;
         };
-        if let Some(queue) = self.queues.get_mut(&link) {
-            if queue.front() == Some(&idx) {
-                queue.pop_front();
-                self.remaining -= 1;
-            }
+        let l = l as usize;
+        let h = self.head[l];
+        // Only the front of its link's queue can have been attempted; an
+        // ack for any other request is ignored (the per-link oracle never
+        // produces one).
+        if h < self.end[l] && self.order[h as usize] as usize == idx {
+            self.head[l] = h + 1;
+            self.remaining -= 1;
         }
-        // Ack for a request that was not at its queue front: ignore; the
-        // oracle never produces this for per-link feasibility.
     }
 
     fn is_done(&self) -> bool {
@@ -104,7 +163,7 @@ impl StaticAlgorithm for GreedyRun {
 mod tests {
     use super::*;
     use crate::feasibility::PerLinkFeasibility;
-    use crate::ids::PacketId;
+    use crate::ids::{LinkId, PacketId};
     use crate::interference::IdentityInterference;
     use crate::rng::root_rng;
     use crate::staticsched::{requests_measure, run_static};

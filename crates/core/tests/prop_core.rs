@@ -1,7 +1,7 @@
 //! Property-based tests of the core model invariants.
 
 use dps_core::error::ModelError;
-use dps_core::feasibility::{PerLinkFeasibility, ThresholdFeasibility};
+use dps_core::feasibility::{Attempt, Feasibility, PerLinkFeasibility, ThresholdFeasibility};
 use dps_core::graph::{line_network, NetworkBuilder};
 use dps_core::ids::{LinkId, PacketId};
 use dps_core::interference::{
@@ -10,10 +10,151 @@ use dps_core::interference::{
 use dps_core::load::LinkLoad;
 use dps_core::path::RoutePath;
 use dps_core::rng::split_stream;
+use dps_core::staticsched::greedy::GreedyPerLink;
 use dps_core::staticsched::uniform_rate::UniformRateScheduler;
 use dps_core::staticsched::{requests_measure, run_static, Request, StaticScheduler};
 use dps_core::transform::DenseTransform;
 use proptest::prelude::*;
+use rand::Rng;
+use std::collections::{BTreeMap, VecDeque};
+
+/// The per-link greedy run as first written — one `VecDeque` per link in
+/// a `BTreeMap` — kept as the referee for the CSR run of
+/// [`GreedyPerLink`]: it states the ordering contract (ascending links,
+/// FIFO within a link, non-front acks ignored) as plainly as possible.
+struct QueueGreedy {
+    queues: BTreeMap<LinkId, VecDeque<usize>>,
+    links: Vec<LinkId>,
+    remaining: usize,
+}
+
+impl QueueGreedy {
+    fn new(requests: &[Request]) -> Self {
+        let mut queues: BTreeMap<LinkId, VecDeque<usize>> = BTreeMap::new();
+        for (idx, req) in requests.iter().enumerate() {
+            queues.entry(req.link).or_default().push_back(idx);
+        }
+        QueueGreedy {
+            queues,
+            links: requests.iter().map(|r| r.link).collect(),
+            remaining: requests.len(),
+        }
+    }
+
+    fn attempts_into(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(self.queues.values().filter_map(|q| q.front().copied()));
+    }
+
+    fn ack(&mut self, idx: usize) {
+        let Some(link) = self.links.get(idx) else {
+            return;
+        };
+        let queue = self
+            .queues
+            .get_mut(link)
+            .expect("every request has a queue");
+        if queue.front() == Some(&idx) {
+            queue.pop_front();
+            self.remaining -= 1;
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        self.remaining == 0
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// The CSR greedy run replays the queue referee step for step over
+    /// random request multisets — empty, one crowded link, sparse high
+    /// link ids, all-distinct links, dense duplicates — under front,
+    /// repeated, non-front and out-of-range acks: identical attempt
+    /// sequences and identical `is_done` after every step, with
+    /// `attempts` and `attempts_into` agreeing.
+    #[test]
+    fn greedy_run_matches_the_queue_referee(
+        shape in 0u32..5,
+        n in 0usize..400,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = split_stream(seed, 0);
+        let links: Vec<u32> = match shape {
+            0 => Vec::new(),
+            1 => vec![rng.gen_range(0..64u32); n],
+            2 => (0..n)
+                .map(|_| (1 << 20) - 1 - 4099 * rng.gen_range(0..8u32))
+                .collect(),
+            3 => (0..n as u32).map(|i| (i * 37) % 1021).collect(),
+            _ => (0..n).map(|_| rng.gen_range(0..16u32)).collect(),
+        };
+        let requests: Vec<Request> = links
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| Request {
+                packet: PacketId(i as u64),
+                link: LinkId(l),
+            })
+            .collect();
+        let mut by_into = GreedyPerLink::new().instantiate(&requests, 0.0, &mut rng);
+        let mut by_vec = GreedyPerLink::new().instantiate(&requests, 0.0, &mut rng);
+        let mut referee = QueueGreedy::new(&requests);
+        let (mut got, mut want, mut acks) = (Vec::new(), Vec::new(), Vec::new());
+        for step in 0..4 * requests.len() + 4 {
+            prop_assert_eq!(by_into.is_done(), referee.is_done(), "step {}", step);
+            prop_assert_eq!(by_vec.is_done(), referee.is_done(), "step {}", step);
+            if referee.is_done() {
+                break;
+            }
+            by_into.attempts_into(&mut rng, &mut got);
+            referee.attempts_into(&mut want);
+            prop_assert_eq!(&got, &want, "step {}", step);
+            prop_assert_eq!(&by_vec.attempts(&mut rng), &want, "step {}", step);
+            acks.clear();
+            for &idx in &want {
+                match rng.gen_range(0..8u32) {
+                    0..=3 => acks.push(idx),
+                    4 => acks.extend([idx, idx]),
+                    5 => acks.push(rng.gen_range(0..requests.len())),
+                    6 => acks.push(requests.len() + rng.gen_range(0..3usize)),
+                    _ => {}
+                }
+            }
+            for &idx in &acks {
+                by_into.ack(idx);
+                by_vec.ack(idx);
+                referee.ack(idx);
+            }
+        }
+    }
+
+    /// The allocation-free per-link check (sorted packed keys, runs of
+    /// length one succeed) agrees with the multiplicity count on random
+    /// unsorted link multisets: up to 4096 attempts, ids up to
+    /// `num_links − 1`, duplicates forced by narrow id spans.
+    #[test]
+    fn per_link_successes_into_matches_successes_on_random_multisets(
+        num_links in 1usize..5000,
+        k in 0usize..4097,
+        spread in 1usize..5000,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = split_stream(seed, 1);
+        let span = spread.min(num_links);
+        let attempts: Vec<Attempt> = (0..k)
+            .map(|i| Attempt {
+                link: LinkId((num_links - 1 - rng.gen_range(0..span)) as u32),
+                packet: PacketId(i as u64),
+            })
+            .collect();
+        let oracle = PerLinkFeasibility::new(num_links);
+        let mut out = vec![true; 3];
+        oracle.successes_into(&attempts, &mut out, &mut rng);
+        prop_assert_eq!(&out, &oracle.successes(&attempts, &mut rng));
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -107,7 +248,7 @@ proptest! {
         let attempts: Vec<_> = links
             .iter()
             .enumerate()
-            .map(|(i, &l)| dps_core::feasibility::Attempt {
+            .map(|(i, &l)| Attempt {
                 link: LinkId(l),
                 packet: PacketId(i as u64),
             })
@@ -116,7 +257,6 @@ proptest! {
         let reference = PerLinkFeasibility::new(5);
         let mut rng1 = split_stream(1, 0);
         let mut rng2 = split_stream(1, 0);
-        use dps_core::feasibility::Feasibility;
         prop_assert_eq!(
             oracle.successes(&attempts, &mut rng1),
             reference.successes(&attempts, &mut rng2)
