@@ -55,10 +55,6 @@ const HOPS: usize = 4;
 struct AllSucceed;
 
 impl Feasibility for AllSucceed {
-    fn successes(&self, attempts: &[Attempt], _rng: &mut dyn RngCore) -> Vec<bool> {
-        vec![true; attempts.len()]
-    }
-
     fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, _rng: &mut dyn RngCore) {
         out.clear();
         out.resize(attempts.len(), true);

@@ -33,12 +33,39 @@ use dps_core::injection::Injector;
 use dps_core::path::RoutePath;
 use dps_core::prelude::LinkId;
 use dps_core::rng::split_stream;
-use dps_scenario::{registry, NaiveStochasticSpec, Scenario};
+use dps_scenario::injector::stochastic_at_rate;
+use dps_scenario::{registry, InjectorSpec, Scenario, ScenarioError, Substrate};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const LAMBDAS: [f64; 4] = [0.05, 0.1, 0.15, 0.2];
 const REPS: u64 = 4;
+
+/// An [`InjectorSpec`] building the naive per-generator stochastic
+/// sampler (one Bernoulli draw per generator per slot) instead of the
+/// batch engine: the pre-batching behaviour, the A side of the
+/// two-stage-cell measurement. Distribution-identical to the batch
+/// engine; only the RNG stream and the per-slot cost differ.
+#[derive(Debug)]
+struct NaiveStochasticSpec;
+
+impl InjectorSpec for NaiveStochasticSpec {
+    fn label(&self) -> String {
+        "stochastic (naive per-generator)".into()
+    }
+
+    fn build(
+        &self,
+        substrate: &Substrate,
+        lambda: f64,
+    ) -> Result<Box<dyn Injector + Send>, ScenarioError> {
+        Ok(Box::new(stochastic_at_rate(
+            &*substrate.model,
+            substrate.routes.clone(),
+            lambda,
+        )?))
+    }
+}
 
 fn routes(m: usize) -> Vec<Arc<RoutePath>> {
     (0..m as u32)

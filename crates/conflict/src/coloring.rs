@@ -119,17 +119,14 @@ struct ColoringRun {
 }
 
 impl StaticAlgorithm for ColoringRun {
-    fn attempts(&mut self, _rng: &mut dyn RngCore) -> Vec<usize> {
+    fn attempts_into(&mut self, _rng: &mut dyn RngCore, out: &mut Vec<usize>) {
+        out.clear();
         if self.cursor >= self.plan.len() {
-            return Vec::new();
+            return;
         }
         let slot = self.cursor;
         self.cursor += 1;
-        self.plan[slot]
-            .iter()
-            .copied()
-            .filter(|&i| self.pending[i])
-            .collect()
+        out.extend(self.plan[slot].iter().copied().filter(|&i| self.pending[i]));
     }
 
     fn ack(&mut self, idx: usize) {

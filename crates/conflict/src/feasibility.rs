@@ -37,7 +37,7 @@ impl IndependentSetFeasibility {
 }
 
 impl Feasibility for IndependentSetFeasibility {
-    fn successes(&self, attempts: &[Attempt], _rng: &mut dyn RngCore) -> Vec<bool> {
+    fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, _rng: &mut dyn RngCore) {
         let mut mult = vec![0u32; self.graph.num_links()];
         for a in attempts {
             mult[a.link.index()] += 1;
@@ -48,20 +48,18 @@ impl Feasibility for IndependentSetFeasibility {
             .filter(|(_, &c)| c > 0)
             .map(|(i, _)| i)
             .collect();
-        attempts
-            .iter()
-            .map(|a| {
-                if mult[a.link.index()] != 1 {
-                    return false;
-                }
-                active.iter().all(|&other| {
-                    other == a.link.index()
-                        || !self
-                            .graph
-                            .conflicts(a.link, dps_core::ids::LinkId(other as u32))
-                })
+        out.clear();
+        out.extend(attempts.iter().map(|a| {
+            if mult[a.link.index()] != 1 {
+                return false;
+            }
+            active.iter().all(|&other| {
+                other == a.link.index()
+                    || !self
+                        .graph
+                        .conflicts(a.link, dps_core::ids::LinkId(other as u32))
             })
-            .collect()
+        }));
     }
 }
 

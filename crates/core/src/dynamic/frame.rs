@@ -1101,14 +1101,16 @@ mod tests {
     }
 
     impl Feasibility for FailFirstCalls {
-        fn successes(&self, attempts: &[Attempt], _rng: &mut dyn RngCore) -> Vec<bool> {
+        fn successes_into(
+            &self,
+            attempts: &[Attempt],
+            out: &mut Vec<bool>,
+            _rng: &mut dyn RngCore,
+        ) {
             let left = self.remaining.get();
-            if left > 0 {
-                self.remaining.set(left - 1);
-                vec![false; attempts.len()]
-            } else {
-                vec![true; attempts.len()]
-            }
+            self.remaining.set(left.saturating_sub(1));
+            out.clear();
+            out.resize(attempts.len(), left == 0);
         }
     }
 

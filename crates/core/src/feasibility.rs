@@ -8,6 +8,11 @@
 //! *design* schedules — substrates like SINR check the exact accumulated
 //! interference of the attempts actually made, not the pairwise abstraction.
 //!
+//! Every oracle implements one slot method,
+//! [`Feasibility::successes_into`], which writes the flags into a
+//! caller-owned buffer; [`Feasibility::successes`] is a provided wrapper
+//! returning an owned vector.
+//!
 //! This module provides generic oracles:
 //!
 //! * [`PerLinkFeasibility`] — an attempt succeeds iff it is alone on its link
@@ -18,7 +23,9 @@
 //!   interference weight from all other attempts stays below a threshold
 //!   (the generic "accumulative" physical layer matching a linear measure);
 //! * [`LossyFeasibility`] — failure injection: drops successes with a fixed
-//!   probability, the "unreliable network" extension sketched in Section 9.
+//!   probability, the "unreliable network" extension sketched in Section 9;
+//! * [`JammedFeasibility`] — failure injection with temporal structure: a
+//!   periodic jammer over the oracle's calls.
 
 use crate::ids::{LinkId, PacketId};
 use crate::interference::InterferenceModel;
@@ -37,61 +44,39 @@ pub struct Attempt {
 /// Decides which of a slot's simultaneous attempts succeed.
 ///
 /// Implementations must be deterministic given the same attempts and RNG
-/// state. The returned vector is index-aligned with `attempts`.
+/// state. The success flags are index-aligned with `attempts`.
 pub trait Feasibility {
-    /// Returns, for each attempt, whether it succeeded.
-    fn successes(&self, attempts: &[Attempt], rng: &mut dyn RngCore) -> Vec<bool>;
+    /// Writes, for each attempt, whether it succeeded into `out` (cleared
+    /// first), so hot loops (the frame protocol's slot loop) reuse one
+    /// buffer across slots.
+    fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, rng: &mut dyn RngCore);
 
-    /// Writes the per-attempt success flags into `out` (cleared first).
-    ///
-    /// Semantically identical to [`Feasibility::successes`] — same flags,
-    /// same RNG consumption — but lets hot loops (the frame protocol's
-    /// slot loop) reuse one buffer instead of allocating a `Vec` per
-    /// slot. The default delegates to `successes`; allocation-sensitive
-    /// oracles override it.
-    fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, rng: &mut dyn RngCore) {
-        *out = self.successes(attempts, rng);
+    /// Returns, for each attempt, whether it succeeded: a convenience
+    /// wrapper around [`Feasibility::successes_into`] for call sites that
+    /// prefer an owned vector.
+    fn successes(&self, attempts: &[Attempt], rng: &mut dyn RngCore) -> Vec<bool> {
+        let mut out = Vec::new();
+        self.successes_into(attempts, &mut out, rng);
+        out
     }
 }
 
 impl<F: Feasibility + ?Sized> Feasibility for &F {
-    fn successes(&self, attempts: &[Attempt], rng: &mut dyn RngCore) -> Vec<bool> {
-        (**self).successes(attempts, rng)
-    }
-
     fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, rng: &mut dyn RngCore) {
         (**self).successes_into(attempts, out, rng)
     }
 }
 
 impl<F: Feasibility + ?Sized> Feasibility for Box<F> {
-    fn successes(&self, attempts: &[Attempt], rng: &mut dyn RngCore) -> Vec<bool> {
-        (**self).successes(attempts, rng)
-    }
-
     fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, rng: &mut dyn RngCore) {
         (**self).successes_into(attempts, out, rng)
     }
 }
 
 impl<F: Feasibility + ?Sized> Feasibility for std::sync::Arc<F> {
-    fn successes(&self, attempts: &[Attempt], rng: &mut dyn RngCore) -> Vec<bool> {
-        (**self).successes(attempts, rng)
-    }
-
     fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, rng: &mut dyn RngCore) {
         (**self).successes_into(attempts, out, rng)
     }
-}
-
-/// Marks as failed every attempt that shares its link with another attempt;
-/// returns the per-link multiplicity for further checks.
-fn link_multiplicities(attempts: &[Attempt], num_links: usize) -> Vec<u32> {
-    let mut mult = vec![0u32; num_links];
-    for a in attempts {
-        mult[a.link.index()] += 1;
-    }
-    mult
 }
 
 /// One packet per link per slot; links never interfere.
@@ -118,16 +103,11 @@ thread_local! {
 }
 
 impl Feasibility for PerLinkFeasibility {
-    fn successes(&self, attempts: &[Attempt], _rng: &mut dyn RngCore) -> Vec<bool> {
-        let mult = link_multiplicities(attempts, self.num_links);
-        attempts.iter().map(|a| mult[a.link.index()] == 1).collect()
-    }
-
-    // Allocation-free variant: sort one key per attempt, link in the high
-    // half and attempt position in the low half, so equal links form runs;
-    // an attempt succeeds iff its run has length one. O(k log k) per slot
-    // (linear on the already-ascending attempts of the greedy run),
-    // independent of the network size m.
+    // Sort one key per attempt, link in the high half and attempt
+    // position in the low half, so equal links form runs; an attempt
+    // succeeds iff its run has length one. O(k log k) per slot (linear on
+    // the already-ascending attempts of the greedy run), independent of
+    // the network size m, and allocation-free in steady state.
     fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, _rng: &mut dyn RngCore) {
         assert!(
             u32::try_from(attempts.len()).is_ok(),
@@ -138,12 +118,10 @@ impl Feasibility for PerLinkFeasibility {
         KEY_SCRATCH.with(|scratch| {
             let keys = &mut *scratch.borrow_mut();
             keys.clear();
-            keys.extend(
-                attempts
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, a)| (u64::from(a.link.0) << 32) | pos as u64),
-            );
+            keys.extend(attempts.iter().enumerate().map(|(pos, a)| {
+                debug_assert!(a.link.index() < self.num_links, "unknown link {:?}", a.link);
+                (u64::from(a.link.0) << 32) | pos as u64
+            }));
             keys.sort_unstable();
             for run in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
                 if let [key] = run {
@@ -167,11 +145,6 @@ impl SingleChannelFeasibility {
 }
 
 impl Feasibility for SingleChannelFeasibility {
-    fn successes(&self, attempts: &[Attempt], _rng: &mut dyn RngCore) -> Vec<bool> {
-        let alone = attempts.len() == 1;
-        attempts.iter().map(|_| alone).collect()
-    }
-
     fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, _rng: &mut dyn RngCore) {
         out.clear();
         out.resize(attempts.len(), attempts.len() == 1);
@@ -216,8 +189,11 @@ impl<M: InterferenceModel> ThresholdFeasibility<M> {
 }
 
 impl<M: InterferenceModel> Feasibility for ThresholdFeasibility<M> {
-    fn successes(&self, attempts: &[Attempt], _rng: &mut dyn RngCore) -> Vec<bool> {
-        let mult = link_multiplicities(attempts, self.model.num_links());
+    fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, _rng: &mut dyn RngCore) {
+        let mut mult = vec![0u32; self.model.num_links()];
+        for a in attempts {
+            mult[a.link.index()] += 1;
+        }
         // Distinct links transmitting this slot, with multiplicities.
         let active: Vec<(LinkId, u32)> = {
             let mut links: Vec<LinkId> = attempts.iter().map(|a| a.link).collect();
@@ -225,20 +201,18 @@ impl<M: InterferenceModel> Feasibility for ThresholdFeasibility<M> {
             links.dedup();
             links.into_iter().map(|l| (l, mult[l.index()])).collect()
         };
-        attempts
-            .iter()
-            .map(|a| {
-                if mult[a.link.index()] != 1 {
-                    return false; // collision on the link itself
-                }
-                let interference: f64 = active
-                    .iter()
-                    .filter(|(l, _)| *l != a.link)
-                    .map(|(l, count)| self.model.weight(a.link, *l) * f64::from(*count))
-                    .sum();
-                interference < self.threshold
-            })
-            .collect()
+        out.clear();
+        out.extend(attempts.iter().map(|a| {
+            if mult[a.link.index()] != 1 {
+                return false; // collision on the link itself
+            }
+            let interference: f64 = active
+                .iter()
+                .filter(|(l, _)| *l != a.link)
+                .map(|(l, count)| self.model.weight(a.link, *l) * f64::from(*count))
+                .sum();
+            interference < self.threshold
+        }));
     }
 }
 
@@ -277,12 +251,6 @@ impl<F: Feasibility> LossyFeasibility<F> {
 }
 
 impl<F: Feasibility> Feasibility for LossyFeasibility<F> {
-    fn successes(&self, attempts: &[Attempt], rng: &mut dyn RngCore) -> Vec<bool> {
-        let mut successes = Vec::new();
-        self.successes_into(attempts, &mut successes, rng);
-        successes
-    }
-
     fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, rng: &mut dyn RngCore) {
         use rand::Rng;
         self.inner.successes_into(attempts, out, rng);
@@ -296,14 +264,19 @@ impl<F: Feasibility> Feasibility for LossyFeasibility<F> {
 
 /// Failure injection with temporal structure: a periodic jammer that
 /// blocks a set of links (or the whole network) for the first
-/// `burst_len` slots of every `period`-slot cycle.
+/// `burst_len` calls of every `period`-call cycle.
 ///
 /// Models the adversarial-jamming setting the paper's discussion section
 /// points to ([7, 38]): the protocol cannot distinguish jamming from
 /// interference, so a stable protocol must absorb the jammed slots at
-/// correspondingly reduced rate. The wrapper counts slots internally —
-/// one [`Feasibility::successes`] call per slot, which is the oracle
-/// contract throughout this workspace.
+/// correspondingly reduced rate.
+///
+/// The jammer has no slot clock: its cycle advances once per oracle call.
+/// Callers query the oracle only on slots with attempts — the frame
+/// protocol returns before the oracle on attempt-free slots, and the
+/// event engine skips idle slots without stepping them — so the cycle
+/// counts *busy* slots, and [`duty_cycle`](JammedFeasibility::duty_cycle)
+/// is the jammed fraction of busy slots, not of all slots.
 #[derive(Debug)]
 pub struct JammedFeasibility<F> {
     inner: F,
@@ -311,12 +284,13 @@ pub struct JammedFeasibility<F> {
     burst_len: u64,
     /// Links the jammer targets; `None` means every link.
     targets: Option<Vec<LinkId>>,
-    slot: std::sync::atomic::AtomicU64,
+    /// Oracle calls so far: the position in the jamming cycle.
+    calls: std::sync::atomic::AtomicU64,
 }
 
 impl<F: Feasibility> JammedFeasibility<F> {
     /// Wraps `inner` with a jammer blocking all links during the first
-    /// `burst_len` slots of every `period`-slot cycle.
+    /// `burst_len` calls of every `period`-call cycle.
     ///
     /// # Panics
     ///
@@ -331,7 +305,7 @@ impl<F: Feasibility> JammedFeasibility<F> {
             period,
             burst_len,
             targets: None,
-            slot: std::sync::atomic::AtomicU64::new(0),
+            calls: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -341,13 +315,13 @@ impl<F: Feasibility> JammedFeasibility<F> {
         self
     }
 
-    /// Fraction of slots the jammer blocks.
+    /// Fraction of oracle calls (busy slots) the jammer blocks.
     pub fn duty_cycle(&self) -> f64 {
         self.burst_len as f64 / self.period as f64
     }
 
-    fn is_jammed(&self, slot: u64, link: LinkId) -> bool {
-        if slot % self.period >= self.burst_len {
+    fn is_jammed(&self, call: u64, link: LinkId) -> bool {
+        if call % self.period >= self.burst_len {
             return false;
         }
         match &self.targets {
@@ -358,17 +332,13 @@ impl<F: Feasibility> JammedFeasibility<F> {
 }
 
 impl<F: Feasibility> Feasibility for JammedFeasibility<F> {
-    fn successes(&self, attempts: &[Attempt], rng: &mut dyn RngCore) -> Vec<bool> {
-        let mut successes = Vec::new();
-        self.successes_into(attempts, &mut successes, rng);
-        successes
-    }
-
     fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, rng: &mut dyn RngCore) {
-        let slot = self.slot.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let call = self
+            .calls
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.inner.successes_into(attempts, out, rng);
         for (s, a) in out.iter_mut().zip(attempts) {
-            if *s && self.is_jammed(slot, a.link) {
+            if *s && self.is_jammed(call, a.link) {
                 *s = false;
             }
         }
@@ -410,18 +380,29 @@ mod tests {
     #[test]
     fn per_link_successes_into_matches_successes() {
         let oracle = PerLinkFeasibility::new(5);
-        let cases: Vec<Vec<Attempt>> = vec![
-            vec![],
-            vec![attempt(0, 1)],
-            vec![attempt(0, 1), attempt(1, 2)],
-            vec![attempt(0, 1), attempt(0, 2), attempt(1, 3)],
-            vec![attempt(4, 1), attempt(4, 2), attempt(4, 3)],
-            vec![attempt(3, 1), attempt(1, 2), attempt(3, 3), attempt(0, 4)],
+        let cases: Vec<(Vec<Attempt>, Vec<bool>)> = vec![
+            (vec![], vec![]),
+            (vec![attempt(0, 1)], vec![true]),
+            (vec![attempt(0, 1), attempt(1, 2)], vec![true, true]),
+            (
+                vec![attempt(0, 1), attempt(0, 2), attempt(1, 3)],
+                vec![false, false, true],
+            ),
+            (
+                vec![attempt(4, 1), attempt(4, 2), attempt(4, 3)],
+                vec![false, false, false],
+            ),
+            (
+                vec![attempt(3, 1), attempt(1, 2), attempt(3, 3), attempt(0, 4)],
+                vec![false, true, false, true],
+            ),
         ];
+        // One buffer across cases: stale flags must be cleared.
         let mut out = Vec::new();
-        for attempts in cases {
+        for (attempts, expected) in cases {
             oracle.successes_into(&attempts, &mut out, &mut rng());
-            assert_eq!(out, oracle.successes(&attempts, &mut rng()), "{attempts:?}");
+            assert_eq!(out, expected, "{attempts:?}");
+            assert_eq!(oracle.successes(&attempts, &mut rng()), expected);
         }
     }
 
@@ -524,6 +505,54 @@ mod tests {
         // Slot 0 (jammed window): link 0 blocked, link 1 fine.
         let out = oracle.successes(&[attempt(0, 1), attempt(1, 2)], &mut r);
         assert_eq!(out, vec![false, true]);
+    }
+
+    #[test]
+    fn jammer_cycle_advances_per_call_not_per_slot() {
+        use crate::dynamic::{DynamicProtocol, FrameConfig};
+        use crate::packet::Packet;
+        use crate::path::RoutePath;
+        use crate::protocol::{Protocol, SlotOutcome};
+        use crate::staticsched::greedy::GreedyPerLink;
+
+        // Period 4, burst 2: the first two oracle calls are jammed, the
+        // next two are clean. The frame protocol (4-slot frames, 2 main
+        // slots, 1 clean-up slot) skips the oracle on slots without
+        // attempts; those slots must not advance the cycle.
+        let oracle = JammedFeasibility::new(PerLinkFeasibility::new(1), 4, 2);
+        let config = FrameConfig {
+            m: 1,
+            lambda: 0.5,
+            epsilon: 0.5,
+            frame_len: 4,
+            j_bound: 4.0,
+            main_budget: 2,
+            cleanup_budget: 1,
+            cleanup_select_prob: 1.0,
+            cleanup_bound: 1.0,
+        };
+        let mut protocol = DynamicProtocol::new(GreedyPerLink::new(), config, 1);
+        let mut r = rng();
+        let packet = Packet::new(PacketId(0), RoutePath::single_hop(LinkId(0)).shared(), 0);
+        let mut out = SlotOutcome::empty();
+        let mut busy = Vec::new();
+        let mut arrivals = vec![packet];
+        let mut slot = 0;
+        while slot == 0 || protocol.backlog() > 0 {
+            protocol.step(slot, &arrivals, &oracle, &mut r, &mut out);
+            arrivals.clear();
+            if out.attempts > 0 {
+                busy.push((slot, out.successes));
+            }
+            slot += 1;
+            assert!(slot < 1000, "packet never delivered");
+        }
+        let calls = oracle.calls.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(calls, busy.len() as u64, "one call per busy slot");
+        assert!(slot > calls, "some slots made no call");
+        // Jammed on its first two calls, delivered on the third.
+        let successes: Vec<usize> = busy.iter().map(|&(_, s)| s).collect();
+        assert_eq!(successes, vec![0, 0, 1], "busy slots {busy:?}");
     }
 
     #[test]

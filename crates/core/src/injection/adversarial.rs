@@ -295,23 +295,22 @@ impl<M: InterferenceModel> SmoothAdversary<M> {
 }
 
 impl<M: InterferenceModel> Injector for SmoothAdversary<M> {
-    fn inject(&mut self, slot: u64, _rng: &mut dyn RngCore) -> Vec<Arc<RoutePath>> {
+    fn inject_into(&mut self, slot: u64, _rng: &mut dyn RngCore, out: &mut Vec<Arc<RoutePath>>) {
         self.core.sync_to(slot);
-        let mut out = Vec::new();
+        out.clear();
         for idx in 0..self.core.templates.len() {
             let cost = self.core.template_cost(idx);
             // Cap the accumulated credit so budget-rejected slots do not
             // bank up into a later burst (this adversary is the smooth one).
             self.credits[idx] = (self.credits[idx] + self.lambda / cost).min(2.0);
             while self.credits[idx] >= 1.0 {
-                if self.core.try_inject(idx, &mut out) {
+                if self.core.try_inject(idx, out) {
                     self.credits[idx] -= 1.0;
                 } else {
                     break;
                 }
             }
         }
-        out
     }
 }
 
@@ -337,15 +336,15 @@ impl<M: InterferenceModel> BurstyAdversary<M> {
 }
 
 impl<M: InterferenceModel> Injector for BurstyAdversary<M> {
-    fn inject(&mut self, slot: u64, _rng: &mut dyn RngCore) -> Vec<Arc<RoutePath>> {
+    fn inject_into(&mut self, slot: u64, _rng: &mut dyn RngCore, out: &mut Vec<Arc<RoutePath>>) {
         self.core.sync_to(slot);
-        let mut out = Vec::new();
+        out.clear();
         if slot.is_multiple_of(self.w as u64) {
             let k = self.core.templates.len();
             let mut misses = 0;
             while misses < k {
                 let idx = self.cursor % k;
-                if self.core.try_inject(idx, &mut out) {
+                if self.core.try_inject(idx, out) {
                     self.cursor += 1;
                     misses = 0;
                 } else {
@@ -354,7 +353,6 @@ impl<M: InterferenceModel> Injector for BurstyAdversary<M> {
                 }
             }
         }
-        out
     }
 }
 
@@ -376,11 +374,10 @@ impl<M: InterferenceModel> SingleEdgeAdversary<M> {
 }
 
 impl<M: InterferenceModel> Injector for SingleEdgeAdversary<M> {
-    fn inject(&mut self, slot: u64, _rng: &mut dyn RngCore) -> Vec<Arc<RoutePath>> {
+    fn inject_into(&mut self, slot: u64, _rng: &mut dyn RngCore, out: &mut Vec<Arc<RoutePath>>) {
         self.core.sync_to(slot);
-        let mut out = Vec::new();
-        while self.core.try_inject(0, &mut out) {}
-        out
+        out.clear();
+        while self.core.try_inject(0, out) {}
     }
 }
 
@@ -419,16 +416,15 @@ impl<M: InterferenceModel> RoundRobinAdversary<M> {
 }
 
 impl<M: InterferenceModel> Injector for RoundRobinAdversary<M> {
-    fn inject(&mut self, slot: u64, _rng: &mut dyn RngCore) -> Vec<Arc<RoutePath>> {
+    fn inject_into(&mut self, slot: u64, _rng: &mut dyn RngCore, out: &mut Vec<Arc<RoutePath>>) {
         self.core.sync_to(slot);
-        let mut out = Vec::new();
+        out.clear();
         for idx in 0..self.core.templates.len() {
             let period = self.periods[idx];
             if period != u64::MAX && (slot + idx as u64).is_multiple_of(period) {
-                self.core.try_inject(idx, &mut out);
+                self.core.try_inject(idx, out);
             }
         }
-        out
     }
 }
 

@@ -508,12 +508,6 @@ impl From<StochasticInjector> for BatchStochasticInjector {
 }
 
 impl Injector for BatchStochasticInjector {
-    fn inject(&mut self, slot: u64, rng: &mut dyn RngCore) -> Vec<Arc<RoutePath>> {
-        let mut out = Vec::new();
-        self.inject_into(slot, rng, &mut out);
-        out
-    }
-
     fn inject_into(&mut self, slot: u64, rng: &mut dyn RngCore, out: &mut Vec<Arc<RoutePath>>) {
         out.clear();
         let BatchStochasticInjector {

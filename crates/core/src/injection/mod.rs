@@ -9,6 +9,10 @@
 //! * [`adversarial`] — `(w, λ)`-bounded window adversaries: in every
 //!   interval of `w` slots the measure of all injected routes is at most
 //!   `λ·w`.
+//!
+//! Every injector implements one slot method, [`Injector::inject_into`],
+//! which writes the slot's routes into a caller-owned buffer;
+//! [`Injector::inject`] is a provided wrapper returning an owned vector.
 
 pub mod adversarial;
 pub mod batch;
@@ -21,22 +25,21 @@ use std::sync::Arc;
 
 /// A source of packet injections, queried once per slot.
 pub trait Injector {
-    /// Routes of the packets injected at `slot`.
+    /// Writes the routes of the packets injected at `slot` into `out`
+    /// (cleared first), so the slot loop stays allocation-free on idle
+    /// slots.
     ///
     /// Implementations must be driven with strictly increasing slot numbers;
     /// window adversaries rely on this to maintain their budget.
-    fn inject(&mut self, slot: u64, rng: &mut dyn RngCore) -> Vec<Arc<RoutePath>>;
+    fn inject_into(&mut self, slot: u64, rng: &mut dyn RngCore, out: &mut Vec<Arc<RoutePath>>);
 
-    /// Like [`inject`](Injector::inject), but writing the routes into
-    /// `out` (cleared first) instead of allocating a fresh vector — the
-    /// slot loop's hot path stays allocation-free on idle slots.
-    ///
-    /// The default delegates to `inject`; implementations on the hot
-    /// path (the stochastic samplers) override it and make `inject` the
-    /// delegating direction.
-    fn inject_into(&mut self, slot: u64, rng: &mut dyn RngCore, out: &mut Vec<Arc<RoutePath>>) {
-        out.clear();
-        out.append(&mut self.inject(slot, rng));
+    /// Routes of the packets injected at `slot`: a convenience wrapper
+    /// around [`inject_into`](Injector::inject_into) for call sites that
+    /// prefer an owned vector.
+    fn inject(&mut self, slot: u64, rng: &mut dyn RngCore) -> Vec<Arc<RoutePath>> {
+        let mut out = Vec::new();
+        self.inject_into(slot, rng, &mut out);
+        out
     }
 
     /// Event-engine hint: the earliest slot `≥ after` at which this
@@ -94,10 +97,6 @@ pub trait Injector {
 }
 
 impl<T: Injector + ?Sized> Injector for Box<T> {
-    fn inject(&mut self, slot: u64, rng: &mut dyn RngCore) -> Vec<Arc<RoutePath>> {
-        (**self).inject(slot, rng)
-    }
-
     fn inject_into(&mut self, slot: u64, rng: &mut dyn RngCore, out: &mut Vec<Arc<RoutePath>>) {
         (**self).inject_into(slot, rng, out)
     }
@@ -126,10 +125,6 @@ impl<T: Injector + ?Sized> Injector for Box<T> {
 pub struct NoInjection;
 
 impl Injector for NoInjection {
-    fn inject(&mut self, _slot: u64, _rng: &mut dyn RngCore) -> Vec<Arc<RoutePath>> {
-        Vec::new()
-    }
-
     fn inject_into(&mut self, _slot: u64, _rng: &mut dyn RngCore, out: &mut Vec<Arc<RoutePath>>) {
         out.clear();
     }
@@ -160,12 +155,6 @@ impl TraceInjector {
 }
 
 impl Injector for TraceInjector {
-    fn inject(&mut self, slot: u64, rng: &mut dyn RngCore) -> Vec<Arc<RoutePath>> {
-        let mut out = Vec::new();
-        self.inject_into(slot, rng, &mut out);
-        out
-    }
-
     fn inject_into(&mut self, slot: u64, _rng: &mut dyn RngCore, out: &mut Vec<Arc<RoutePath>>) {
         out.clear();
         while self.next < self.events.len() && self.events[self.next].0 <= slot {

@@ -264,13 +264,6 @@ impl StochasticInjector {
 }
 
 impl Injector for StochasticInjector {
-    fn inject(&mut self, _slot: u64, rng: &mut dyn RngCore) -> Vec<Arc<RoutePath>> {
-        self.generators
-            .iter()
-            .filter_map(|g| g.sample(rng))
-            .collect()
-    }
-
     fn inject_into(&mut self, _slot: u64, rng: &mut dyn RngCore, out: &mut Vec<Arc<RoutePath>>) {
         out.clear();
         out.extend(self.generators.iter().filter_map(|g| g.sample(rng)));

@@ -6,13 +6,11 @@
 //! reports deliveries. The frame protocol of Section 4 implements this, and
 //! so do the custom protocols of the lower-bound experiment (Section 8).
 //!
-//! The driving entry point is [`Protocol::step`]: arrivals are borrowed
-//! and the outcome is written into a caller-owned [`SlotOutcome`], so a
-//! simulation's slot loop reuses two buffers for its entire run and idle
-//! slots allocate nothing. The owned-`Vec` [`Protocol::on_slot`] form is
-//! kept as a convenience shim — each method has a default implemented in
-//! terms of the other, so implementations override exactly one of them
-//! (hot protocols override `step`; overriding neither would recurse).
+//! Every protocol implements one slot method, [`Protocol::step`]:
+//! arrivals are borrowed and the outcome is written into a caller-owned
+//! [`SlotOutcome`], so a simulation's slot loop reuses two buffers for its
+//! entire run and idle slots allocate nothing. [`Protocol::on_slot`] is a
+//! provided wrapper taking and returning owned values.
 
 use crate::feasibility::Feasibility;
 use crate::ids::PacketId;
@@ -65,10 +63,6 @@ impl SlotOutcome {
 }
 
 /// A dynamic packet-scheduling protocol, driven slot by slot.
-///
-/// Implementations must override [`Protocol::step`] (preferred; the hot
-/// path) or [`Protocol::on_slot`] (legacy shim); each has a default
-/// delegating to the other.
 pub trait Protocol {
     /// Advances the protocol by one slot, writing what happened into
     /// `out`.
@@ -88,20 +82,11 @@ pub trait Protocol {
         phy: &dyn Feasibility,
         rng: &mut dyn RngCore,
         out: &mut SlotOutcome,
-    ) {
-        let outcome = self.on_slot(slot, arrivals.to_vec(), phy, rng);
-        out.clear();
-        out.delivered.extend_from_slice(&outcome.delivered);
-        out.attempts = outcome.attempts;
-        out.successes = outcome.successes;
-    }
+    );
 
-    /// Advances the protocol by one slot, returning an owned outcome.
-    ///
-    /// Semantically identical to [`Protocol::step`] — same decisions,
-    /// same RNG consumption — kept for call sites that prefer owned
-    /// values over buffer reuse. Callers must drive a protocol through
-    /// one entry point per slot, not both.
+    /// Advances the protocol by one slot, returning an owned outcome: a
+    /// convenience wrapper around [`Protocol::step`] for call sites that
+    /// prefer owned values over buffer reuse.
     fn on_slot(
         &mut self,
         slot: u64,
@@ -213,16 +198,6 @@ impl<P: Protocol + ?Sized> Protocol for Box<P> {
         (**self).step(slot, arrivals, phy, rng, out)
     }
 
-    fn on_slot(
-        &mut self,
-        slot: u64,
-        arrivals: Vec<Packet>,
-        phy: &dyn Feasibility,
-        rng: &mut dyn RngCore,
-    ) -> SlotOutcome {
-        (**self).on_slot(slot, arrivals, phy, rng)
-    }
-
     fn backlog(&self) -> usize {
         (**self).backlog()
     }
@@ -294,33 +269,32 @@ mod tests {
         assert_eq!(o.delivered.capacity(), cap);
     }
 
-    /// A legacy protocol implementing only `on_slot`: instantly delivers
-    /// every arrival.
-    struct LegacySink {
+    /// A protocol implementing only `step`: instantly delivers every
+    /// arrival.
+    struct Sink {
         seen: usize,
     }
 
-    impl Protocol for LegacySink {
-        fn on_slot(
+    impl Protocol for Sink {
+        fn step(
             &mut self,
             slot: u64,
-            arrivals: Vec<Packet>,
+            arrivals: &[Packet],
             _phy: &dyn Feasibility,
             _rng: &mut dyn RngCore,
-        ) -> SlotOutcome {
-            let mut out = SlotOutcome::empty();
-            for p in &arrivals {
-                out.delivered.push(DeliveredPacket {
+            out: &mut SlotOutcome,
+        ) {
+            out.clear();
+            out.delivered
+                .extend(arrivals.iter().map(|p| DeliveredPacket {
                     id: p.id(),
                     injected_at: p.injected_at(),
                     delivered_at: slot,
                     path_len: p.path_len(),
-                });
-            }
+                }));
             out.attempts = arrivals.len();
             out.successes = arrivals.len();
             self.seen += arrivals.len();
-            out
         }
 
         fn backlog(&self) -> usize {
@@ -329,26 +303,20 @@ mod tests {
     }
 
     #[test]
-    fn step_shim_drives_on_slot_only_protocols_and_clears_stale_state() {
-        let mut p = LegacySink { seen: 0 };
+    fn on_slot_shim_drives_step_only_protocols_and_step_clears_stale_state() {
+        let mut p = Sink { seen: 0 };
         let phy = PerLinkFeasibility::new(1);
         let mut rng = root_rng(1);
         let packet = Packet::new(PacketId(9), RoutePath::single_hop(LinkId(0)).shared(), 4);
-        let mut out = SlotOutcome::empty();
-        // Pre-dirty the outcome: step must clear it.
-        out.attempts = 99;
-        out.delivered.push(DeliveredPacket {
-            id: PacketId(0),
-            injected_at: 0,
-            delivered_at: 0,
-            path_len: 1,
-        });
-        p.step(5, std::slice::from_ref(&packet), &phy, &mut rng, &mut out);
-        assert_eq!(out.delivered.len(), 1);
-        assert_eq!(out.delivered[0].id, PacketId(9));
-        assert_eq!(out.attempts, 1);
+        let owned = p.on_slot(5, vec![packet], &phy, &mut rng);
+        assert_eq!(owned.delivered.len(), 1);
+        assert_eq!(owned.delivered[0].id, PacketId(9));
+        assert_eq!(owned.delivered[0].delivered_at, 5);
+        assert_eq!(owned.attempts, 1);
         assert_eq!(p.seen, 1);
-        // Idle slot leaves a clean outcome.
+        // Pre-dirty the outcome: an idle step must leave it clean.
+        let mut out = owned;
+        out.attempts = 99;
         p.step(6, &[], &phy, &mut rng, &mut out);
         assert!(out.delivered.is_empty());
         assert_eq!(out.attempts, 0);

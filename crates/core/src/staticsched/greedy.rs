@@ -118,12 +118,6 @@ struct GreedyRun {
 }
 
 impl StaticAlgorithm for GreedyRun {
-    fn attempts(&mut self, rng: &mut dyn RngCore) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.attempts_into(rng, &mut out);
-        out
-    }
-
     fn attempts_into(&mut self, _rng: &mut dyn RngCore, out: &mut Vec<usize>) {
         out.clear();
         let mut kept = 0;

@@ -41,31 +41,23 @@ pub struct Request {
 
 /// A running instance of a static algorithm over a fixed request slice.
 ///
-/// Indices in [`StaticAlgorithm::attempts`] and [`StaticAlgorithm::ack`]
-/// refer to positions in the request slice the instance was created for.
+/// Indices in [`StaticAlgorithm::attempts_into`] and
+/// [`StaticAlgorithm::ack`] refer to positions in the request slice the
+/// instance was created for.
 ///
 /// `Send` is a supertrait so protocols owning boxed instances can move
 /// across the threads of the parallel runners.
 pub trait StaticAlgorithm: Send {
-    /// Request indices to attempt in the next slot.
+    /// Writes the request indices to attempt in the next slot into `out`
+    /// (cleared first), so the frame protocol reuses one buffer across
+    /// slots.
     ///
     /// Called exactly once per slot; implementations advance their internal
     /// clock on each call.
-    fn attempts(&mut self, rng: &mut dyn RngCore) -> Vec<usize>;
-
-    /// Writes the next slot's request indices into `out` (cleared first).
-    ///
-    /// Semantically identical to [`StaticAlgorithm::attempts`] — same
-    /// indices, same RNG consumption, same once-per-slot contract — but
-    /// lets the frame protocol reuse one buffer across slots. The default
-    /// delegates to `attempts`; allocation-sensitive algorithms override
-    /// it. Callers must invoke exactly one of the two per slot.
-    fn attempts_into(&mut self, rng: &mut dyn RngCore, out: &mut Vec<usize>) {
-        *out = self.attempts(rng);
-    }
+    fn attempts_into(&mut self, rng: &mut dyn RngCore, out: &mut Vec<usize>);
 
     /// Acknowledges that request `idx` succeeded in the slot of the most
-    /// recent [`StaticAlgorithm::attempts`] call.
+    /// recent [`StaticAlgorithm::attempts_into`] call.
     fn ack(&mut self, idx: usize);
 
     /// Whether the instance will make no further attempts (all requests
@@ -226,24 +218,23 @@ where
     let mut served_at = vec![None; requests.len()];
     let mut attempts_made = 0u64;
     let mut slots_used = 0;
+    let (mut idxs, mut attempts, mut successes) = (Vec::new(), Vec::new(), Vec::new());
     for slot in 0..budget {
         if alg.is_done() {
             break;
         }
         slots_used = slot + 1;
-        let idxs = alg.attempts(rng);
+        alg.attempts_into(rng, &mut idxs);
         if idxs.is_empty() {
             continue;
         }
         attempts_made += idxs.len() as u64;
-        let attempts: Vec<Attempt> = idxs
-            .iter()
-            .map(|&i| Attempt {
-                link: requests[i].link,
-                packet: requests[i].packet,
-            })
-            .collect();
-        let successes = feasibility.successes(&attempts, rng);
+        attempts.clear();
+        attempts.extend(idxs.iter().map(|&i| Attempt {
+            link: requests[i].link,
+            packet: requests[i].packet,
+        }));
+        feasibility.successes_into(&attempts, &mut successes, rng);
         for (&idx, &ok) in idxs.iter().zip(&successes) {
             if ok {
                 alg.ack(idx);
@@ -272,13 +263,9 @@ mod tests {
     }
 
     impl StaticAlgorithm for Eager {
-        fn attempts(&mut self, _rng: &mut dyn RngCore) -> Vec<usize> {
-            self.pending
-                .iter()
-                .enumerate()
-                .filter(|(_, &p)| p)
-                .map(|(i, _)| i)
-                .collect()
+        fn attempts_into(&mut self, _rng: &mut dyn RngCore, out: &mut Vec<usize>) {
+            out.clear();
+            out.extend((0..self.pending.len()).filter(|&i| self.pending[i]));
         }
 
         fn ack(&mut self, idx: usize) {

@@ -193,12 +193,6 @@ impl TwoStageRun {
 }
 
 impl StaticAlgorithm for TwoStageRun {
-    fn attempts(&mut self, rng: &mut dyn RngCore) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.attempts_into(rng, &mut out);
-        out
-    }
-
     fn attempts_into(&mut self, rng: &mut dyn RngCore, out: &mut Vec<usize>) {
         out.clear();
         if self.remaining == 0 {
@@ -323,7 +317,7 @@ mod tests {
         let mut alg = scheduler.instantiate(&reqs, 4.0, &mut rng);
         // The run starts in the tail; attempts come from the whole set.
         assert!(!alg.is_done());
-        let _ = alg.attempts(&mut rng);
+        alg.attempts_into(&mut rng, &mut Vec::new());
     }
 
     #[test]
@@ -332,7 +326,9 @@ mod tests {
         let mut rng = root_rng(1);
         let mut alg = scheduler.instantiate(&[], 1.0, &mut rng);
         assert!(alg.is_done());
-        assert!(alg.attempts(&mut rng).is_empty());
+        let mut out = vec![0];
+        alg.attempts_into(&mut rng, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -118,14 +118,13 @@ struct UniformRateRun {
 }
 
 impl StaticAlgorithm for UniformRateRun {
-    fn attempts(&mut self, rng: &mut dyn RngCore) -> Vec<usize> {
-        let mut out = Vec::new();
+    fn attempts_into(&mut self, rng: &mut dyn RngCore, out: &mut Vec<usize>) {
+        out.clear();
         for (i, &pending) in self.pending.iter().enumerate() {
             if pending && rng.gen::<f64>() < self.probability {
                 out.push(i);
             }
         }
-        out
     }
 
     fn ack(&mut self, idx: usize) {
@@ -221,7 +220,9 @@ mod tests {
         let mut rng = root_rng(1);
         let mut alg = scheduler.instantiate(&[], 1.0, &mut rng);
         assert!(alg.is_done());
-        assert!(alg.attempts(&mut rng).is_empty());
+        let mut out = vec![0];
+        alg.attempts_into(&mut rng, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -325,17 +325,17 @@ impl<S: StaticScheduler> DenseTransformRun<S> {
 }
 
 impl<S: StaticScheduler + Send> StaticAlgorithm for DenseTransformRun<S> {
-    fn attempts(&mut self, rng: &mut dyn RngCore) -> Vec<usize> {
+    fn attempts_into(&mut self, rng: &mut dyn RngCore, out: &mut Vec<usize>) {
         self.ensure_inner(rng);
         let Some(inner) = &mut self.inner else {
-            return Vec::new();
+            out.clear();
+            return;
         };
         self.inner_slots_left -= 1;
-        inner
-            .attempts(rng)
-            .into_iter()
-            .map(|i| self.inner_members[i])
-            .collect()
+        inner.attempts_into(rng, out);
+        for i in out.iter_mut() {
+            *i = self.inner_members[*i];
+        }
     }
 
     fn ack(&mut self, idx: usize) {
@@ -429,7 +429,9 @@ mod tests {
         let mut rng = root_rng(1);
         let mut alg = t.instantiate(&[], 1.0, &mut rng);
         assert!(alg.is_done());
-        assert!(alg.attempts(&mut rng).is_empty());
+        let mut out = vec![0];
+        alg.attempts_into(&mut rng, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -65,6 +65,17 @@ impl QueueGreedy {
     }
 }
 
+/// The per-link oracle as first written — count each link's attempts in
+/// an `O(m)` multiplicity array, succeed iff the count is one — kept as
+/// the referee for the packed-key sort of [`PerLinkFeasibility`].
+fn per_link_referee(attempts: &[Attempt], num_links: usize) -> Vec<bool> {
+    let mut mult = vec![0u32; num_links];
+    for a in attempts {
+        mult[a.link.index()] += 1;
+    }
+    attempts.iter().map(|a| mult[a.link.index()] == 1).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
@@ -72,8 +83,7 @@ proptest! {
     /// random request multisets — empty, one crowded link, sparse high
     /// link ids, all-distinct links, dense duplicates — under front,
     /// repeated, non-front and out-of-range acks: identical attempt
-    /// sequences and identical `is_done` after every step, with
-    /// `attempts` and `attempts_into` agreeing.
+    /// sequences and identical `is_done` after every step.
     #[test]
     fn greedy_run_matches_the_queue_referee(
         shape in 0u32..5,
@@ -99,19 +109,16 @@ proptest! {
             })
             .collect();
         let mut by_into = GreedyPerLink::new().instantiate(&requests, 0.0, &mut rng);
-        let mut by_vec = GreedyPerLink::new().instantiate(&requests, 0.0, &mut rng);
         let mut referee = QueueGreedy::new(&requests);
         let (mut got, mut want, mut acks) = (Vec::new(), Vec::new(), Vec::new());
         for step in 0..4 * requests.len() + 4 {
             prop_assert_eq!(by_into.is_done(), referee.is_done(), "step {}", step);
-            prop_assert_eq!(by_vec.is_done(), referee.is_done(), "step {}", step);
             if referee.is_done() {
                 break;
             }
             by_into.attempts_into(&mut rng, &mut got);
             referee.attempts_into(&mut want);
             prop_assert_eq!(&got, &want, "step {}", step);
-            prop_assert_eq!(&by_vec.attempts(&mut rng), &want, "step {}", step);
             acks.clear();
             for &idx in &want {
                 match rng.gen_range(0..8u32) {
@@ -124,15 +131,14 @@ proptest! {
             }
             for &idx in &acks {
                 by_into.ack(idx);
-                by_vec.ack(idx);
                 referee.ack(idx);
             }
         }
     }
 
     /// The allocation-free per-link check (sorted packed keys, runs of
-    /// length one succeed) agrees with the multiplicity count on random
-    /// unsorted link multisets: up to 4096 attempts, ids up to
+    /// length one succeed) agrees with the multiplicity-count referee on
+    /// random unsorted link multisets: up to 4096 attempts, ids up to
     /// `num_links − 1`, duplicates forced by narrow id spans.
     #[test]
     fn per_link_successes_into_matches_successes_on_random_multisets(
@@ -152,7 +158,7 @@ proptest! {
         let oracle = PerLinkFeasibility::new(num_links);
         let mut out = vec![true; 3];
         oracle.successes_into(&attempts, &mut out, &mut rng);
-        prop_assert_eq!(&out, &oracle.successes(&attempts, &mut rng));
+        prop_assert_eq!(&out, &per_link_referee(&attempts, num_links));
     }
 }
 

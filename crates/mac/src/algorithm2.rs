@@ -204,30 +204,30 @@ impl Algorithm2Run {
 }
 
 impl StaticAlgorithm for Algorithm2Run {
-    fn attempts(&mut self, rng: &mut dyn RngCore) -> Vec<usize> {
+    fn attempts_into(&mut self, rng: &mut dyn RngCore, out: &mut Vec<usize>) {
+        out.clear();
         if self.remaining == 0 {
-            return Vec::new();
+            return;
         }
         if !self.in_tail && self.slot_in_window >= self.window {
             self.start_iteration(rng);
         }
         if self.in_tail {
-            return self
-                .pending
-                .iter()
-                .enumerate()
-                .filter(|(_, &p)| p)
-                .filter(|_| rng.gen::<f64>() < self.tail_p)
-                .map(|(i, _)| i)
-                .collect();
+            out.extend(
+                (0..self.pending.len())
+                    .filter(|&i| self.pending[i])
+                    .filter(|_| rng.gen::<f64>() < self.tail_p),
+            );
+            return;
         }
         let slot = self.slot_in_window;
         self.slot_in_window += 1;
-        self.scheduled[slot]
-            .iter()
-            .copied()
-            .filter(|&i| self.pending[i])
-            .collect()
+        out.extend(
+            self.scheduled[slot]
+                .iter()
+                .copied()
+                .filter(|&i| self.pending[i]),
+        );
     }
 
     fn ack(&mut self, idx: usize) {

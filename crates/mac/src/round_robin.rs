@@ -77,25 +77,25 @@ struct RoundRobinRun {
 }
 
 impl StaticAlgorithm for RoundRobinRun {
-    fn attempts(&mut self, _rng: &mut dyn RngCore) -> Vec<usize> {
+    fn attempts_into(&mut self, _rng: &mut dyn RngCore, out: &mut Vec<usize>) {
+        out.clear();
         if self.remaining == 0 || self.current >= self.stations.len() {
-            return Vec::new();
+            return;
         }
         if self.awaiting_silence {
             // The silent slot: nobody transmits; the next station takes
             // over afterwards.
             self.awaiting_silence = false;
             self.current += 1;
-            return Vec::new();
+            return;
         }
         let station = self.stations[self.current];
         match self.queues.get(&station).and_then(|q| q.front()) {
-            Some(&idx) => vec![idx],
+            Some(&idx) => out.push(idx),
             None => {
                 // Station has nothing (or is done): its very first slot is
                 // already silent; hand over immediately.
                 self.current += 1;
-                Vec::new()
             }
         }
     }

@@ -113,32 +113,6 @@ pub fn stochastic_at_rate<M: InterferenceModel + ?Sized>(
     Err(last_err.expect("at least one attempt").into())
 }
 
-/// An [`InjectorSpec`] building the naive per-generator stochastic
-/// sampler (one Bernoulli draw per generator per slot) instead of the
-/// batch engine — the pre-batching behaviour, kept for A/B measurement
-/// (`bench_inject`) and as a bisection aid. Distribution-identical to
-/// the batch engine; only the RNG stream and the per-slot cost differ.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NaiveStochasticSpec;
-
-impl InjectorSpec for NaiveStochasticSpec {
-    fn label(&self) -> String {
-        "stochastic (naive per-generator)".into()
-    }
-
-    fn build(
-        &self,
-        substrate: &Substrate,
-        lambda: f64,
-    ) -> Result<Box<dyn Injector + Send>, ScenarioError> {
-        Ok(Box::new(stochastic_at_rate(
-            &*substrate.model,
-            substrate.routes.clone(),
-            lambda,
-        )?))
-    }
-}
-
 /// Wraps an injector and records its trace into a [`WindowValidator`], so
 /// runs can report the *effective* `(w, λ)` rate an adversary achieved.
 pub struct ValidatingInjector<I, M: InterferenceModel> {
@@ -162,12 +136,6 @@ impl<I: Injector, M: InterferenceModel> ValidatingInjector<I, M> {
 }
 
 impl<I: Injector, M: InterferenceModel> Injector for ValidatingInjector<I, M> {
-    fn inject(&mut self, slot: u64, rng: &mut dyn rand::RngCore) -> Vec<Arc<RoutePath>> {
-        let mut out = Vec::new();
-        self.inject_into(slot, rng, &mut out);
-        out
-    }
-
     fn inject_into(
         &mut self,
         slot: u64,

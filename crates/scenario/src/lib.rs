@@ -81,7 +81,7 @@ pub mod sweep;
 
 pub use cache::SubstrateCache;
 pub use error::ScenarioError;
-pub use injector::{InjectorSpec, NaiveStochasticSpec, ValidatingInjector};
+pub use injector::{InjectorSpec, ValidatingInjector};
 pub use protocol::{BuiltProtocol, ProtocolSpec};
 pub use scenario::{verdict_cell, Scenario, ScenarioOutcome};
 pub use spec::{

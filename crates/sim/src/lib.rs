@@ -9,7 +9,6 @@
 //!
 //! * [`runner`] — the slot loop, its event-driven fast path, and
 //!   [`runner::SimulationReport`];
-//! * [`events`] — the event queue and clock the fast path is built from;
 //! * [`stats`] — summary statistics and least-squares fits;
 //! * [`stability`] — the bounded-vs-growing backlog verdict used for the
 //!   stability-threshold experiments;
@@ -19,7 +18,6 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-pub mod events;
 pub mod parallel;
 pub mod runner;
 pub mod stability;
@@ -29,7 +27,6 @@ pub mod trace;
 
 /// Convenience re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::events::{Event, EventKind, EventQueue, SimClock};
     pub use crate::parallel::{parallel_map, run_repetitions, AggregateReport};
     pub use crate::runner::{run_simulation, SimulationConfig, SimulationReport};
     pub use crate::stability::{classify_stability, StabilityVerdict};

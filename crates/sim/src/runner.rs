@@ -7,7 +7,8 @@
 //! [`Protocol::next_event_slot`] and `Injector::next_active_slot` — and,
 //! when both hints agree that a range of upcoming slots can neither
 //! receive arrivals nor do anything observable, replaces that range with
-//! one [`Protocol::skip_idle_slots`] call and a clock jump. Skipped slots
+//! one [`Protocol::skip_idle_slots`] call and a jump of the slot counter
+//! to the smallest of the two hints and the horizon. Skipped slots
 //! consume no RNG and change no observable state, so a run produces the
 //! same [`SimulationReport`] (up to
 //! [`SimulationReport::idle_slots_skipped`], an engine diagnostic) and
@@ -16,7 +17,6 @@
 //! or not. Any unavailable hint (`None`) simply keeps the loop on per-slot
 //! stepping — correctness never depends on a hint being present.
 
-use crate::events::{Event, EventKind, EventQueue, SimClock};
 use crate::stats::Summary;
 use dps_core::feasibility::Feasibility;
 use dps_core::ids::PacketId;
@@ -240,8 +240,7 @@ where
     // and the choice is observable only through performance (the core
     // crate pins a golden fingerprint proving lane equivalence).
     let interned = injector.interned_capable() && protocol.route_interner().is_some();
-    let mut clock = SimClock::new(config.slots);
-    let mut queue = EventQueue::new();
+    let mut slot = 0u64;
     // Runtime invariant guard cadence: the checks walk the whole
     // protocol state (store, route table, every buffered packet), so
     // asserting them after *every* slot turns an O(slots) run quadratic
@@ -253,8 +252,7 @@ where
     // frame-boundary guard inside the protocol is unaffected.
     #[cfg(feature = "check-invariants")]
     let (mut stepped_slots, mut next_check) = (0u64, 0u64);
-    while !clock.is_done() {
-        let slot = clock.now();
+    while slot < config.slots {
         let injected_now = if interned {
             {
                 let table = protocol
@@ -341,55 +339,39 @@ where
             report.backlog_series.push((slot, protocol.backlog()));
             report.potential.record(protocol.potential());
         }
-        clock.tick();
-        if !config.events || clock.is_done() {
+        slot += 1;
+        if !config.events || slot >= config.slots {
             continue;
         }
         // Event-driven fast path: both hints must be available, and both
         // must clear the next slot, for a jump to be sound. The protocol
-        // hint covers slots `slot+1..proto_next` (inert given no
-        // arrivals); the injector hint covers `now..inj_next` (no
-        // arrivals). Either `None` falls back to per-slot stepping.
-        let Some(proto_next) = protocol.next_event_slot(slot) else {
+        // hint covers slots `slot..proto_next` (inert given no
+        // arrivals); the injector hint covers `slot..inj_next` (no
+        // arrivals). Either `None` falls back to per-slot stepping. The
+        // jump never passes the horizon.
+        let Some(proto_next) = protocol.next_event_slot(slot - 1) else {
             continue;
         };
-        let now = clock.now();
-        let Some(inj_next) = injector.next_active_slot(now, &mut rng) else {
+        let Some(inj_next) = injector.next_active_slot(slot, &mut rng) else {
             continue;
         };
-        if proto_next.min(inj_next) <= now {
+        let target = proto_next.min(inj_next).min(config.slots);
+        if target <= slot {
             continue;
         }
-        queue.clear();
-        queue.push(Event {
-            slot: inj_next,
-            kind: EventKind::Injection,
-        });
-        queue.push(Event {
-            slot: proto_next,
-            kind: EventKind::Protocol,
-        });
-        queue.push(Event {
-            slot: config.slots,
-            kind: EventKind::End,
-        });
-        let target = queue.peek_slot().expect("queue was just filled");
-        if target <= now {
-            continue;
-        }
-        let gap = target - now;
-        protocol.skip_idle_slots(now, gap);
+        let gap = target - slot;
+        protocol.skip_idle_slots(slot, gap);
         report.idle_slots_skipped += gap;
         // A bulk skip must land in a state as consistent as stepping
         // each inert slot would have.
         #[cfg(feature = "check-invariants")]
         if let Err(violation) = protocol.check_invariants() {
-            panic!("after skipping slots {now}..{target}: {violation}");
+            panic!("after skipping slots {slot}..{target}: {violation}");
         }
         let backlog = protocol.backlog();
         if let Some(trace) = trace.as_deref_mut() {
             trace.record_skip(crate::trace::SkipRecord {
-                from_slot: now,
+                from_slot: slot,
                 slots: gap,
                 backlog,
             });
@@ -399,13 +381,13 @@ where
         // and potential are constant across them and the series stays
         // bit-for-bit identical without stepping the sampled slots.
         let potential = protocol.potential();
-        let mut sample_slot = now.next_multiple_of(config.sample_every);
+        let mut sample_slot = slot.next_multiple_of(config.sample_every);
         while sample_slot < target {
             report.backlog_series.push((sample_slot, backlog));
             report.potential.record(potential);
             sample_slot += config.sample_every;
         }
-        clock.advance_to(target);
+        slot = target;
     }
     // The terminal state is always verified, whatever the sampling
     // cadence landed on.

@@ -200,12 +200,6 @@ thread_local! {
 }
 
 impl<P: PowerAssignment> Feasibility for SinrFeasibility<P> {
-    fn successes(&self, attempts: &[Attempt], rng: &mut dyn RngCore) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.successes_into(attempts, &mut out, rng);
-        out
-    }
-
     fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, _rng: &mut dyn RngCore) {
         out.clear();
         if attempts.is_empty() {

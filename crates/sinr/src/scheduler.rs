@@ -158,27 +158,22 @@ struct PowerControlRun {
 }
 
 impl StaticAlgorithm for PowerControlRun {
-    fn attempts(&mut self, rng: &mut dyn RngCore) -> Vec<usize> {
+    fn attempts_into(&mut self, rng: &mut dyn RngCore, out: &mut Vec<usize>) {
+        out.clear();
         if self.remaining == 0 {
-            return Vec::new();
+            return;
         }
         if self.cursor < self.plan.len() {
             let slot = self.cursor;
             self.cursor += 1;
-            self.plan[slot]
-                .iter()
-                .copied()
-                .filter(|&i| self.pending[i])
-                .collect()
+            out.extend(self.plan[slot].iter().copied().filter(|&i| self.pending[i]));
         } else {
             // Straggler tail: uniform-rate retries.
-            self.pending
-                .iter()
-                .enumerate()
-                .filter(|(_, &p)| p)
-                .filter(|_| rng.gen::<f64>() < self.tail_q)
-                .map(|(i, _)| i)
-                .collect()
+            out.extend(
+                (0..self.pending.len())
+                    .filter(|&i| self.pending[i])
+                    .filter(|_| rng.gen::<f64>() < self.tail_q),
+            );
         }
     }
 
@@ -278,7 +273,9 @@ mod tests {
         let scheduler = PowerControlScheduler::new(&net);
         let mut alg = scheduler.instantiate(&[], 1.0, &mut rng);
         assert!(alg.is_done());
-        assert!(alg.attempts(&mut rng).is_empty());
+        let mut out = vec![0];
+        alg.attempts_into(&mut rng, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -617,12 +617,6 @@ fn dedup_attempts(attempts: &[Attempt], active: &mut Vec<(u32, u32)>) {
 }
 
 impl<P: PowerAssignment> Feasibility for TiledSinrFeasibility<P> {
-    fn successes(&self, attempts: &[Attempt], rng: &mut dyn RngCore) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.successes_into(attempts, &mut out, rng);
-        out
-    }
-
     fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, _rng: &mut dyn RngCore) {
         out.clear();
         if attempts.is_empty() {

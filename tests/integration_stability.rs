@@ -166,8 +166,10 @@ fn star_instance_separates_global_from_local_clock() {
 
 #[test]
 fn jammed_network_stays_stable_at_reduced_rate() {
-    // A jammer blocking 25% of slots: the protocol provisioned with enough
-    // headroom absorbs it (failures are drained by clean-up phases).
+    // A jammer blocking 25% of busy slots (its cycle advances per oracle
+    // call, and the protocol calls the oracle only on slots with
+    // attempts): the protocol provisioned with enough headroom absorbs
+    // it (failures are drained by clean-up phases).
     let setup = RoutingSetup::ring(4, 1).unwrap();
     let jammed = JammedFeasibility::new(setup.feasibility, 8, 2);
     let mut injector = uniform_generators(setup.routes.clone(), 0.01)

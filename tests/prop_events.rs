@@ -128,16 +128,20 @@ proptest! {
     /// Simulation layer: with the trace recorder and the frame log in
     /// view, the expanded fast trace must equal the per-slot trace and
     /// the frame fingerprints must collide, across random sizes, rates
-    /// spanning sparse to dense, and seeds.
+    /// spanning sparse to dense, sampling intervals, and seeds. The
+    /// horizon is prime, so for every interval above 1 it is not a
+    /// multiple of the interval: the sample replay inside a jump and the
+    /// clamp of the last jump to the horizon both meet a partial period.
     #[test]
     fn traces_and_frame_fingerprints_match_across_engines(
         m in 2usize..7,
         rate_exp in 0u32..8,
+        sample_every in 1u64..998,
         seed in 0u64..10_000,
     ) {
         let lambda = 1e-4 * 3f64.powi(rate_exp as i32);
-        let slots = 20_000u64;
-        let cfg = SimulationConfig::new(slots, seed).with_sample_every(500);
+        let slots = 20_011u64;
+        let cfg = SimulationConfig::new(slots, seed).with_sample_every(sample_every);
 
         let (mut p1, mut i1, phy1) = ring_setup(m, lambda);
         let mut fast_trace = TraceRecorder::new(slots as usize);
