@@ -5,12 +5,13 @@
 //! distinct substrate once and shares it (`Arc`) across all cells and
 //! worker threads. This bench drives 4 λ × 4 repetition grids on the
 //! `sinr-dense` substrate scaled to m = 1024 twice per thread count —
-//! substrate sharing on vs. off (per-cell rebuild, the pre-sharing
-//! behaviour) — and writes the measured wall-clock and speedup to
-//! `BENCH_sweep.json` at the workspace root (override the path with
-//! `BENCH_SWEEP_OUT`). CI runs this in fast mode (smaller instance, one
-//! measurement run) as a perf harness smoke test; the checked-in file
-//! is the PR's baseline, captured in full mode.
+//! through the sharing [`Sweep`] vs. a per-cell rebuild baseline (each
+//! cell's own `Scenario::run_stream`, fanned over the same
+//! `parallel_map` pool) — and writes the measured wall-clock and
+//! speedup to `BENCH_sweep.json` at the workspace root (override the
+//! path with `BENCH_SWEEP_OUT`). CI runs this in fast mode (smaller
+//! instance, one measurement run) as a perf harness smoke test; the
+//! checked-in file is the baseline, captured in full mode.
 //!
 //! Two grids split the story:
 //!
@@ -24,11 +25,11 @@
 //!
 //! Injection rates sit well below capacity (the bench probes engine
 //! overhead, not protocol stability). Decision streams are bit-for-bit
-//! identical with sharing on or off (pinned by the golden-fingerprint
-//! integration test).
+//! identical either way (pinned by the golden integration test).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dps_scenario::{registry, ProtocolConfig, ScenarioSpec, Sweep};
+use dps_scenario::{registry, ProtocolConfig, Scenario, ScenarioSpec, Sweep};
+use dps_sim::parallel::parallel_map;
 use std::time::{Duration, Instant};
 
 const LAMBDAS: [f64; 4] = [0.05, 0.1, 0.15, 0.2];
@@ -51,15 +52,26 @@ fn grids(m: usize) -> Vec<(&'static str, ScenarioSpec)> {
     vec![("engine", engine), ("two-stage", two_stage)]
 }
 
+/// Runs the grid once and returns its cell count: through the sharing
+/// [`Sweep`] when `shared`, otherwise with every cell rebuilding its
+/// topology in its own `Scenario::run_stream`.
 fn run_sweep(spec: &ScenarioSpec, shared: bool, threads: usize) -> usize {
-    let report = Sweep::new(spec.clone())
+    let sweep = Sweep::new(spec.clone())
         .over_lambdas(&LAMBDAS)
         .repetitions(REPS)
-        .threads(threads)
-        .share_substrates(shared)
-        .run()
-        .expect("sweep runs");
-    report.cells.len()
+        .threads(threads);
+    if shared {
+        return sweep.run().expect("sweep runs").cells.len();
+    }
+    let points = sweep.points();
+    parallel_map(points.len(), threads, |i| {
+        let point = points[i];
+        Scenario::from_spec(&spec.clone().with_lambda(point.lambda))
+            .expect("cell spec builds")
+            .run_stream(point.rep)
+            .expect("cell runs")
+    })
+    .len()
 }
 
 /// Median wall-clock of `runs` sweep executions.
@@ -129,8 +141,8 @@ fn bench_sweep_engine(c: &mut Criterion) {
 
     let json = format!(
         "{{\n  \"bench\": \"bench_sweep\",\n  \"metric\": \"sinr-dense-substrate sweep \
-         wall-clock (4 lambdas x 4 repetitions, 1 frame per cell), substrate sharing on \
-         vs off; `engine` = short-frame greedy cells isolating per-cell construction, \
+         wall-clock (4 lambdas x 4 repetitions, 1 frame per cell), shared substrates vs \
+         per-cell rebuild; `engine` = short-frame greedy cells isolating per-cell construction, \
          `two-stage` = the preset's full protocol stack\",\n  \"cells\": [\n{}\n  ]\n}}\n",
         cells.join(",\n")
     );

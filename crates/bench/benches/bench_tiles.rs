@@ -13,7 +13,7 @@
 //!
 //! A separate scale section benches `m = 65536` flat (one tile level)
 //! against the hierarchical walk (four coarsening levels) and the
-//! region-sharded threaded kernel on the same leaf grid, with the same
+//! threaded kernel on the same leaf grid, with the same
 //! in-harness `ε = 0` bit-for-bit assertion at every configuration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -223,8 +223,8 @@ fn bench_tiled_slot(c: &mut Criterion) {
     // the same leaf grid from an 8-per-side coarsest level and only
     // descends where the centre-substitution bound forces it,
     // replacing those leaf terms with a few coarse aggregates. The
-    // threaded row shards receivers by region and must stay
-    // bit-for-bit.
+    // threaded row splits the receivers over worker threads and must
+    // stay bit-for-bit.
     const HIER_M: usize = 65536;
     const HIER_LEVELS: usize = 4;
     let hier_json = {

@@ -23,7 +23,6 @@ use crate::ids::{LinkId, PacketId};
 use crate::invariants::InvariantViolation;
 use crate::packet::{DeliveredPacket, Packet};
 use crate::protocol::{InternedArrival, Protocol, SlotOutcome};
-use crate::region::{ActiveLinkSet, RegionMap};
 use crate::route_table::{RouteId, RouteTable};
 use crate::staticsched::{Request, StaticAlgorithm, StaticScheduler};
 use crate::store::{PacketRef, PacketState, PacketStore};
@@ -87,13 +86,6 @@ pub struct DynamicProtocol<S> {
     delivered_in_active: usize,
     /// Per-link buffers of failed packets.
     failed: Vec<Vec<FailedRef>>,
-    /// Region-summarized occupancy of `failed`: exactly the links with a
-    /// non-empty buffer. Clean-up selection iterates this set (ascending
-    /// link order, empty regions skipped wholesale), so the per-frame
-    /// scan costs `O(regions + occupied)` instead of `O(m)` — the same
-    /// links in the same order as the historical full scan, hence the
-    /// same RNG stream (pinned by the golden-fingerprint tests).
-    failed_links: ActiveLinkSet,
     failed_total: usize,
     potential: u64,
 
@@ -119,8 +111,6 @@ pub struct DynamicProtocol<S> {
     attempt_scratch: Vec<Attempt>,
     /// Per-attempt success flags of this slot.
     success_scratch: Vec<bool>,
-    /// Occupied failed-buffer links of the current clean-up selection.
-    link_scratch: Vec<u32>,
 
     frame_events: Vec<FrameEvent>,
     current_event: FrameEvent,
@@ -147,10 +137,6 @@ impl<S: StaticScheduler> DynamicProtocol<S> {
             active: Vec::new(),
             delivered_in_active: 0,
             failed: vec![Vec::new(); num_links],
-            failed_links: ActiveLinkSet::new(RegionMap::contiguous(
-                num_links,
-                RegionMap::default_regions(num_links),
-            )),
             failed_total: 0,
             potential: 0,
             slot_in_frame: 0,
@@ -164,7 +150,6 @@ impl<S: StaticScheduler> DynamicProtocol<S> {
             idx_scratch: Vec::new(),
             attempt_scratch: Vec::new(),
             success_scratch: Vec::new(),
-            link_scratch: Vec::new(),
             frame_events: Vec::new(),
             current_event: FrameEvent {
                 frame: 0,
@@ -335,27 +320,22 @@ impl<S: StaticScheduler> DynamicProtocol<S> {
                     pkt,
                     failed_at: self.frame_index,
                 });
-                self.failed_links.insert(link);
             }
         }
         std::mem::swap(&mut self.active, &mut self.active_scratch);
 
         // Random clean-up selection: each non-empty buffer contributes its
         // longest-failed packet with probability `cleanup_select_prob`.
-        // `failed_links` yields exactly the non-empty buffers in ascending
-        // link order, so the RNG draws match the historical full scan.
+        // One coin per non-empty buffer in ascending link order: the golden
+        // frame fingerprints pin this RNG stream.
         self.cleanup_selected.clear();
         self.request_scratch.clear();
-        self.link_scratch.clear();
-        self.failed_links.collect_into(&mut self.link_scratch);
-        for i in 0..self.link_scratch.len() {
-            let link_idx = self.link_scratch[i] as usize;
-            debug_assert!(!self.failed[link_idx].is_empty());
-            if rng.gen::<f64>() >= self.config.cleanup_select_prob {
+        let store = &self.store;
+        for (link_idx, buffer) in self.failed.iter().enumerate() {
+            if buffer.is_empty() || rng.gen::<f64>() >= self.config.cleanup_select_prob {
                 continue;
             }
-            let store = &self.store;
-            let oldest = self.failed[link_idx]
+            let oldest = buffer
                 .iter()
                 .min_by_key(|fr| (fr.failed_at, store.id(fr.pkt)))
                 .expect("buffer non-empty");
@@ -422,9 +402,6 @@ impl<S: StaticScheduler> DynamicProtocol<S> {
                 .position(|fr| fr.pkt == pkt)
                 .expect("selected packet still buffered");
             let fr = buffer.swap_remove(pos);
-            if buffer.is_empty() {
-                self.failed_links.remove(link);
-            }
             let hop = self.store.advance(pkt);
             self.potential -= 1;
             let route = self.store.route(pkt);
@@ -442,7 +419,6 @@ impl<S: StaticScheduler> DynamicProtocol<S> {
             } else {
                 let next = self.routes.link_at(route, hop);
                 self.failed[next.index()].push(fr);
-                self.failed_links.insert(next);
             }
         }
     }
@@ -676,22 +652,7 @@ impl<S: StaticScheduler> Protocol for DynamicProtocol<S> {
 
         let mut failed_count = 0usize;
         let mut remaining_hops = 0u64;
-        let mut occupied_buffers = 0usize;
         for (link_idx, buffer) in self.failed.iter().enumerate() {
-            let tracked = self.failed_links.contains(LinkId(link_idx as u32));
-            if tracked == buffer.is_empty() {
-                return Err(InvariantViolation::new(
-                    "failed-buffers",
-                    format!(
-                        "link {link_idx}: buffer len {} but failed_links tracks it as {}",
-                        buffer.len(),
-                        if tracked { "occupied" } else { "empty" }
-                    ),
-                ));
-            }
-            if !buffer.is_empty() {
-                occupied_buffers += 1;
-            }
             for fr in buffer {
                 failed_count += 1;
                 if self.store.state(fr.pkt) != PacketState::Failed {
@@ -728,15 +689,6 @@ impl<S: StaticScheduler> Protocol for DynamicProtocol<S> {
                 }
                 remaining_hops += (len - hop) as u64;
             }
-        }
-        if self.failed_links.len() != occupied_buffers {
-            return Err(InvariantViolation::new(
-                "failed-buffers",
-                format!(
-                    "failed_links tracks {} links but {occupied_buffers} buffers are occupied",
-                    self.failed_links.len()
-                ),
-            ));
         }
         if failed_count != self.failed_total {
             return Err(InvariantViolation::new(
@@ -1256,47 +1208,49 @@ mod tests {
 
     /// At `cleanup_select_prob = 1.0` every non-empty buffer selects in
     /// every frame: a failed multi-hop packet advances exactly one hop
-    /// per frame through clean-up phases until delivered.
+    /// per frame through clean-up phases until delivered. The route
+    /// `[1, 0]` moves the packet from buffer 1 down to buffer 0, so the
+    /// next frame's ascending clean-up scan must find a buffer below the
+    /// one it served.
     #[test]
     fn cleanup_select_prob_one_always_selects() {
         let num_links = 2;
-        let network = line_network(num_links);
-        let mut config = tiny_config(1.0);
-        config.m = num_links;
-        let mut protocol = DynamicProtocol::new(GreedyPerLink::new(), config, num_links);
-        // Fail the whole first frame's main phase so the 2-hop packet
-        // fails on its first link, then let every clean-up attempt
-        // succeed.
-        let phy = FailFirstCalls::new(2);
-        let mut rng = root_rng(9);
-        let route = RoutePath::new(&network, vec![LinkId(0), LinkId(1)])
-            .unwrap()
-            .shared();
-        let arrivals = vec![Packet::new(PacketId(0), route, 0)];
-        let mut outcome = SlotOutcome::empty();
-        let mut delivered_at = None;
-        protocol.step(0, &arrivals, &phy, &mut rng, &mut outcome);
-        for slot in 1..20 {
-            protocol.step(slot, &[], &phy, &mut rng, &mut outcome);
-            if let Some(d) = outcome.delivered.first() {
-                delivered_at = Some((slot, d.path_len));
+        for links in [[0u32, 1], [1, 0]] {
+            let mut config = tiny_config(1.0);
+            config.m = num_links;
+            let mut protocol = DynamicProtocol::new(GreedyPerLink::new(), config, num_links);
+            // Fail the whole first frame's main phase so the 2-hop packet
+            // fails on its first link, then let every clean-up attempt
+            // succeed.
+            let phy = FailFirstCalls::new(2);
+            let mut rng = root_rng(9);
+            let route = RoutePath::from_links_unchecked(links.map(LinkId).to_vec()).shared();
+            let arrivals = vec![Packet::new(PacketId(0), route, 0)];
+            let mut outcome = SlotOutcome::empty();
+            let mut delivered_at = None;
+            protocol.step(0, &arrivals, &phy, &mut rng, &mut outcome);
+            for slot in 1..20 {
+                protocol.step(slot, &[], &phy, &mut rng, &mut outcome);
+                protocol.check_invariants().unwrap();
+                if let Some(d) = outcome.delivered.first() {
+                    delivered_at = Some((slot, d.path_len));
+                }
             }
+            // Frame 1 (slots 4..8): main fails, packet fails with 2 hops
+            // remaining (potential 2), clean-up slot 6 serves hop 1.
+            // Frame 2 (slots 8..12): clean-up slot 10 serves hop 2 → done.
+            assert_eq!(delivered_at, Some((10, 2)), "route {links:?}");
+            let events = protocol.take_frame_events();
+            let selected: Vec<usize> = events.iter().map(|e| e.cleanup_selected).collect();
+            assert_eq!(selected, [0, 1, 1, 0, 0], "route {links:?}");
+            assert_eq!(events[1].newly_failed, 1);
+            assert_eq!(events[1].cleanup_served, 1);
+            assert_eq!(events[1].potential_after, 1);
+            assert_eq!(events[2].cleanup_served, 1);
+            assert_eq!(events[2].potential_after, 0);
+            assert_eq!(protocol.backlog(), 0);
+            assert_eq!(protocol.stored_packets(), 0);
         }
-        // Frame 1 (slots 4..8): main fails, packet fails with 2 hops
-        // remaining (potential 2), clean-up slot 6 serves hop 1.
-        // Frame 2 (slots 8..12): clean-up slot 10 serves hop 2 → done.
-        assert_eq!(delivered_at, Some((10, 2)));
-        let events = protocol.take_frame_events();
-        assert_eq!(events[1].newly_failed, 1);
-        assert_eq!(events[1].cleanup_selected, 1);
-        assert_eq!(events[1].cleanup_served, 1);
-        assert_eq!(events[1].potential_after, 1);
-        assert_eq!(events[2].cleanup_selected, 1);
-        assert_eq!(events[2].cleanup_served, 1);
-        assert_eq!(events[2].potential_after, 0);
-        assert!(events[3..].iter().all(|e| e.cleanup_selected == 0));
-        assert_eq!(protocol.backlog(), 0);
-        assert_eq!(protocol.stored_packets(), 0);
     }
 
     /// Driving the protocol only at hinted event slots — replaying the

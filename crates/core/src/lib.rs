@@ -73,7 +73,6 @@ pub mod parallel;
 pub mod path;
 pub mod potential;
 pub mod protocol;
-pub mod region;
 pub mod rng;
 pub mod route_table;
 pub mod staticsched;
@@ -104,7 +103,6 @@ pub mod prelude {
     pub use crate::packet::{DeliveredPacket, Packet};
     pub use crate::path::RoutePath;
     pub use crate::protocol::{Protocol, SlotOutcome};
-    pub use crate::region::{ActiveLinkSet, RegionMap};
     pub use crate::route_table::{RouteId, RouteTable};
     pub use crate::staticsched::greedy::GreedyPerLink;
     pub use crate::staticsched::two_stage::TwoStageDecayScheduler;

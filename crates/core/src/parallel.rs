@@ -3,9 +3,9 @@
 //!
 //! [`parallel_map`] lives in `dps-core` so that both the simulation
 //! layer (repetition fans, scenario sweeps) and the substrate layer
-//! (the region-sharded tiled SINR slot kernel) can share it without a
-//! dependency cycle; `dps_sim::parallel` re-exports it under its
-//! historical path.
+//! (the tiled SINR slot kernel, which splits a slot's receivers over
+//! threads) can share it without a dependency cycle; `dps_sim::parallel`
+//! re-exports it under its historical path.
 
 /// Maps `job` over `0..jobs` on up to `threads` OS threads, returning the
 /// results in job order.

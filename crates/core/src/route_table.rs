@@ -27,19 +27,27 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-/// Fibonacci multiplicative hasher for the pointer-identity fast path:
-/// the key is a single pre-randomized address, so SipHash's
-/// collision-resistance buys nothing and its ~20 ns per lookup lands on
-/// every injected packet.
+/// Fibonacci multiplicative hasher for both lookup maps. The keys are
+/// addresses and route link sequences, not adversarial input, so
+/// SipHash's collision resistance buys nothing: on the pointer-identity fast path
+/// its ~20 ns per lookup lands on every injected packet, and on content
+/// keys its per-link `write` call costs more than the table's other
+/// interning work (whether the compiler inlines it there changes with
+/// how the crate is split into codegen units).
 #[derive(Default)]
-struct PtrHasher(u64);
+struct MulHasher(u64);
 
-impl Hasher for PtrHasher {
+impl Hasher for MulHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (n as u64 ^ self.0).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     }
 
     #[inline]
@@ -90,13 +98,13 @@ pub struct RouteTable {
     /// All hop links of all interned routes, concatenated.
     links: Vec<LinkId>,
     /// Content-keyed dedup map (hashes the link sequence).
-    by_content: HashMap<Arc<RoutePath>, RouteId>,
+    by_content: HashMap<Arc<RoutePath>, RouteId, BuildHasherDefault<MulHasher>>,
     /// Pointer-identity fast path: `Arc::as_ptr` (as an address) of every
     /// `Arc` ever interned. Addresses are identity keys only, never
     /// dereferenced; the `Arc` clone pinned in `pinned`/`routes` keeps
     /// each allocation alive, so an address can never be recycled for a
     /// different route while the table exists.
-    by_ptr: HashMap<usize, RouteId, BuildHasherDefault<PtrHasher>>,
+    by_ptr: HashMap<usize, RouteId, BuildHasherDefault<MulHasher>>,
     /// Aliased `Arc`s pinned for the lifetime of `by_ptr` (see above).
     pinned: Vec<Arc<RoutePath>>,
 }

@@ -43,7 +43,6 @@ pub struct Sweep {
     seeds: Vec<u64>,
     repetitions: u64,
     threads: usize,
-    share_substrates: bool,
     substrate_budget_bytes: usize,
 }
 
@@ -93,7 +92,6 @@ impl Sweep {
             seeds: vec![base.run.seed],
             repetitions: 1,
             threads,
-            share_substrates: true,
             substrate_budget_bytes: crate::cache::DEFAULT_BYTE_BUDGET,
             base,
         }
@@ -136,17 +134,6 @@ impl Sweep {
         self
     }
 
-    /// Toggles the shared-substrate layer (on by default).
-    ///
-    /// With sharing off every cell rebuilds its topology from scratch —
-    /// the pre-sharing behaviour, kept for A/B comparison (`bench_sweep`
-    /// measures exactly this) and as a bisection aid. Results are
-    /// bit-for-bit identical either way.
-    pub fn share_substrates(mut self, share: bool) -> Self {
-        self.share_substrates = share;
-        self
-    }
-
     /// Caps the estimated bytes of topologies the sweep's substrate
     /// cache keeps resident (default
     /// [`crate::cache::DEFAULT_BYTE_BUDGET`]).
@@ -186,8 +173,7 @@ impl Sweep {
     /// Each cell rebuilds protocol and injector from the (validated)
     /// spec, so results are identical no matter how many threads execute
     /// the grid; topologies are built once per distinct `(substrate,
-    /// size, seed)` and shared across their cells (see
-    /// [`share_substrates`](Self::share_substrates)).
+    /// size, seed)` and shared across their cells.
     ///
     /// # Errors
     ///
@@ -217,57 +203,51 @@ impl Sweep {
         // lazily — holding every handle up front would pin all
         // topologies resident and defeat the budget. Keyless specs
         // (custom substrates that opted out of sharing) rebuild inside
-        // their cells — as does everything when sharing is off (the
-        // pre-sharing behaviour, kept for A/B measurement).
+        // their cells.
         let substrates = SubstrateCache::with_byte_budget(self.substrate_budget_bytes);
-        let keys: Vec<Option<String>> = if self.share_substrates {
-            // One cache_key computation per cell, reused for the dedup
-            // pass and the per-cell lookups below.
-            let keys: Vec<Option<String>> = scenarios
-                .iter()
-                .map(|(_, scenario)| scenario.substrate.cache_key())
-                .collect();
-            // Determinism audit (dps-lint: hash-container): the set is
-            // insert-only dedup state; iteration below walks the
-            // insertion-ordered `keys` Vec, so warm-up order is the
-            // config order regardless of the set's internal order.
-            let mut seen = std::collections::HashSet::new();
-            let first_of_key: Vec<usize> = keys
-                .iter()
-                .enumerate()
-                .filter(|(_, key)| key.as_ref().is_some_and(|k| seen.insert(k.clone())))
-                .map(|(index, _)| index)
-                .collect();
-            // Stop warming once the cache is at budget or stops
-            // growing (eviction displaced as much as the build added):
-            // building more would only evict topologies just built,
-            // each then built twice — once here, once by its cells.
-            // Skipped topologies are built lazily by their first cell.
-            // The checks are racy across workers, which at worst warms
-            // an extra topology per thread.
-            let warm_stopped = std::sync::atomic::AtomicBool::new(false);
-            dps_sim::parallel::parallel_map(first_of_key.len(), self.threads, |i| {
-                use std::sync::atomic::Ordering;
-                if warm_stopped.load(Ordering::Relaxed)
-                    || substrates.resident_bytes() >= self.substrate_budget_bytes
-                {
-                    return Ok::<(), ScenarioError>(());
-                }
-                let before = substrates.resident_bytes();
-                let index = first_of_key[i];
-                substrates
-                    .get_or_build_keyed(keys[index].as_deref(), &*scenarios[index].1.substrate)?;
-                if substrates.resident_bytes() <= before {
-                    warm_stopped.store(true, Ordering::Relaxed);
-                }
-                Ok(())
-            })
-            .into_iter()
-            .collect::<Result<Vec<()>, _>>()?;
-            keys
-        } else {
-            vec![None; scenarios.len()]
-        };
+        // One cache_key computation per cell, reused for the dedup pass
+        // and the per-cell lookups below.
+        let keys: Vec<Option<String>> = scenarios
+            .iter()
+            .map(|(_, scenario)| scenario.substrate.cache_key())
+            .collect();
+        // Determinism audit (dps-lint: hash-container): the set is
+        // insert-only dedup state; iteration below walks the
+        // insertion-ordered `keys` Vec, so warm-up order is the
+        // config order regardless of the set's internal order.
+        let mut seen = std::collections::HashSet::new();
+        let first_of_key: Vec<usize> = keys
+            .iter()
+            .enumerate()
+            .filter(|(_, key)| key.as_ref().is_some_and(|k| seen.insert(k.clone())))
+            .map(|(index, _)| index)
+            .collect();
+        // Stop warming once the cache is at budget or stops
+        // growing (eviction displaced as much as the build added):
+        // building more would only evict topologies just built,
+        // each then built twice — once here, once by its cells.
+        // Skipped topologies are built lazily by their first cell.
+        // The checks are racy across workers, which at worst warms
+        // an extra topology per thread.
+        let warm_stopped = std::sync::atomic::AtomicBool::new(false);
+        dps_sim::parallel::parallel_map(first_of_key.len(), self.threads, |i| {
+            use std::sync::atomic::Ordering;
+            if warm_stopped.load(Ordering::Relaxed)
+                || substrates.resident_bytes() >= self.substrate_budget_bytes
+            {
+                return Ok::<(), ScenarioError>(());
+            }
+            let before = substrates.resident_bytes();
+            let index = first_of_key[i];
+            substrates
+                .get_or_build_keyed(keys[index].as_deref(), &*scenarios[index].1.substrate)?;
+            if substrates.resident_bytes() <= before {
+                warm_stopped.store(true, Ordering::Relaxed);
+            }
+            Ok(())
+        })
+        .into_iter()
+        .collect::<Result<Vec<()>, _>>()?;
         let outcomes = dps_sim::parallel::parallel_map(scenarios.len(), self.threads, |i| {
             let (point, scenario) = &scenarios[i];
             match &keys[i] {

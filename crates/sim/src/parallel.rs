@@ -106,7 +106,8 @@ impl AggregateReport {
 
 /// The workspace's one parallel-execution primitive, re-exported from
 /// [`dps_core::parallel`] where it moved so the tiled SINR slot kernel
-/// can fan region shards over the same pool without a dependency cycle.
+/// can split a slot's receivers over the same pool without a dependency
+/// cycle.
 /// Repetition runs ([`run_repetitions`]) and scenario sweeps build on
 /// it; see the crate of origin for the chunking and order-preservation
 /// contract.

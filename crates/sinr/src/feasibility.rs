@@ -72,27 +72,7 @@ impl<P: PowerAssignment> SinrFeasibility<P> {
     /// `O(m²)` construction it replaces, and exact because a matching
     /// cache stores these very expressions).
     pub fn with_cache(net: SinrNetwork, power: P, cache: Arc<SinrCache>) -> Self {
-        assert_eq!(
-            cache.num_links(),
-            net.num_links(),
-            "shared SinrCache must cover the oracle's network"
-        );
-        assert!(
-            cache.beta().to_bits() == net.params().beta.to_bits()
-                && cache.noise().to_bits() == net.params().noise.to_bits(),
-            "shared SinrCache was built under different SINR parameters"
-        );
-        let alpha = net.params().alpha;
-        for (index, &len) in net.lengths().iter().enumerate() {
-            let link = LinkId(index as u32);
-            let p = power.power(len);
-            assert!(
-                cache.tx_power(link).to_bits() == p.to_bits()
-                    && cache.signal(link).to_bits() == (p / len.powf(alpha)).to_bits(),
-                "shared SinrCache was built for a different (network, power) pair \
-                 (mismatch at link {index})"
-            );
-        }
+        assert_cache_pairing("SinrCache", &cache, &net, &power);
         SinrFeasibility { net, power, cache }
     }
 
@@ -176,6 +156,60 @@ impl<P: PowerAssignment> SinrFeasibility<P> {
     }
 }
 
+/// Asserts that `cache` was built for the `(net, power)` pair: same link
+/// count, bit-equal SINR parameters, and every link's cached
+/// transmission power and signal bit-for-bit what `power` produces on
+/// `net`. `what` names the shared structure in the panic messages.
+pub(crate) fn assert_cache_pairing<P: PowerAssignment>(
+    what: &str,
+    cache: &SinrCache,
+    net: &SinrNetwork,
+    power: &P,
+) {
+    assert_eq!(
+        cache.num_links(),
+        net.num_links(),
+        "shared {what} must cover the oracle's network"
+    );
+    assert!(
+        cache.beta().to_bits() == net.params().beta.to_bits()
+            && cache.noise().to_bits() == net.params().noise.to_bits(),
+        "shared {what} was built under different SINR parameters"
+    );
+    let alpha = net.params().alpha;
+    for (index, &len) in net.lengths().iter().enumerate() {
+        let link = LinkId(index as u32);
+        let p = power.power(len);
+        assert!(
+            cache.tx_power(link).to_bits() == p.to_bits()
+                && cache.signal(link).to_bits() == (p / len.powf(alpha)).to_bits(),
+            "shared {what} was built for a different (network, power) pair \
+             (mismatch at link {index})"
+        );
+    }
+}
+
+/// Collapses a slot's attempts into its distinct links with
+/// multiplicities, ascending by link index — the shared preamble of the
+/// exact and tiled slot kernels, and the accumulation order of the naive
+/// scan (identical ordering is part of the tiled `epsilon = 0` bitwise
+/// contract).
+pub(crate) fn dedup_attempts(attempts: &[Attempt], active: &mut Vec<(u32, u32)>) {
+    active.clear();
+    active.extend(attempts.iter().map(|a| (a.link.0, 1u32)));
+    active.sort_unstable_by_key(|&(link, _)| link);
+    let mut write = 0;
+    for read in 1..active.len() {
+        if active[read].0 == active[write].0 {
+            active[write].1 += active[read].1;
+        } else {
+            write += 1;
+            active[write] = active[read];
+        }
+    }
+    active.truncate(write + 1);
+}
+
 /// Per-thread slot scratch: distinct links with multiplicity, the
 /// per-distinct-link verdicts, and the blocked kernel's accumulator and
 /// lane-pack buffers.
@@ -214,21 +248,7 @@ impl<P: PowerAssignment> Feasibility for SinrFeasibility<P> {
                 interference,
                 lanes,
             } = &mut *scratch.borrow_mut();
-            // Distinct attempted links with multiplicities, in link-index
-            // order — the same accumulation order as the naive scan.
-            active.clear();
-            active.extend(attempts.iter().map(|a| (a.link.0, 1u32)));
-            active.sort_unstable_by_key(|&(link, _)| link);
-            let mut write = 0;
-            for read in 1..active.len() {
-                if active[read].0 == active[write].0 {
-                    active[write].1 += active[read].1;
-                } else {
-                    write += 1;
-                    active[write] = active[read];
-                }
-            }
-            active.truncate(write + 1);
+            dedup_attempts(attempts, active);
             // One SINR evaluation per distinct receiver: O(k²) overall.
             verdicts.clear();
             if self

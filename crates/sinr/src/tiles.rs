@@ -1,7 +1,7 @@
 //! Spatially-tiled SINR substrate: hierarchical far-field tile
 //! aggregation, panel-blocked near-field gain storage with fixed or
-//! adaptive residency, and a region-sharded slot kernel for metro- to
-//! megacity-scale instances.
+//! adaptive residency, and an optionally threaded slot kernel for
+//! metro- to megacity-scale instances.
 //!
 //! The exact oracle ([`crate::feasibility::SinrFeasibility`]) judges a
 //! slot in `O(k²)` pairwise gain evaluations; beyond the dense-table
@@ -52,10 +52,10 @@
 //!   per-receiver interference accumulation across worker threads
 //!   ([`dps_core::parallel::parallel_map`], re-exported as
 //!   `dps_sim::parallel::parallel_map`): the active receivers are
-//!   sharded by [`dps_core::region::RegionMap`] span, every receiver's
-//!   accumulation order is independent of the sharding, and the
-//!   per-shard verdict vectors are spliced back in shard order — so
-//!   verdicts are bit-for-bit identical at any thread count.
+//!   split into contiguous chunks, every receiver's accumulation order
+//!   is independent of the split, and `parallel_map` returns the
+//!   verdicts in receiver order — so verdicts are bit-for-bit
+//!   identical at any thread count.
 //!
 //! **Exactness knob.** `epsilon = 0` disables far-field aggregation
 //! entirely: no tile pair qualifies as far at any level, the kernel

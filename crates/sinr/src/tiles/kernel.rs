@@ -1,6 +1,6 @@
 //! The tiled slot kernel: per-slot active grouping, coarse-level
 //! aggregation, per-receiver-tile walk plans, and the (optionally
-//! region-sharded, multi-threaded) verdict loop.
+//! multi-threaded) verdict loop.
 
 use std::cell::RefCell;
 use std::sync::atomic::Ordering;
@@ -9,6 +9,7 @@ use std::sync::Arc;
 use super::index::TiledSinrCache;
 use super::panels::PanelRef;
 use crate::cache::SinrCache;
+use crate::feasibility::{assert_cache_pairing, dedup_attempts};
 use crate::network::SinrNetwork;
 use crate::power::PowerAssignment;
 use dps_core::feasibility::{Attempt, Feasibility};
@@ -16,7 +17,6 @@ use dps_core::ids::LinkId;
 use dps_core::interference::InterferenceModel;
 use dps_core::load::LinkLoad;
 use dps_core::parallel::parallel_map;
-use dps_core::region::RegionMap;
 use rand::RngCore;
 
 use super::MAX_KERNEL_THREADS;
@@ -89,7 +89,6 @@ struct TiledSlotScratch {
     pairs: Vec<(u32, u32)>,
     plans: SlotPlans,
     stack: Vec<(u8, u32)>,
-    shard_keys: Vec<u32>,
     interference: Vec<f64>,
     lanes: Vec<f64>,
 }
@@ -106,7 +105,6 @@ thread_local! {
         pairs: Vec::new(),
         plans: SlotPlans::default(),
         stack: Vec::new(),
-        shard_keys: Vec::new(),
         interference: Vec::new(),
         lanes: Vec::new(),
     });
@@ -116,11 +114,10 @@ thread_local! {
 /// panels or on-the-fly gains), far-field regions as one aggregated
 /// term each at the coarsest qualifying hierarchy level, within the
 /// `ε·margin` error contract of [`TiledSinrCache`]. The per-receiver
-/// verdict loop optionally fans out over
-/// [`dps_core::parallel::parallel_map`] worker threads in
-/// [`RegionMap`] shards; every receiver's accumulation order is
-/// independent of the sharding, so verdicts are bit-for-bit identical
-/// at any thread count.
+/// verdict loop optionally splits the slot's receivers over
+/// [`dps_core::parallel::parallel_map`] worker threads; every
+/// receiver's accumulation order is independent of the split, so
+/// verdicts are bit-for-bit identical at any thread count.
 ///
 /// At `epsilon = 0` this is bit-for-bit [`SinrFeasibility`]'s fallback
 /// scalar path (property-tested in `tests/prop_tiles.rs`).
@@ -132,7 +129,6 @@ pub struct TiledSinrFeasibility<P> {
     power: P,
     tiles: Arc<TiledSinrCache>,
     threads: usize,
-    regions: RegionMap,
 }
 
 impl<P: PowerAssignment> TiledSinrFeasibility<P> {
@@ -182,43 +178,19 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
     /// bit-for-bit what `power` produces on `net` (the same pairing
     /// contract as [`crate::feasibility::SinrFeasibility::with_cache`]).
     pub fn with_tiles(net: SinrNetwork, power: P, tiles: Arc<TiledSinrCache>) -> Self {
-        let cache = tiles.cache();
-        assert_eq!(
-            cache.num_links(),
-            net.num_links(),
-            "shared TiledSinrCache must cover the oracle's network"
-        );
-        assert!(
-            cache.beta().to_bits() == net.params().beta.to_bits()
-                && cache.noise().to_bits() == net.params().noise.to_bits(),
-            "shared TiledSinrCache was built under different SINR parameters"
-        );
-        let alpha = net.params().alpha;
-        for (index, &len) in net.lengths().iter().enumerate() {
-            let link = LinkId(index as u32);
-            let p = power.power(len);
-            assert!(
-                cache.tx_power(link).to_bits() == p.to_bits()
-                    && cache.signal(link).to_bits() == (p / len.powf(alpha)).to_bits(),
-                "shared TiledSinrCache was built for a different (network, power) pair \
-                 (mismatch at link {index})"
-            );
-        }
-        let m = net.num_links();
-        let regions = RegionMap::contiguous(m, RegionMap::default_regions(m));
+        assert_cache_pairing("TiledSinrCache", tiles.cache(), &net, &power);
         TiledSinrFeasibility {
             net,
             power,
             tiles,
             threads: 1,
-            regions,
         }
     }
 
     /// Sets the worker thread count of the slot kernel's per-receiver
     /// verdict loop. `1` (the default) judges inline on the calling
-    /// thread; higher counts fan [`RegionMap`] shards of the active
-    /// receivers over [`parallel_map`] workers. Verdicts are bit-for-bit
+    /// thread; higher counts split the slot's receivers into contiguous
+    /// chunks over [`parallel_map`] workers. Verdicts are bit-for-bit
     /// identical at any setting.
     ///
     /// # Panics
@@ -596,26 +568,6 @@ fn interference_with_plans(
     }
 }
 
-/// Collapses `attempts` into the distinct attempted links with their
-/// multiplicities, ascending by link index — the shared preamble of the
-/// exact and tiled slot kernels (identical ordering is part of the
-/// `epsilon = 0` bitwise contract).
-fn dedup_attempts(attempts: &[Attempt], active: &mut Vec<(u32, u32)>) {
-    active.clear();
-    active.extend(attempts.iter().map(|a| (a.link.0, 1u32)));
-    active.sort_unstable_by_key(|&(link, _)| link);
-    let mut write = 0;
-    for read in 1..active.len() {
-        if active[read].0 == active[write].0 {
-            active[write].1 += active[read].1;
-        } else {
-            write += 1;
-            active[write] = active[read];
-        }
-    }
-    active.truncate(write + 1);
-}
-
 impl<P: PowerAssignment> Feasibility for TiledSinrFeasibility<P> {
     fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, _rng: &mut dyn RngCore) {
         out.clear();
@@ -634,7 +586,6 @@ impl<P: PowerAssignment> Feasibility for TiledSinrFeasibility<P> {
                 pairs,
                 plans,
                 stack,
-                shard_keys,
                 interference,
                 lanes,
             } = &mut *scratch.borrow_mut();
@@ -675,26 +626,13 @@ impl<P: PowerAssignment> Feasibility for TiledSinrFeasibility<P> {
                 if self.threads <= 1 {
                     verdicts.extend(active.iter().map(|&(on_raw, count)| judge(on_raw, count)));
                 } else {
-                    // Region-sharded fan-out: every receiver's
-                    // accumulation is independent and the per-shard
-                    // verdict vectors are spliced back in shard (hence
-                    // ascending link) order, so this is bit-for-bit
-                    // the single-threaded loop above.
-                    shard_keys.clear();
-                    shard_keys.extend(active.iter().map(|&(link, _)| link));
-                    let spans = self.regions.shard_sorted(shard_keys);
-                    let parts = parallel_map(spans.len(), self.threads, |i| {
-                        spans[i]
-                            .clone()
-                            .map(|at| {
-                                let (on_raw, count) = active[at];
-                                judge(on_raw, count)
-                            })
-                            .collect::<Vec<bool>>()
-                    });
-                    for part in parts {
-                        verdicts.extend(part);
-                    }
+                    // Every receiver's accumulation is independent and
+                    // parallel_map returns verdicts in receiver order, so
+                    // this is bit-for-bit the single-threaded loop above.
+                    verdicts.extend(parallel_map(active.len(), self.threads, |at| {
+                        let (on_raw, count) = active[at];
+                        judge(on_raw, count)
+                    }));
                 }
             }
             out.extend(attempts.iter().map(|a| {

@@ -304,7 +304,9 @@ fn adaptive_panels_evict_under_tiny_budget_without_changing_verdicts() {
 fn kernel_threads_do_not_change_verdicts() {
     let mut rng_geo = ChaCha12Rng::seed_from_u64(17);
     let params = SinrParams::with_noise(1e-4);
-    let net = random_instance(64, 400.0, 1.0, 2.0, params, &mut rng_geo);
+    // Dense enough that every slot below mixes successes and failures,
+    // so a verdict landing on the wrong receiver cannot go unnoticed.
+    let net = random_instance(64, 40.0, 1.0, 2.0, params, &mut rng_geo);
     let power = LinearPower::new(params.alpha);
     for epsilon in [0.0, 1e-2] {
         let base = TiledSinrFeasibility::with_options(
@@ -315,11 +317,19 @@ fn kernel_threads_do_not_change_verdicts() {
         if epsilon > 0.0 {
             assert!(
                 base.tiles().far_pairs() > 0,
-                "spread-out instance must exercise the far path"
+                "the instance must exercise the far path"
             );
         }
-        let attempts: Vec<Attempt> = (0..64).map(|i| attempt(i, i as u64)).collect();
-        let reference = base.successes(&attempts, &mut rng());
+        // Every link at once (in scrambled order), plus slots with fewer
+        // receivers than threads (1, 3) and a count that is not a
+        // multiple of either thread count (5).
+        let mut slots: Vec<Vec<Attempt>> =
+            vec![(0..64).map(|i| attempt(i * 13 % 64, i as u64)).collect()];
+        slots.extend([1u32, 3, 5].map(|k| (0..k).map(|i| attempt(i, i as u64)).collect()));
+        for attempts in slots.iter().filter(|a| a.len() > 1) {
+            let verdicts = base.successes(attempts, &mut rng());
+            assert!(verdicts.contains(&true) && verdicts.contains(&false));
+        }
         for threads in [2, 4] {
             let threaded = TiledSinrFeasibility::with_options(
                 net.clone(),
@@ -328,11 +338,14 @@ fn kernel_threads_do_not_change_verdicts() {
             )
             .kernel_threads(threads);
             assert_eq!(threaded.threads(), threads);
-            assert_eq!(
-                reference,
-                threaded.successes(&attempts, &mut rng()),
-                "threads = {threads}, epsilon = {epsilon}"
-            );
+            for attempts in &slots {
+                assert_eq!(
+                    base.successes(attempts, &mut rng()),
+                    threaded.successes(attempts, &mut rng()),
+                    "threads = {threads}, epsilon = {epsilon}, k = {}",
+                    attempts.len()
+                );
+            }
         }
     }
 }

@@ -108,60 +108,31 @@ fn sweep_is_deterministic_across_thread_counts() {
     }
 }
 
-/// Folds the decision-relevant trace of every sweep cell into one FNV
-/// fingerprint: any diverging scheduling decision anywhere in the grid
-/// changes the value.
-fn sweep_fingerprint(report: &SweepReport) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |v: u64| {
-        hash = (hash ^ v).wrapping_mul(0x1000_0000_01b3);
-    };
-    for cell in &report.cells {
-        let r = &cell.outcome.report;
-        fold(cell.point.rep);
-        fold(r.injected);
-        fold(r.delivered);
-        fold(r.final_backlog as u64);
-        fold(r.attempts);
-        fold(r.successes);
-        for &(slot, backlog) in &r.backlog_series {
-            fold(slot);
-            fold(backlog as u64);
-        }
-        for &latency in &r.latencies {
-            fold(latency);
-        }
-    }
-    hash
-}
-
-/// Golden fingerprint of the substrate-sharing layer: a SINR sweep run
-/// on shared substrates (one topology per distinct grid key, handed to
-/// all λ/repetition cells) produces bit-for-bit the cells of per-cell
-/// construction — both the sharing-disabled sweep and direct
-/// `run_stream` rebuilds.
+/// Golden check of the substrate-sharing layer: a SINR sweep run on
+/// shared substrates (one topology per distinct grid key, handed to all
+/// λ/repetition cells) produces bit-for-bit the cells of independent
+/// per-cell construction through `Scenario::run_stream`.
 #[test]
 fn shared_substrate_sweep_matches_per_cell_construction() {
     let mut spec = registry::spec_for("sinr-dense").unwrap().with_size(12);
     spec.run.frames = 4;
-    let lambdas = [0.4, 0.9];
-    let reps = 2;
-    let sweep = |shared: bool| {
-        Sweep::new(spec.clone())
-            .over_lambdas(&lambdas)
-            .repetitions(reps)
-            .threads(2)
-            .share_substrates(shared)
-            .run()
-            .unwrap()
-    };
-    let shared = sweep(true);
-    let rebuilt = sweep(false);
+    let shared = Sweep::new(spec.clone())
+        .over_lambdas(&[0.4, 0.9])
+        .repetitions(2)
+        .threads(2)
+        .run()
+        .unwrap();
     assert_eq!(shared.cells.len(), 4);
-    // Cell-by-cell: the full decision-relevant trace must match.
-    for (a, b) in shared.cells.iter().zip(&rebuilt.cells) {
-        assert_eq!(a.point, b.point);
-        let (ra, rb) = (&a.outcome.report, &b.outcome.report);
+    // Cell-by-cell against fully independent construction, bypassing
+    // the sweep machinery altogether: the full decision-relevant trace
+    // must match.
+    for cell in &shared.cells {
+        let cell_spec = spec.clone().with_lambda(cell.point.lambda);
+        let direct = Scenario::from_spec(&cell_spec)
+            .unwrap()
+            .run_stream(cell.point.rep)
+            .unwrap();
+        let (ra, rb) = (&cell.outcome.report, &direct.report);
         assert_eq!(ra.injected, rb.injected);
         assert_eq!(ra.delivered, rb.delivered);
         assert_eq!(ra.final_backlog, rb.final_backlog);
@@ -169,27 +140,6 @@ fn shared_substrate_sweep_matches_per_cell_construction() {
         assert_eq!(ra.backlog_series, rb.backlog_series);
         assert_eq!(ra.attempts, rb.attempts);
         assert_eq!(ra.successes, rb.successes);
-    }
-    assert_eq!(
-        sweep_fingerprint(&shared),
-        sweep_fingerprint(&rebuilt),
-        "substrate sharing changed a scheduling decision"
-    );
-    // And against fully independent per-cell construction, bypassing the
-    // sweep machinery altogether.
-    for cell in &shared.cells {
-        let cell_spec = spec.clone().with_lambda(cell.point.lambda);
-        let direct = Scenario::from_spec(&cell_spec)
-            .unwrap()
-            .run_stream(cell.point.rep)
-            .unwrap();
-        assert_eq!(cell.outcome.report.injected, direct.report.injected);
-        assert_eq!(cell.outcome.report.delivered, direct.report.delivered);
-        assert_eq!(cell.outcome.report.latencies, direct.report.latencies);
-        assert_eq!(
-            cell.outcome.report.backlog_series,
-            direct.report.backlog_series
-        );
     }
 }
 
