@@ -1,9 +1,9 @@
-//! Sweep-engine benchmark: the substrate-sharing execution layer.
+//! Sweep-engine benchmark: one substrate build per topology.
 //!
 //! A sweep's dominant workload is many cells over the same topology —
 //! only λ and the repetition stream vary — so the engine builds each
-//! distinct substrate once and shares it (`Arc`) across all cells and
-//! worker threads. This bench drives 4 λ × 4 repetition grids on the
+//! topology once, runs all of its cells against it on the worker
+//! threads, and drops it. This bench drives 4 λ × 4 repetition grids on the
 //! `sinr-dense` substrate scaled to m = 1024 twice per thread count —
 //! through the sharing [`Sweep`] vs. a per-cell rebuild baseline (each
 //! cell's own `Scenario::run_stream`, fanned over the same
@@ -18,7 +18,8 @@
 //! * **`engine`** pairs the m = 1024 SINR topology with the short-frame
 //!   greedy protocol, so cells are cheap and the per-cell `O(m²)`
 //!   substrate construction (SINR matrix + shared gain table) is the
-//!   bulk of every rebuilt cell — the cost the sharing layer removes.
+//!   bulk of every rebuilt cell — the cost one build per topology
+//!   removes.
 //! * **`two-stage`** runs the preset's real two-stage decay protocol,
 //!   whose per-cell frame simulation puts a floor under both modes —
 //!   the end-to-end benefit on the full protocol stack.

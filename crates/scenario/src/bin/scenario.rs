@@ -75,26 +75,20 @@ fn show(rest: &[String]) {
 fn run(rest: &[String]) {
     let (spec, options) = load_spec(rest);
     let scenario = Scenario::from_spec(&spec).unwrap_or_else(|e| fail(&e.to_string()));
-    // Hold the substrate here (when its spec opts into sharing) so
-    // per-substrate diagnostics survive the runs and can be reported.
-    let shared = scenario
-        .substrate
-        .cache_key()
-        .is_some()
-        .then(|| scenario.build_substrate())
-        .transpose()
+    // Hold the substrate here so per-substrate diagnostics survive the
+    // runs and can be reported.
+    let substrate = scenario
+        .build_substrate()
         .unwrap_or_else(|e| fail(&e.to_string()));
-    let outcomes = match &shared {
-        Some(substrate) => scenario.run_repetitions_on(substrate, options.reps, options.threads),
-        None => scenario.run_repetitions(options.reps, options.threads),
-    }
-    .unwrap_or_else(|e| fail(&e.to_string()));
+    let outcomes = scenario
+        .run_repetitions_on(&substrate, options.reps, options.threads)
+        .unwrap_or_else(|e| fail(&e.to_string()));
     let table = outcome_table(&spec.name, &outcomes);
     if options.json {
         let serde::Value::Map(mut fields) = table.to_value() else {
             unreachable!("Table::to_value always yields a map")
         };
-        if let Some(tiles) = shared.as_ref().and_then(|s| s.sinr_tiles.as_ref()) {
+        if let Some(tiles) = &substrate.sinr_tiles {
             fields.push((
                 "tile_diagnostics".to_string(),
                 tile_diagnostics_value(&tiles.diagnostics()),

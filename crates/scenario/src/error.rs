@@ -1,6 +1,7 @@
 //! Error type of the scenario layer.
 
 use dps_core::error::ModelError;
+use dps_sim::runner::ReportError;
 use std::fmt;
 
 /// Anything that can go wrong building or running a scenario.
@@ -14,6 +15,9 @@ pub enum ScenarioError {
     Parse(serde::Error),
     /// No registry preset with the given name.
     UnknownPreset(String),
+    /// A finished run's report contradicts itself (see
+    /// [`dps_sim::runner::SimulationReport::check`]).
+    Report(ReportError),
 }
 
 impl ScenarioError {
@@ -32,6 +36,7 @@ impl fmt::Display for ScenarioError {
             ScenarioError::UnknownPreset(name) => {
                 write!(f, "unknown preset `{name}` (see `scenario list`)")
             }
+            ScenarioError::Report(e) => write!(f, "inconsistent simulation report: {e}"),
         }
     }
 }
@@ -47,5 +52,11 @@ impl From<ModelError> for ScenarioError {
 impl From<serde::Error> for ScenarioError {
     fn from(e: serde::Error) -> Self {
         ScenarioError::Parse(e)
+    }
+}
+
+impl From<ReportError> for ScenarioError {
+    fn from(e: ReportError) -> Self {
+        ScenarioError::Report(e)
     }
 }

@@ -69,7 +69,6 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod error;
 pub mod injector;
 pub mod protocol;
@@ -79,7 +78,6 @@ pub mod spec;
 pub mod substrate;
 pub mod sweep;
 
-pub use cache::SubstrateCache;
 pub use error::ScenarioError;
 pub use injector::{InjectorSpec, ValidatingInjector};
 pub use protocol::{BuiltProtocol, ProtocolSpec};
@@ -93,7 +91,6 @@ pub use sweep::{Sweep, SweepCell, SweepPoint, SweepReport};
 
 /// Convenience re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::cache::SubstrateCache;
     pub use crate::error::ScenarioError;
     pub use crate::injector::InjectorSpec;
     pub use crate::protocol::{BuiltProtocol, ProtocolSpec};

@@ -150,16 +150,18 @@ impl Scenario {
     }
 
     /// Runs one repetition on RNG stream `stream` against an
-    /// already-built substrate (see [`build_substrate`](Self::build_substrate)
-    /// and [`crate::cache::SubstrateCache`]).
+    /// already-built substrate (see [`build_substrate`](Self::build_substrate)).
     ///
     /// Only protocol and injector are built here; the result is
     /// bit-for-bit the [`run_stream`](Self::run_stream) result, because
     /// substrate construction is deterministic and read-only during runs.
+    /// Repetitions and sweeps call this with one substrate per topology.
     ///
     /// # Errors
     ///
-    /// Propagates assembly errors from the component factories.
+    /// Propagates assembly errors from the component factories, and
+    /// returns [`ScenarioError::Report`] if the finished report fails
+    /// [`SimulationReport::check`].
     pub fn run_stream_on(
         &self,
         substrate: &Substrate,
@@ -208,6 +210,7 @@ impl Scenario {
                 run_simulation(&mut protocol, &mut injector, phy, config)
             }
         };
+        report.check()?;
         let verdict = classify_stability(&report, 0.05);
         Ok(ScenarioOutcome {
             name: self.name.clone(),
@@ -229,36 +232,21 @@ impl Scenario {
     /// Runs `reps` independent repetitions (streams `0..reps`) on up to
     /// `threads` OS threads, in stream order.
     ///
-    /// For substrate specs that opted into sharing (a `Some`
-    /// [`SubstrateSpec::cache_key`] — every built-in config) the
-    /// substrate is built once and shared
-    /// by every repetition and worker thread; keyless custom specs keep
-    /// the rebuild-per-repetition behaviour their opt-out asks for.
-    /// Protocol and injector are rebuilt per stream as always.
+    /// The substrate is built once and shared by every repetition and
+    /// worker thread (the [`SubstrateSpec::build`] contract makes that
+    /// indistinguishable from a rebuild per repetition). Protocol and
+    /// injector are rebuilt per stream as always.
     ///
     /// # Errors
     ///
-    /// Returns the first per-stream error, if any.
+    /// Returns the substrate build error or the first per-stream error,
+    /// if any.
     pub fn run_repetitions(
         &self,
         reps: u64,
         threads: usize,
     ) -> Result<Vec<ScenarioOutcome>, ScenarioError> {
-        let shared = self
-            .substrate
-            .cache_key()
-            .is_some()
-            .then(|| self.build_substrate())
-            .transpose()?;
-        match &shared {
-            Some(substrate) => self.run_repetitions_on(substrate, reps, threads),
-            None => {
-                let results = dps_sim::parallel::parallel_map(reps as usize, threads, |rep| {
-                    self.run_stream(rep as u64)
-                });
-                results.into_iter().collect()
-            }
-        }
+        self.run_repetitions_on(&self.build_substrate()?, reps, threads)
     }
 
     /// Runs `reps` independent repetitions (streams `0..reps`) against

@@ -63,49 +63,8 @@ pub struct Substrate {
     pub sinr_cache: Option<Arc<SinrCache>>,
     /// The spatial tile index, for tiled SINR substrates: near-field
     /// gain panels and far-field aggregation state shared by the
-    /// feasibility oracle (and charged against the cache budget).
+    /// feasibility oracle.
     pub sinr_tiles: Option<Arc<TiledSinrCache>>,
-}
-
-impl Substrate {
-    /// Rough resident size of this substrate, in bytes — the estimate
-    /// the [`crate::cache::SubstrateCache`] eviction budget is charged
-    /// against.
-    ///
-    /// SINR substrates defer to the caches' own accounting:
-    /// [`SinrCache::approx_bytes`] charges the per-link vectors plus the
-    /// dense gain table exactly when it was materialized, and
-    /// [`TiledSinrCache::approx_bytes`] charges the tile index and the
-    /// allocated near-field panels. The dense `m × m` W matrix of
-    /// [`SinrInterference`] is charged only for non-tiled substrates
-    /// (tiled ones judge through the on-demand [`TiledInterference`]).
-    /// Routes and conflict structures are counted approximately; the
-    /// value is an eviction heuristic, not an allocator measurement.
-    pub fn approx_bytes(&self) -> usize {
-        let m = self.num_links;
-        let mut bytes = std::mem::size_of::<Substrate>() + self.label.len();
-        bytes += self.routes.iter().map(|r| 64 + 4 * r.len()).sum::<usize>();
-        if let Some(cache) = &self.sinr_cache {
-            // The geometry cache knows whether its dense gain table was
-            // materialized; don't guess here (the old heuristic charged
-            // `m²` twice for dense substrates and once even when the
-            // table was never built).
-            bytes += cache.approx_bytes();
-            if let Some(tiles) = &self.sinr_tiles {
-                bytes += tiles.approx_bytes();
-            } else {
-                // The dense W matrix of `SinrInterference`.
-                bytes += m * m * 8;
-            }
-        } else if let Some(conflict) = &self.conflict {
-            bytes += conflict.pi.len() * 4 + m * 32;
-            bytes += conflict.graph.num_conflicts() * 16;
-        } else {
-            // Routing/MAC substrates: O(m) models and oracles.
-            bytes += m * 64;
-        }
-        bytes
-    }
 }
 
 impl fmt::Debug for Substrate {
@@ -133,27 +92,13 @@ pub trait SubstrateSpec: fmt::Debug + Send + Sync {
     ///
     /// Building must be deterministic: any internal randomness (geometry)
     /// must come from seeds stored in the spec, so that repetitions and
-    /// sweep cells see the same instance.
+    /// sweep cells see the same instance. Runs only read the built
+    /// substrate, so repetitions and sweeps build it once and share it.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError`] if the configuration is not realizable.
     fn build(&self) -> Result<Substrate, ScenarioError>;
-
-    /// A key identifying the topology this spec builds, for the
-    /// substrate-sharing layer ([`crate::cache::SubstrateCache`]): two
-    /// specs with the same key must build interchangeable substrates.
-    ///
-    /// Because building is deterministic, any injective serialization of
-    /// the spec's parameters (including its geometry seed) qualifies —
-    /// the built-in [`SubstrateConfig`] uses its JSON form. The default
-    /// `None` opts out: every consumer then rebuilds from scratch, which
-    /// is always correct, just slower. Custom specs should return a key
-    /// embedding every build-affecting parameter (prefixed with a unique
-    /// type name to avoid colliding with other spec types).
-    fn cache_key(&self) -> Option<String> {
-        None
-    }
 }
 
 /// One single-hop route per link — the demand family of the MAC, SINR and
@@ -165,12 +110,6 @@ pub fn single_hop_routes(num_links: usize) -> Vec<Arc<RoutePath>> {
 }
 
 impl SubstrateSpec for SubstrateConfig {
-    fn cache_key(&self) -> Option<String> {
-        // The JSON form names every build-affecting parameter (kind,
-        // sizes, geometry seed); builds are a pure function of it.
-        Some(serde::json::to_string(self))
-    }
-
     fn label(&self) -> String {
         match self {
             SubstrateConfig::RingRouting { nodes, hops } => {
@@ -539,11 +478,6 @@ mod tests {
             exact.feasibility.successes(&attempts, &mut rng.clone()),
             tiled.feasibility.successes(&attempts, &mut rng.clone()),
         );
-        // The byte estimate charges the tile index and panels (the
-        // dense gain table is auto-gated by the cache's cap, so metro
-        // sizes stay O(m); this small instance keeps it).
-        let tiles = tiled.sinr_tiles.as_ref().unwrap();
-        assert!(tiled.approx_bytes() >= tiles.approx_bytes());
     }
 
     #[test]

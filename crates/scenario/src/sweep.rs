@@ -2,19 +2,20 @@
 //! grid, executed on the workspace's `std::thread::scope` parallel runner
 //! ([`dps_sim::parallel::parallel_map`]).
 //!
-//! Sweeps run on a shared substrate layer: every distinct topology of
-//! the grid — keyed by `(substrate spec, size, geometry seed)` through a
-//! [`SubstrateCache`] — is built exactly once and handed to all of its
-//! λ/repetition cells (and worker threads) behind an `Arc`. For SINR
-//! substrates that means one `O(m²)` matrix + gain-table construction
-//! per topology instead of one per cell, with bit-for-bit identical
-//! results (substrate builds are deterministic and runs never mutate
-//! them; the integration suite pins this with a golden fingerprint).
+//! Cells share topologies: the grid's cells are grouped by the substrate
+//! config their size yields (the seed axis sets only `run.seed`, so it
+//! never changes the topology), and each group in turn builds its
+//! substrate once, runs all of its λ/repetition cells on the worker
+//! threads, and drops it. For SINR substrates that means one `O(m²)`
+//! matrix + gain-table construction per topology instead of one per
+//! cell, and peak memory of one topology. Results are bit-for-bit the
+//! per-cell construction's (substrate builds are deterministic and runs
+//! never mutate them; the integration suite pins this cell by cell).
 
-use crate::cache::SubstrateCache;
 use crate::error::ScenarioError;
 use crate::scenario::{Scenario, ScenarioOutcome};
-use crate::spec::ScenarioSpec;
+use crate::spec::{ScenarioSpec, SubstrateConfig};
+use crate::substrate::SubstrateSpec;
 use dps_sim::table::{fmt3, Table};
 use serde::Value;
 
@@ -43,7 +44,6 @@ pub struct Sweep {
     seeds: Vec<u64>,
     repetitions: u64,
     threads: usize,
-    substrate_budget_bytes: usize,
 }
 
 /// One grid point of a sweep.
@@ -92,7 +92,6 @@ impl Sweep {
             seeds: vec![base.run.seed],
             repetitions: 1,
             threads,
-            substrate_budget_bytes: crate::cache::DEFAULT_BYTE_BUDGET,
             base,
         }
     }
@@ -134,20 +133,6 @@ impl Sweep {
         self
     }
 
-    /// Caps the estimated bytes of topologies the sweep's substrate
-    /// cache keeps resident (default
-    /// [`crate::cache::DEFAULT_BYTE_BUDGET`]).
-    ///
-    /// Multi-topology grids (size or geometry-seed sweeps of large
-    /// substrates) evict least-recently-used topologies beyond the
-    /// budget and rebuild them on demand, trading peak memory for
-    /// rebuild time. Results are bit-for-bit identical under any
-    /// budget — builds are deterministic.
-    pub fn substrate_budget_bytes(mut self, budget_bytes: usize) -> Self {
-        self.substrate_budget_bytes = budget_bytes;
-        self
-    }
-
     /// The grid points this sweep will execute, in execution order.
     pub fn points(&self) -> Vec<SweepPoint> {
         let mut points = Vec::new();
@@ -168,107 +153,68 @@ impl Sweep {
         points
     }
 
-    /// Executes the grid in parallel.
+    /// Executes the grid in parallel, one topology at a time.
     ///
-    /// Each cell rebuilds protocol and injector from the (validated)
-    /// spec, so results are identical no matter how many threads execute
-    /// the grid; topologies are built once per distinct `(substrate,
-    /// size, seed)` and shared across their cells.
+    /// Cells are grouped by the substrate config their size yields, in
+    /// first-seen order. Each group builds its substrate once, runs its
+    /// cells on up to `threads` OS threads, and drops the substrate
+    /// before the next group builds. Each cell rebuilds protocol and
+    /// injector from the (validated) spec, so results are identical no
+    /// matter how many threads execute the grid. Cells are returned in
+    /// [`points`](Self::points) order.
     ///
     /// # Errors
     ///
-    /// Returns the first cell error (invalid derived spec or infeasible
-    /// rate), if any.
+    /// Returns the first error: an invalid derived spec (before any
+    /// simulation runs), then, group by group, a substrate build error
+    /// or a cell error (infeasible rate, inconsistent report).
     pub fn run(&self) -> Result<SweepReport, ScenarioError> {
         self.base.validate()?;
         let points = self.points();
         // Build every cell's scenario up front so spec-level errors
         // surface before any simulation time is spent.
-        let scenarios: Vec<(SweepPoint, Scenario)> = points
-            .into_iter()
+        let scenarios: Vec<Scenario> = points
+            .iter()
             .map(|point| {
                 let mut spec = self.base.clone().with_lambda(point.lambda);
                 if let Some(m) = point.size {
                     spec = spec.with_size(m);
                 }
-                spec = spec.with_seed(point.seed);
-                Scenario::from_spec(&spec).map(|s| (point, s))
+                Scenario::from_spec(&spec.with_seed(point.seed))
             })
             .collect::<Result<_, _>>()?;
-        // Prebuild each distinct topology once, spreading the builds of
-        // multi-topology grids (size/substrate-seed sweeps) over the
-        // worker threads; afterwards a cell's lookup is a cache hit
-        // unless the LRU byte budget evicted its topology, in which case
-        // the cell rebuilds on demand. Cells resolve their substrate
-        // lazily — holding every handle up front would pin all
-        // topologies resident and defeat the budget. Keyless specs
-        // (custom substrates that opted out of sharing) rebuild inside
-        // their cells.
-        let substrates = SubstrateCache::with_byte_budget(self.substrate_budget_bytes);
-        // One cache_key computation per cell, reused for the dedup pass
-        // and the per-cell lookups below.
-        let keys: Vec<Option<String>> = scenarios
-            .iter()
-            .map(|(_, scenario)| scenario.substrate.cache_key())
-            .collect();
-        // Determinism audit (dps-lint: hash-container): the set is
-        // insert-only dedup state; iteration below walks the
-        // insertion-ordered `keys` Vec, so warm-up order is the
-        // config order regardless of the set's internal order.
-        let mut seen = std::collections::HashSet::new();
-        let first_of_key: Vec<usize> = keys
-            .iter()
-            .enumerate()
-            .filter(|(_, key)| key.as_ref().is_some_and(|k| seen.insert(k.clone())))
-            .map(|(index, _)| index)
-            .collect();
-        // Stop warming once the cache is at budget or stops
-        // growing (eviction displaced as much as the build added):
-        // building more would only evict topologies just built,
-        // each then built twice — once here, once by its cells.
-        // Skipped topologies are built lazily by their first cell.
-        // The checks are racy across workers, which at worst warms
-        // an extra topology per thread.
-        let warm_stopped = std::sync::atomic::AtomicBool::new(false);
-        dps_sim::parallel::parallel_map(first_of_key.len(), self.threads, |i| {
-            use std::sync::atomic::Ordering;
-            if warm_stopped.load(Ordering::Relaxed)
-                || substrates.resident_bytes() >= self.substrate_budget_bytes
-            {
-                return Ok::<(), ScenarioError>(());
+        // Cells by topology, in first-seen order; a linear `==` scan,
+        // since a grid holds a handful of sizes.
+        let mut groups: Vec<(SubstrateConfig, Vec<usize>)> = Vec::new();
+        for (index, point) in points.iter().enumerate() {
+            let config = match point.size {
+                Some(m) => self.base.substrate.clone().with_size(m),
+                None => self.base.substrate.clone(),
+            };
+            match groups.iter_mut().find(|(seen, _)| *seen == config) {
+                Some((_, cells)) => cells.push(index),
+                None => groups.push((config, vec![index])),
             }
-            let before = substrates.resident_bytes();
-            let index = first_of_key[i];
-            substrates
-                .get_or_build_keyed(keys[index].as_deref(), &*scenarios[index].1.substrate)?;
-            if substrates.resident_bytes() <= before {
-                warm_stopped.store(true, Ordering::Relaxed);
+        }
+        let mut outcomes: Vec<Option<ScenarioOutcome>> = vec![None; points.len()];
+        for (config, cells) in &groups {
+            let substrate = config.build()?;
+            let results = dps_sim::parallel::parallel_map(cells.len(), self.threads, |i| {
+                let index = cells[i];
+                scenarios[index].run_stream_on(&substrate, points[index].rep)
+            });
+            for (&index, outcome) in cells.iter().zip(results) {
+                outcomes[index] = Some(outcome?);
             }
-            Ok(())
-        })
-        .into_iter()
-        .collect::<Result<Vec<()>, _>>()?;
-        let outcomes = dps_sim::parallel::parallel_map(scenarios.len(), self.threads, |i| {
-            let (point, scenario) = &scenarios[i];
-            match &keys[i] {
-                Some(key) => {
-                    let substrate =
-                        substrates.get_or_build_keyed(Some(key), &*scenario.substrate)?;
-                    scenario.run_stream_on(&substrate, point.rep)
-                }
-                None => scenario.run_stream(point.rep),
-            }
-        });
-        let cells = scenarios
-            .iter()
+        }
+        let cells = points
+            .into_iter()
             .zip(outcomes)
-            .map(|((point, _), outcome)| {
-                Ok(SweepCell {
-                    point: *point,
-                    outcome: outcome?,
-                })
+            .map(|(point, outcome)| SweepCell {
+                point,
+                outcome: outcome.expect("every cell belongs to one group"),
             })
-            .collect::<Result<Vec<_>, ScenarioError>>()?;
+            .collect();
         Ok(SweepReport {
             name: self.base.name.clone(),
             cells,
@@ -428,35 +374,5 @@ mod tests {
     fn invalid_base_is_rejected_before_running() {
         let spec = quick_base().with_lambda(-1.0);
         assert!(Sweep::new(spec).run().is_err());
-    }
-
-    #[test]
-    fn tiny_substrate_budget_matches_unbounded_results() {
-        // A 1-byte budget evicts every topology immediately, forcing
-        // per-cell rebuilds; builds are deterministic, so the cells must
-        // be bit-for-bit the default-budget cells.
-        let mut spec = registry::spec_for("sinr-linear").unwrap();
-        spec.run.frames = 2;
-        let run = |budget: usize| {
-            Sweep::new(spec.clone())
-                .over_sizes(&[6, 8])
-                .threads(2)
-                .substrate_budget_bytes(budget)
-                .run()
-                .unwrap()
-        };
-        let bounded = run(1);
-        let unbounded = run(usize::MAX);
-        assert_eq!(bounded.cells.len(), unbounded.cells.len());
-        for (a, b) in bounded.cells.iter().zip(&unbounded.cells) {
-            assert_eq!(a.point, b.point);
-            assert_eq!(a.outcome.report.injected, b.outcome.report.injected);
-            assert_eq!(a.outcome.report.delivered, b.outcome.report.delivered);
-            assert_eq!(a.outcome.report.latencies, b.outcome.report.latencies);
-            assert_eq!(
-                a.outcome.report.backlog_series,
-                b.outcome.report.backlog_series
-            );
-        }
     }
 }

@@ -159,7 +159,101 @@ impl SimulationReport {
         }
         self.successes as f64 / self.attempts as f64
     }
+
+    /// Checks the report's internal consistency: every injected packet
+    /// is either delivered or still queued, no more attempts succeed
+    /// than were made, and every delivery carries one latency and one
+    /// path length.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated clause as a [`ReportError`].
+    pub fn check(&self) -> Result<(), ReportError> {
+        if self.delivered + self.final_backlog as u64 != self.injected {
+            return Err(ReportError::PacketsNotConserved {
+                injected: self.injected,
+                delivered: self.delivered,
+                final_backlog: self.final_backlog,
+            });
+        }
+        if self.successes > self.attempts {
+            return Err(ReportError::MoreSuccessesThanAttempts {
+                attempts: self.attempts,
+                successes: self.successes,
+            });
+        }
+        if self.latencies.len() as u64 != self.delivered
+            || self.path_lens.len() as u64 != self.delivered
+        {
+            return Err(ReportError::DeliveryRecordMismatch {
+                delivered: self.delivered,
+                latencies: self.latencies.len(),
+                path_lens: self.path_lens.len(),
+            });
+        }
+        Ok(())
+    }
 }
+
+/// A [`SimulationReport`] that contradicts itself, as found by
+/// [`SimulationReport::check`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReportError {
+    /// `delivered + final_backlog != injected`.
+    PacketsNotConserved {
+        /// Packets injected.
+        injected: u64,
+        /// Packets delivered.
+        delivered: u64,
+        /// Packets still queued at the end.
+        final_backlog: usize,
+    },
+    /// `successes > attempts`.
+    MoreSuccessesThanAttempts {
+        /// Transmission attempts.
+        attempts: u64,
+        /// Successful transmissions.
+        successes: u64,
+    },
+    /// `latencies`, `path_lens` and `delivered` disagree.
+    DeliveryRecordMismatch {
+        /// Packets delivered.
+        delivered: u64,
+        /// Recorded latencies.
+        latencies: usize,
+        /// Recorded path lengths.
+        path_lens: usize,
+    },
+}
+
+impl std::fmt::Display for ReportError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReportError::PacketsNotConserved {
+                injected,
+                delivered,
+                final_backlog,
+            } => write!(
+                f,
+                "{delivered} delivered + {final_backlog} queued != {injected} injected"
+            ),
+            ReportError::MoreSuccessesThanAttempts {
+                attempts,
+                successes,
+            } => write!(f, "{successes} successes > {attempts} attempts"),
+            ReportError::DeliveryRecordMismatch {
+                delivered,
+                latencies,
+                path_lens,
+            } => write!(
+                f,
+                "{delivered} delivered but {latencies} latencies and {path_lens} path lengths"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ReportError {}
 
 /// Runs `protocol` for `config.slots` slots, feeding it `injector`'s
 /// packets and judging attempts with `phy`.
@@ -441,6 +535,58 @@ mod tests {
             report.injected
         );
         assert_eq!(report.latencies.len() as u64, report.delivered);
+    }
+
+    fn checked_report() -> SimulationReport {
+        let (mut protocol, mut injector, phy) = setup(0.5);
+        let report = run_simulation(
+            &mut protocol,
+            &mut injector,
+            &phy,
+            SimulationConfig::new(2_000, 42),
+        );
+        assert!(report.delivered > 0 && report.successes > 0);
+        assert_eq!(report.check(), Ok(()));
+        report
+    }
+
+    #[test]
+    fn check_rejects_unconserved_packets() {
+        let mut report = checked_report();
+        report.injected += 1;
+        assert!(matches!(
+            report.check(),
+            Err(ReportError::PacketsNotConserved { .. })
+        ));
+    }
+
+    #[test]
+    fn check_rejects_more_successes_than_attempts() {
+        let mut report = checked_report();
+        report.successes = report.attempts + 1;
+        assert_eq!(
+            report.check(),
+            Err(ReportError::MoreSuccessesThanAttempts {
+                attempts: report.attempts,
+                successes: report.attempts + 1,
+            })
+        );
+    }
+
+    #[test]
+    fn check_rejects_misaligned_delivery_records() {
+        let mut report = checked_report();
+        report.latencies.pop();
+        assert!(matches!(
+            report.check(),
+            Err(ReportError::DeliveryRecordMismatch { .. })
+        ));
+        let mut report = checked_report();
+        report.path_lens.push(1);
+        assert!(matches!(
+            report.check(),
+            Err(ReportError::DeliveryRecordMismatch { .. })
+        ));
     }
 
     #[test]

@@ -310,23 +310,6 @@ impl SinrCache {
         true
     }
 
-    /// Approximate heap footprint of the cache in bytes: the per-link
-    /// scalar and position tables, plus the dense `m × m` gain table
-    /// when materialized. Substrate-cache byte accounting charges this
-    /// instead of guessing (a lazy cache must *not* be billed for a
-    /// dense table it never built).
-    pub fn approx_bytes(&self) -> usize {
-        let mut bytes = std::mem::size_of::<Self>();
-        bytes += (self.tx_power.len() + self.signal.len() + self.margin.len())
-            * std::mem::size_of::<f64>();
-        bytes +=
-            (self.sender.len() + self.receiver.len()) * std::mem::size_of::<crate::geom::Point>();
-        if let Some(table) = &self.gains {
-            bytes += table.len() * std::mem::size_of::<f64>();
-        }
-        bytes
-    }
-
     /// The path-loss exponent `α` the cache was built with.
     pub(crate) fn alpha(&self) -> f64 {
         self.alpha

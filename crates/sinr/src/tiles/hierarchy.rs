@@ -83,17 +83,6 @@ impl TileLevel {
     pub(super) fn is_far(&self, s: u32, r: u32) -> bool {
         !self.far.is_empty() && self.far[s as usize * self.num_tiles() + r as usize] != 0
     }
-
-    /// Heap bytes of this level's statistics and far table.
-    pub(super) fn approx_bytes(&self) -> usize {
-        (self.sender_count.len() + self.receiver_count.len()) * std::mem::size_of::<u32>()
-            + (self.sender_radius.len()
-                + self.receiver_radius.len()
-                + self.tile_max_power.len()
-                + self.tile_min_margin.len())
-                * std::mem::size_of::<f64>()
-            + self.far.len()
-    }
 }
 
 /// Builds the hierarchy: level 0 (the leaf) through at most `requested`

@@ -415,32 +415,6 @@ impl TiledSinrCache {
         }
     }
 
-    /// Approximate heap footprint of the tiled index in bytes: tile
-    /// assignments, member lists, every level's summary statistics and
-    /// far table, and the panel store at its *high-water* byte mark
-    /// (plus per-panel bookkeeping overhead) — so the substrate LRU
-    /// budget sees what the index has actually grown to, not just what
-    /// is resident this instant. The underlying [`SinrCache`] is
-    /// accounted separately via [`SinrCache::approx_bytes`].
-    pub fn approx_bytes(&self) -> usize {
-        let u32s = self.sender_tile.len()
-            + self.receiver_tile.len()
-            + self.sender_rank.len()
-            + self.receiver_rank.len()
-            + self.senders_start.len()
-            + self.senders_links.len()
-            + self.receivers_start.len()
-            + self.receivers_links.len();
-        std::mem::size_of::<Self>()
-            + u32s * std::mem::size_of::<u32>()
-            + self
-                .levels
-                .iter()
-                .map(TileLevel::approx_bytes)
-                .sum::<usize>()
-            + self.panels.approx_bytes()
-    }
-
     /// Resolves the panel of leaf tile pair `(s, r)` for the current
     /// slot, refilling an adaptive store from the exact gain expression
     /// on miss.

@@ -39,10 +39,6 @@ pub enum PanelCacheMode {
     Adaptive,
 }
 
-/// Approximate per-resident-panel bookkeeping overhead (map node, key,
-/// `Arc` header) charged by the byte accounting.
-const PANEL_ENTRY_OVERHEAD: usize = 64;
-
 /// A slot-duration handle to one tile pair's panel.
 #[derive(Clone, Debug)]
 pub(super) enum PanelRef {
@@ -153,13 +149,6 @@ impl PanelStore {
             PanelStore::Fixed { arena, .. } => arena.len() * std::mem::size_of::<f64>(),
             PanelStore::Adaptive { state, .. } => state.lock().expect("panel lock").high_water,
         }
-    }
-
-    /// Heap bytes the store pins, charged at the *high-water* mark (not
-    /// the current resident set) so LRU budget accounting upstream
-    /// stays honest about what the store has grown to.
-    pub(super) fn approx_bytes(&self) -> usize {
-        self.high_water_bytes() + self.resident_count() * PANEL_ENTRY_OVERHEAD
     }
 
     /// Advances the adaptive slot clock (no-op for fixed stores). Call

@@ -351,42 +351,6 @@ fn kernel_threads_do_not_change_verdicts() {
 }
 
 #[test]
-fn approx_bytes_tracks_panel_allocation() {
-    let mut rng_geo = ChaCha12Rng::seed_from_u64(3);
-    let params = SinrParams::default_noiseless();
-    let net = random_instance(12, 30.0, 1.0, 2.0, params, &mut rng_geo);
-    let cache = Arc::new(SinrCache::with_dense_limit(&net, &UniformPower::unit(), 0));
-    let none = TiledSinrCache::new(Arc::clone(&cache), 3, 0.0, 0);
-    let full = TiledSinrCache::new(Arc::clone(&cache), 3, 0.0, usize::MAX);
-    // The full store charges its arena plus per-panel bookkeeping
-    // overhead on top of what the empty store reports.
-    assert!(full.approx_bytes() - none.approx_bytes() >= full.panel_bytes());
-    assert!(none.approx_bytes() > 0);
-}
-
-#[test]
-fn approx_bytes_charges_adaptive_high_water() {
-    let net = cluster_instance(10_000.0);
-    let adaptive = TiledSinrFeasibility::with_options(
-        net,
-        UniformPower::unit(),
-        TileOptions::new(8, 1e-2)
-            .with_panel_mode(PanelCacheMode::Adaptive)
-            .with_panel_budget(4 * 4 * 8),
-    );
-    let before = adaptive.tiles().approx_bytes();
-    let attempts: Vec<Attempt> = (0..8).map(|i| attempt(i, i as u64)).collect();
-    let _ = adaptive.successes(&attempts, &mut rng());
-    // Once panels have been resident the index owns up to the
-    // high-water mark even after evictions shrink the resident set.
-    assert!(adaptive.tiles().approx_bytes() > before);
-    assert_eq!(
-        adaptive.tiles().diagnostics().panel_high_water_bytes,
-        4 * 4 * 8
-    );
-}
-
-#[test]
 fn shared_node_zero_distances_stay_exact() {
     // Consecutive line links put senders on receivers: NaN gains.
     // Those pairs always share a tile, so they can never be far —

@@ -108,38 +108,79 @@ fn sweep_is_deterministic_across_thread_counts() {
     }
 }
 
-/// Golden check of the substrate-sharing layer: a SINR sweep run on
-/// shared substrates (one topology per distinct grid key, handed to all
-/// λ/repetition cells) produces bit-for-bit the cells of independent
-/// per-cell construction through `Scenario::run_stream`.
+/// Asserts that two reports agree on every field.
+fn assert_same_report(a: &SimulationReport, b: &SimulationReport, context: &str) {
+    assert_eq!(a.injected, b.injected, "{context}");
+    assert_eq!(a.delivered, b.delivered, "{context}");
+    assert_eq!(a.backlog_series, b.backlog_series, "{context}");
+    assert_eq!(a.final_backlog, b.final_backlog, "{context}");
+    assert_eq!(a.latencies, b.latencies, "{context}");
+    assert_eq!(a.path_lens, b.path_lens, "{context}");
+    assert_eq!(a.potential.samples(), b.potential.samples(), "{context}");
+    assert_eq!(a.attempts, b.attempts, "{context}");
+    assert_eq!(a.successes, b.successes, "{context}");
+    assert_eq!(a.slots, b.slots, "{context}");
+    assert_eq!(a.idle_slots_skipped, b.idle_slots_skipped, "{context}");
+}
+
+/// Runs `sweep` and checks it cell by cell against fully independent
+/// construction, bypassing the sweep machinery altogether: each cell
+/// must sit at its `points()` position and match a direct
+/// `Scenario::run_stream` of its own spec on every report field.
+fn assert_sweep_matches_per_cell_construction(base: &ScenarioSpec, sweep: Sweep) {
+    let points = sweep.points();
+    let report = sweep.run().unwrap();
+    assert_eq!(report.cells.len(), points.len());
+    for (cell, point) in report.cells.iter().zip(&points) {
+        assert_eq!(cell.point, *point);
+        let mut cell_spec = base.clone().with_lambda(point.lambda);
+        if let Some(m) = point.size {
+            cell_spec = cell_spec.with_size(m);
+        }
+        let direct = Scenario::from_spec(&cell_spec.with_seed(point.seed))
+            .unwrap()
+            .run_stream(point.rep)
+            .unwrap();
+        assert_same_report(
+            &cell.outcome.report,
+            &direct.report,
+            &format!("{} {point:?}", base.name),
+        );
+    }
+}
+
+/// Golden check of substrate sharing: a SINR sweep that builds its one
+/// topology once and hands it to all λ/repetition cells produces
+/// bit-for-bit the cells of independent per-cell construction.
 #[test]
 fn shared_substrate_sweep_matches_per_cell_construction() {
     let mut spec = registry::spec_for("sinr-dense").unwrap().with_size(12);
     spec.run.frames = 4;
-    let shared = Sweep::new(spec.clone())
+    let sweep = Sweep::new(spec.clone())
         .over_lambdas(&[0.4, 0.9])
         .repetitions(2)
-        .threads(2)
-        .run()
-        .unwrap();
-    assert_eq!(shared.cells.len(), 4);
-    // Cell-by-cell against fully independent construction, bypassing
-    // the sweep machinery altogether: the full decision-relevant trace
-    // must match.
-    for cell in &shared.cells {
-        let cell_spec = spec.clone().with_lambda(cell.point.lambda);
-        let direct = Scenario::from_spec(&cell_spec)
-            .unwrap()
-            .run_stream(cell.point.rep)
-            .unwrap();
-        let (ra, rb) = (&cell.outcome.report, &direct.report);
-        assert_eq!(ra.injected, rb.injected);
-        assert_eq!(ra.delivered, rb.delivered);
-        assert_eq!(ra.final_backlog, rb.final_backlog);
-        assert_eq!(ra.latencies, rb.latencies);
-        assert_eq!(ra.backlog_series, rb.backlog_series);
-        assert_eq!(ra.attempts, rb.attempts);
-        assert_eq!(ra.successes, rb.successes);
+        .threads(2);
+    assert_eq!(sweep.points().len(), 4);
+    assert_sweep_matches_per_cell_construction(&spec, sweep);
+}
+
+/// The multi-topology case: a size sweep builds one substrate per size,
+/// runs that size's cells, and drops it before the next size — and
+/// still returns the cells of per-cell construction, in grid order
+/// (λ outermost, so each topology's cells are interleaved with the
+/// other's).
+#[test]
+fn multi_size_sweep_matches_per_cell_construction() {
+    for name in ["sinr-linear", "sinr-dense"] {
+        let mut spec = registry::spec_for(name).unwrap();
+        spec.run.frames = 2;
+        let sweep = Sweep::new(spec.clone())
+            .over_sizes(&[6, 8])
+            .over_lambdas(&[0.4, 0.9])
+            .repetitions(2)
+            .threads(2);
+        assert_eq!(sweep.points().len(), 8);
+        assert_sweep_matches_per_cell_construction(&spec, sweep);
     }
 }
 
