@@ -91,7 +91,7 @@ fn run(rest: &[String]) {
         if let Some(tiles) = &substrate.sinr_tiles {
             fields.push((
                 "tile_diagnostics".to_string(),
-                tile_diagnostics_value(&tiles.diagnostics()),
+                tile_diagnostics_value(tiles),
             ));
         }
         println!(
@@ -189,7 +189,8 @@ fn check(rest: &[String]) {
 
 /// The tiled substrate's far-walk and panel-cache counters as a JSON
 /// map, spliced next to the outcome table under `tile_diagnostics`.
-fn tile_diagnostics_value(diag: &dps_sinr::tiles::TileDiagnostics) -> serde::Value {
+fn tile_diagnostics_value(tiles: &dps_sinr::tiles::TiledSinrCache) -> serde::Value {
+    let diag = tiles.diagnostics();
     let seq_u64 =
         |values: &[u64]| serde::Value::Seq(values.iter().map(|&v| serde::Value::U64(v)).collect());
     serde::Value::Map(vec![
@@ -228,6 +229,10 @@ fn tile_diagnostics_value(diag: &dps_sinr::tiles::TileDiagnostics) -> serde::Val
         (
             "panel_high_water_bytes".to_string(),
             serde::Value::U64(diag.panel_high_water_bytes as u64),
+        ),
+        (
+            "panel_cells_filled".to_string(),
+            serde::Value::U64(tiles.panel_cells_filled()),
         ),
     ])
 }

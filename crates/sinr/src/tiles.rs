@@ -41,9 +41,11 @@
 //!   [`PanelCacheMode::Fixed`] panels are allocated once at build time
 //!   in deterministic row-major tile order within a byte budget; under
 //!   [`PanelCacheMode::Adaptive`] they live in a touch-count LRU cache
-//!   that refills from the exact gain expression on miss and evicts the
-//!   stalest pairs when the budget overflows, so the resident set
-//!   tracks the *active* tiles of a long run. Panel entries are
+//!   that evicts the stalest pairs when the budget overflows, so the
+//!   resident set tracks the *active* tiles of a long run. There the
+//!   block is allocated on admission and rows are filled on demand:
+//!   a slot fills, from the exact gain expression, only the receiver
+//!   rows it judges. Panel entries are
 //!   produced by the *same* floating-point expression as the flat dense
 //!   table and the naive oracle ([`crate::cache`]'s `raw_gain`), so
 //!   panel hits, misses, refills and evictions are all bit-for-bit

@@ -233,18 +233,14 @@ impl TiledSinrCache {
                         if arena.len() + cells > budget_cells {
                             break 'alloc;
                         }
-                        offsets.insert((s as u32, r as u32), arena.len());
-                        for &on in r_links {
-                            for &from in s_links {
-                                arena.push(raw_gain(
-                                    cache.sender_positions(),
-                                    cache.receiver_positions(),
-                                    cache.tx_powers(),
-                                    cache.alpha(),
-                                    from as usize,
-                                    on as usize,
-                                ));
-                            }
+                        let offset = arena.len();
+                        offsets.insert((s as u32, r as u32), offset);
+                        arena.resize(offset + cells, 0.0);
+                        for (&on, row) in r_links
+                            .iter()
+                            .zip(arena[offset..].chunks_exact_mut(s_links.len()))
+                        {
+                            fill_panel_row(&cache, s_links, on, row);
                         }
                     }
                 }
@@ -388,6 +384,13 @@ impl TiledSinrCache {
         self.panels.resident_bytes()
     }
 
+    /// Panel cells computed from the gain expression so far: the fixed
+    /// arena at build, plus every receiver row the adaptive store has
+    /// filled on demand.
+    pub fn panel_cells_filled(&self) -> u64 {
+        self.panels.counters().cells_filled.load(Ordering::Relaxed)
+    }
+
     /// A snapshot of the far-walk and panel-cache diagnostics.
     pub fn diagnostics(&self) -> TileDiagnostics {
         let counters = self.panels.counters();
@@ -416,28 +419,23 @@ impl TiledSinrCache {
     }
 
     /// Resolves the panel of leaf tile pair `(s, r)` for the current
-    /// slot, refilling an adaptive store from the exact gain expression
-    /// on miss.
-    pub(super) fn resolve_panel(&self, s: u32, r: u32) -> PanelRef {
+    /// slot. `rows` are the ranks, within `r`'s receiver list, of the
+    /// receivers the slot judges; an adaptive store fills those of them
+    /// it has not filled yet from the exact gain expression.
+    pub(super) fn resolve_panel(
+        &self,
+        s: u32,
+        r: u32,
+        rows: impl IntoIterator<Item = u32>,
+    ) -> PanelRef {
         let s_links = &self.senders_links
             [self.senders_start[s as usize] as usize..self.senders_start[s as usize + 1] as usize];
         let r_links = &self.receivers_links[self.receivers_start[r as usize] as usize
             ..self.receivers_start[r as usize + 1] as usize];
-        let cells = s_links.len() * r_links.len();
-        self.panels.resolve((s, r), cells, |data| {
-            for &on in r_links {
-                for &from in s_links {
-                    data.push(raw_gain(
-                        self.cache.sender_positions(),
-                        self.cache.receiver_positions(),
-                        self.cache.tx_powers(),
-                        self.cache.alpha(),
-                        from as usize,
-                        on as usize,
-                    ));
-                }
-            }
-        })
+        self.panels
+            .resolve((s, r), s_links.len(), r_links.len(), rows, |row, out| {
+                fill_panel_row(&self.cache, s_links, r_links[row], out)
+            })
     }
 
     /// The gain `p(d(from))/d(s_from, r_on)^α`, served from the pair's
@@ -450,9 +448,9 @@ impl TiledSinrCache {
         let r = self.receiver_tile[on.index()];
         let s_count =
             (self.senders_start[s as usize + 1] - self.senders_start[s as usize]) as usize;
-        let index = self.receiver_rank[on.index()] as usize * s_count
-            + self.sender_rank[from.index()] as usize;
-        match self.panels.probe((s, r), index) {
+        let row = self.receiver_rank[on.index()] as usize;
+        let index = row * s_count + self.sender_rank[from.index()] as usize;
+        match self.panels.probe((s, r), row, index) {
             Some(gain) => gain,
             None => raw_gain(
                 self.cache.sender_positions(),
@@ -463,5 +461,20 @@ impl TiledSinrCache {
                 on.index(),
             ),
         }
+    }
+}
+
+/// Writes receiver `on`'s panel row: the raw gain from every link of
+/// `s_links` (a sender tile's member list), in member order.
+fn fill_panel_row(cache: &SinrCache, s_links: &[u32], on: u32, out: &mut [f64]) {
+    for (cell, &from) in out.iter_mut().zip(s_links) {
+        *cell = raw_gain(
+            cache.sender_positions(),
+            cache.receiver_positions(),
+            cache.tx_powers(),
+            cache.alpha(),
+            from as usize,
+            on as usize,
+        );
     }
 }

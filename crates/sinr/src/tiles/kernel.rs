@@ -19,7 +19,7 @@ use dps_core::load::LinkLoad;
 use dps_core::parallel::parallel_map;
 use rand::RngCore;
 
-use super::MAX_KERNEL_THREADS;
+use super::{MAX_KERNEL_THREADS, MAX_TILE_LEVELS};
 
 /// The active set bucketed by sender leaf tile, rebuilt per slot:
 /// `entries` holds `(tile, link, count)` sorted by `(tile, link)`;
@@ -89,6 +89,7 @@ struct TiledSlotScratch {
     pairs: Vec<(u32, u32)>,
     plans: SlotPlans,
     stack: Vec<(u8, u32)>,
+    receivers: Vec<(u32, u32)>,
     interference: Vec<f64>,
     lanes: Vec<f64>,
 }
@@ -105,6 +106,7 @@ thread_local! {
         pairs: Vec::new(),
         plans: SlotPlans::default(),
         stack: Vec::new(),
+        receivers: Vec::new(),
         interference: Vec::new(),
         lanes: Vec::new(),
     });
@@ -243,10 +245,18 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
         let mut pairs = Vec::new();
         let mut plans = SlotPlans::default();
         let mut stack = Vec::new();
+        let mut receivers = Vec::new();
         self.group_active_by_tile(&active, &mut groups);
         if !groups.touched.is_empty() {
             self.build_coarse(&groups, &mut coarse, &mut pairs);
-            self.build_plans(&active, &groups, &coarse, &mut plans, &mut stack);
+            self.build_plans(
+                &active,
+                &groups,
+                &coarse,
+                &mut plans,
+                &mut stack,
+                &mut receivers,
+            );
         }
         active
             .iter()
@@ -356,7 +366,10 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
     /// their panel here — on the calling thread, before any fan-out —
     /// so the adaptive panel cache's evict/refill order is
     /// deterministic and the parallel verdict loop reads panels
-    /// lock-free.
+    /// lock-free. Each resolution names the receiver rows the slot
+    /// reads: `receivers` is rebuilt from the active links'
+    /// `(receiver tile, receiver rank)`, sorted, so each plan's rows are
+    /// one run of it.
     fn build_plans(
         &self,
         active: &[(u32, u32)],
@@ -364,26 +377,29 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
         coarse: &[SlotCoarse],
         plans: &mut SlotPlans,
         stack: &mut Vec<(u8, u32)>,
+        receivers: &mut Vec<(u32, u32)>,
     ) {
         let tiles = &*self.tiles;
         let levels = &tiles.levels;
         let g0 = tiles.grid.tiles_per_side();
         tiles.panels.tick();
         plans.clear();
-        plans.keys.extend(
-            active
-                .iter()
-                .map(|&(on, _)| tiles.receiver_tile[on as usize]),
-        );
-        plans.keys.sort_unstable();
-        plans.keys.dedup();
+        receivers.clear();
+        receivers.extend(active.iter().map(|&(on, _)| {
+            (
+                tiles.receiver_tile[on as usize],
+                tiles.receiver_rank[on as usize],
+            )
+        }));
+        receivers.sort_unstable();
 
-        let mut visited = vec![0u64; levels.len()];
-        let mut far_terms = vec![0u64; levels.len()];
+        let mut visited = [0u64; MAX_TILE_LEVELS];
+        let mut far_terms = [0u64; MAX_TILE_LEVELS];
         let mut near_terms = 0u64;
         let top = levels.len() - 1;
-        for key_at in 0..plans.keys.len() {
-            let r_leaf = plans.keys[key_at];
+        for run in receivers.chunk_by(|a, b| a.0 == b.0) {
+            let r_leaf = run[0].0;
+            plans.keys.push(r_leaf);
             plans.term_start.push(plans.terms.len() as u32);
             stack.clear();
             if top == 0 {
@@ -405,7 +421,8 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
                         plans.terms.push(PlanTerm::Far { level: 0, idx: j });
                     } else {
                         near_terms += 1;
-                        let panel = tiles.resolve_panel(s, r_leaf);
+                        let rows = run.iter().map(|&(_, rank)| rank);
+                        let panel = tiles.resolve_panel(s, r_leaf, rows);
                         plans.terms.push(PlanTerm::Near { group: j, panel });
                     }
                 } else {
@@ -586,6 +603,7 @@ impl<P: PowerAssignment> Feasibility for TiledSinrFeasibility<P> {
                 pairs,
                 plans,
                 stack,
+                receivers,
                 interference,
                 lanes,
             } = &mut *scratch.borrow_mut();
@@ -611,7 +629,7 @@ impl<P: PowerAssignment> Feasibility for TiledSinrFeasibility<P> {
                     plans.clear();
                 } else {
                     self.build_coarse(groups, coarse, pairs);
-                    self.build_plans(active, groups, coarse, plans, stack);
+                    self.build_plans(active, groups, coarse, plans, stack, receivers);
                 }
                 let tiles: &TiledSinrCache = &self.tiles;
                 let judge = |on_raw: u32, count: u32| -> bool {

@@ -1,23 +1,27 @@
 //! Near-field gain panel storage: one dense `|S|×|R|` block of raw
-//! gains per near leaf tile pair, under one of two residency policies.
+//! gains per near leaf tile pair, laid out as one row of `|S|` sender
+//! gains per receiver of `R`, under one of two residency policies.
 //!
 //! * [`PanelCacheMode::Fixed`] — panels are filled once at build time,
 //!   in deterministic row-major `(S, R)` tile order, until the next
 //!   panel would exceed the byte budget. Zero slot-time bookkeeping.
 //! * [`PanelCacheMode::Adaptive`] — panels live in a touch-count LRU
 //!   cache: a slot's plan resolution touches the pairs it needs,
-//!   missing pairs are refilled from the exact gain expression, and
-//!   when the resident bytes overflow the budget the least-recently
-//!   touched pairs are evicted (stale first, then smallest tile key —
-//!   fully deterministic, O(log n) per eviction via an ordered
-//!   eviction queue). Panels touched by the *current* slot are never
-//!   evicted: when a slot's working set outgrows the budget the cache
-//!   refuses further admissions for that slot instead of churning —
-//!   refused pairs fall back to the on-the-fly path, so a hot resident
-//!   set stays resident and thrash degrades to at most one fill per
-//!   admitted pair. Panels are handed to the slot kernel as [`Arc`]
-//!   clones, so an eviction mid-slot can never invalidate a panel in
-//!   use.
+//!   missing pairs are admitted, and when the resident bytes overflow
+//!   the budget the least-recently touched pairs are evicted (stale
+//!   first, then smallest tile key — fully deterministic, O(log n) per
+//!   eviction via an ordered eviction queue). The block is allocated on
+//!   admission and rows are filled on demand: a slot fills only the
+//!   rows of the receivers it judges, from the exact gain expression,
+//!   and a per-panel row bitmap records which rows hold gains. Panels
+//!   touched by the *current* slot are never evicted: when a slot's
+//!   working set outgrows the budget the cache refuses further
+//!   admissions for that slot instead of churning — refused pairs fall
+//!   back to the on-the-fly path, so a hot resident set stays resident
+//!   and thrash degrades to at most one allocation per admitted pair.
+//!   Panels are handed to the slot kernel as [`Arc`] clones and later
+//!   rows are filled copy-on-write, so neither an eviction nor a fill
+//!   can change a panel some caller's plan still reads.
 //!
 //! Every panel entry is produced by the same floating-point expression
 //! as the on-the-fly path, so residency is a speed layer only: hits,
@@ -46,7 +50,8 @@ pub(super) enum PanelRef {
     None,
     /// Offset into the fixed store's arena.
     Arena(usize),
-    /// Shared ownership of an adaptive-cache panel (outlives eviction).
+    /// Shared ownership of an adaptive-cache panel (outlives eviction
+    /// and later row fills, which copy a block still held here).
     Owned(Arc<Vec<f64>>),
 }
 
@@ -57,6 +62,9 @@ pub(super) struct PanelCounters {
     pub(super) hits: AtomicU64,
     pub(super) misses: AtomicU64,
     pub(super) evictions: AtomicU64,
+    /// Panel cells computed from the gain expression: the fixed
+    /// store's arena at build, every row the adaptive store fills.
+    pub(super) cells_filled: AtomicU64,
 }
 
 /// The panel store behind [`super::TiledSinrCache`].
@@ -96,8 +104,44 @@ pub(super) struct AdaptivePanels {
 
 #[derive(Debug)]
 struct PanelSlot {
+    /// The whole `|S|×|R|` block; rows not yet filled hold `0.0`.
     data: Arc<Vec<f64>>,
+    /// Bit `i` is set iff receiver row `i` of `data` holds its gains.
+    filled: Vec<u64>,
     last_touch: u64,
+}
+
+impl PanelSlot {
+    fn bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<f64>()
+    }
+
+    fn is_filled(&self, row: usize) -> bool {
+        self.filled[row / 64] & (1 << (row % 64)) != 0
+    }
+
+    /// Fills every requested row that is not filled yet and returns
+    /// the cells filled. Copy-on-write: a block some caller's plan
+    /// still holds is cloned first, never mutated.
+    fn fill_rows(
+        &mut self,
+        rows: impl IntoIterator<Item = u32>,
+        row_len: usize,
+        fill_row: &mut impl FnMut(usize, &mut [f64]),
+    ) -> usize {
+        let mut cells = 0;
+        for row in rows {
+            let row = row as usize;
+            if self.is_filled(row) {
+                continue;
+            }
+            let data = Arc::make_mut(&mut self.data);
+            fill_row(row, &mut data[row * row_len..][..row_len]);
+            self.filled[row / 64] |= 1 << (row % 64);
+            cells += row_len;
+        }
+        cells
+    }
 }
 
 impl PanelStore {
@@ -112,10 +156,14 @@ impl PanelStore {
 
     /// A fixed store over a prebuilt arena.
     pub(super) fn fixed(offsets: BTreeMap<(u32, u32), usize>, arena: Vec<f64>) -> Self {
+        let counters = PanelCounters::default();
+        counters
+            .cells_filled
+            .store(arena.len() as u64, Ordering::Relaxed);
         PanelStore::Fixed {
             offsets,
             arena,
-            counters: PanelCounters::default(),
+            counters,
         }
     }
 
@@ -162,21 +210,29 @@ impl PanelStore {
     }
 
     /// Resolves the panel of tile pair `key` for the current slot,
-    /// counting a hit or a miss. Fixed stores never fill on miss
-    /// (`PanelRef::None` sends the pair to the on-the-fly path).
-    /// Adaptive stores fill via `fill` (which must append exactly
-    /// `cells` raw gains in panel layout), evicting least-recently
-    /// touched *stale* panels — never a panel this slot already
-    /// touched — when the budget overflows. If the current slot's
-    /// pinned working set leaves too little evictable room (or the
-    /// panel is larger than the whole budget), the pair is refused:
-    /// `fill` is never called and the pair takes the on-the-fly path
-    /// for this slot, so an over-budget working set cannot thrash the
-    /// resident panels.
-    pub(super) fn resolve<F>(&self, key: (u32, u32), cells: usize, fill: F) -> PanelRef
-    where
-        F: FnOnce(&mut Vec<f64>),
-    {
+    /// counting a hit or a miss. The panel has `row_count` receiver
+    /// rows of `row_len` sender gains each; `rows` lists the receiver
+    /// rows the slot will read. Fixed stores ignore `rows` and never
+    /// fill on miss (`PanelRef::None` sends the pair to the on-the-fly
+    /// path). Adaptive stores allocate the whole block on admission and
+    /// fill rows on demand: `fill_row(row, out)` must write row `row`'s
+    /// `row_len` raw gains into `out`, and is called once for each
+    /// requested row not filled yet — on a miss and on a hit alike. An
+    /// admission evicts least-recently touched *stale* panels — never
+    /// a panel this slot already touched — when the budget overflows.
+    /// If the current slot's pinned working set leaves too little
+    /// evictable room (or the panel is larger than the whole budget),
+    /// the pair is refused: `fill_row` is never called and the pair
+    /// takes the on-the-fly path for this slot, so an over-budget
+    /// working set cannot thrash the resident panels.
+    pub(super) fn resolve(
+        &self,
+        key: (u32, u32),
+        row_len: usize,
+        row_count: usize,
+        rows: impl IntoIterator<Item = u32>,
+        mut fill_row: impl FnMut(usize, &mut [f64]),
+    ) -> PanelRef {
         match self {
             PanelStore::Fixed {
                 offsets, counters, ..
@@ -195,23 +251,25 @@ impl PanelStore {
                 state,
                 counters,
             } => {
-                let mut state = state.lock().expect("panel lock");
+                let mut guard = state.lock().expect("panel lock");
+                let state = &mut *guard;
                 let clock = state.clock;
-                let panel_bytes = |data: &Arc<Vec<f64>>| data.len() * std::mem::size_of::<f64>();
-                if let Some(slot) = state.resident.get(&key) {
-                    let data = Arc::clone(&slot.data);
-                    let prev_touch = slot.last_touch;
-                    if prev_touch != clock {
-                        state.queue.remove(&(prev_touch, key));
+                if let Some(slot) = state.resident.get_mut(&key) {
+                    if slot.last_touch != clock {
+                        state.queue.remove(&(slot.last_touch, key));
                         state.queue.insert((clock, key));
-                        state.resident.get_mut(&key).expect("resident").last_touch = clock;
-                        state.pinned_bytes += panel_bytes(&data);
+                        slot.last_touch = clock;
+                        state.pinned_bytes += slot.bytes();
                     }
+                    let cells = slot.fill_rows(rows, row_len, &mut fill_row);
                     counters.hits.fetch_add(1, Ordering::Relaxed);
-                    return PanelRef::Owned(data);
+                    counters
+                        .cells_filled
+                        .fetch_add(cells as u64, Ordering::Relaxed);
+                    return PanelRef::Owned(Arc::clone(&slot.data));
                 }
                 counters.misses.fetch_add(1, Ordering::Relaxed);
-                let new_bytes = cells * std::mem::size_of::<f64>();
+                let new_bytes = row_len * row_count * std::mem::size_of::<f64>();
                 // Admission control: the current slot's touched panels
                 // are pinned, so only `bytes - pinned_bytes` is
                 // evictable. Refuse rather than churn.
@@ -219,10 +277,15 @@ impl PanelStore {
                 if new_bytes > *budget_bytes || needed > state.bytes - state.pinned_bytes {
                     return PanelRef::None;
                 }
-                let mut data = Vec::with_capacity(cells);
-                fill(&mut data);
-                debug_assert_eq!(data.len(), cells, "panel fill must produce |S|·|R| cells");
-                let data = Arc::new(data);
+                let mut slot = PanelSlot {
+                    data: Arc::new(vec![0.0; row_len * row_count]),
+                    filled: vec![0; row_count.div_ceil(64)],
+                    last_touch: clock,
+                };
+                let cells = slot.fill_rows(rows, row_len, &mut fill_row);
+                counters
+                    .cells_filled
+                    .fetch_add(cells as u64, Ordering::Relaxed);
                 while state.bytes + new_bytes > *budget_bytes {
                     let &(touch, stalest) = state
                         .queue
@@ -232,16 +295,11 @@ impl PanelStore {
                     debug_assert!(touch < clock, "current-slot panels are pinned");
                     state.queue.remove(&(touch, stalest));
                     let evicted = state.resident.remove(&stalest).expect("queue mirrors map");
-                    state.bytes -= panel_bytes(&evicted.data);
+                    state.bytes -= evicted.bytes();
                     counters.evictions.fetch_add(1, Ordering::Relaxed);
                 }
-                state.resident.insert(
-                    key,
-                    PanelSlot {
-                        data: Arc::clone(&data),
-                        last_touch: clock,
-                    },
-                );
+                let data = Arc::clone(&slot.data);
+                state.resident.insert(key, slot);
                 state.queue.insert((clock, key));
                 state.bytes += new_bytes;
                 state.pinned_bytes += new_bytes;
@@ -251,10 +309,10 @@ impl PanelStore {
         }
     }
 
-    /// Reads one panel cell if the pair is resident (no touch, no
-    /// counter traffic) — the single-gain probe behind
-    /// [`super::TiledSinrCache::gain`].
-    pub(super) fn probe(&self, key: (u32, u32), index: usize) -> Option<f64> {
+    /// Reads cell `index` of receiver row `row` if the pair is resident
+    /// and the row filled (no touch, no counter traffic) — the
+    /// single-gain probe behind [`super::TiledSinrCache::gain`].
+    pub(super) fn probe(&self, key: (u32, u32), row: usize, index: usize) -> Option<f64> {
         match self {
             PanelStore::Fixed { offsets, arena, .. } => {
                 offsets.get(&key).map(|&offset| arena[offset + index])
@@ -264,6 +322,7 @@ impl PanelStore {
                 .expect("panel lock")
                 .resident
                 .get(&key)
+                .filter(|slot| slot.is_filled(row))
                 .map(|slot| slot.data[index]),
         }
     }

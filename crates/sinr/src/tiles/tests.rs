@@ -1,3 +1,4 @@
+use super::panels::PanelRef;
 use super::*;
 use crate::cache::SinrCache;
 use crate::feasibility::SinrFeasibility;
@@ -298,6 +299,68 @@ fn adaptive_panels_evict_under_tiny_budget_without_changing_verdicts() {
     assert!(diag.panel_evictions > 0, "evictions expected: {diag:?}");
     assert!(diag.panel_resident_bytes <= 4 * 4 * 8);
     assert!(diag.panel_high_water_bytes <= 4 * 4 * 8);
+}
+
+#[test]
+fn adaptive_row_fill_is_copy_on_write() {
+    // Sweeps share one substrate across threads, so a panel some
+    // caller's plan still holds must never change under it: filling a
+    // further row of a held panel fills a copy.
+    let net = cluster_instance(10_000.0);
+    let cache = Arc::new(SinrCache::new(&net, &UniformPower::unit()));
+    let tiles = TiledSinrCache::with_options(
+        Arc::clone(&cache),
+        TileOptions::new(8, 1e-2)
+            .with_panel_mode(PanelCacheMode::Adaptive)
+            .with_panel_budget(usize::MAX),
+    );
+    // Cluster A (even links) shares one sender and one receiver tile.
+    let (s, r) = (
+        tiles.sender_tile_of(LinkId(0)),
+        tiles.receiver_tile_of(LinkId(0)),
+    );
+    let members = |start: &[u32], links: &[u32], tile: u32| -> Vec<u32> {
+        links[start[tile as usize] as usize..start[tile as usize + 1] as usize].to_vec()
+    };
+    let s_links = members(&tiles.senders_start, &tiles.senders_links, s);
+    let r_links = members(&tiles.receivers_start, &tiles.receivers_links, r);
+    assert_eq!((s_links.len(), r_links.len()), (4, 4));
+    let expected = |row: usize| -> Vec<u64> {
+        s_links
+            .iter()
+            .map(|&from| {
+                crate::cache::raw_gain(
+                    cache.sender_positions(),
+                    cache.receiver_positions(),
+                    cache.tx_powers(),
+                    cache.alpha(),
+                    from as usize,
+                    r_links[row] as usize,
+                )
+                .to_bits()
+            })
+            .collect()
+    };
+    let bits = |data: &[f64], row: usize| -> Vec<u64> {
+        data[row * 4..][..4].iter().map(|g| g.to_bits()).collect()
+    };
+    let PanelRef::Owned(first) = tiles.resolve_panel(s, r, [0]) else {
+        panic!("an unbounded adaptive store admits every pair")
+    };
+    assert_eq!(bits(&first, 0), expected(0));
+    let PanelRef::Owned(second) = tiles.resolve_panel(s, r, [1]) else {
+        panic!("the pair stays resident")
+    };
+    assert!(
+        !Arc::ptr_eq(&first, &second),
+        "a held panel is copied, not filled"
+    );
+    assert_eq!(bits(&first, 0), expected(0));
+    assert_eq!(bits(&second, 0), expected(0));
+    assert_eq!(bits(&second, 1), expected(1));
+    assert_eq!(tiles.panel_cells_filled(), 8);
+    let diag = tiles.diagnostics();
+    assert_eq!((diag.panel_misses, diag.panel_hits), (1, 1));
 }
 
 #[test]

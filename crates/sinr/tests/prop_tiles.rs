@@ -18,6 +18,7 @@
 
 use dps_core::feasibility::{Attempt, Feasibility};
 use dps_core::ids::{LinkId, PacketId};
+use dps_sinr::cache::SinrCache;
 use dps_sinr::feasibility::SinrFeasibility;
 use dps_sinr::instances::{line_instance, random_instance};
 use dps_sinr::network::SinrNetwork;
@@ -351,6 +352,92 @@ proptest! {
         for ((link_a, sum_a), (link_b, sum_b)) in a.into_iter().zip(b) {
             prop_assert_eq!(link_a, link_b);
             prop_assert_eq!(sum_a.to_bits(), sum_b.to_bits(), "at {}", link_a);
+        }
+    }
+
+    /// Slots with random active subsets hit resident adaptive panels
+    /// again with receiver rows no earlier slot filled. Partially
+    /// filled panels must read bitwise like the fixed store: verdicts
+    /// and interference sums every slot, and afterwards every single
+    /// gain against the geometry cache. Budgets hold one to three of
+    /// the largest possible panels, or are unbounded.
+    #[test]
+    fn partial_panels_are_bitwise_neutral(
+        seed in 0u64..200,
+        grid in 2usize..9,
+        eps_sel in 1usize..3,
+        levels in 1usize..4,
+        budget_panels in 1usize..5,
+        masks in proptest::collection::vec(1u32..0x1_0000, 4..8),
+        dup in 0u32..16,
+    ) {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let params = SinrParams::default_noiseless();
+        let net = random_instance(16, 80.0, 0.8, 3.0, params, &mut rng);
+        let eps = EPSILONS[eps_sel];
+        let fixed = TiledSinrFeasibility::with_options(
+            net.clone(),
+            UniformPower::unit(),
+            TileOptions::new(grid, eps).with_levels(levels),
+        );
+        let tiles = fixed.tiles();
+        let largest = |tile_of: &dyn Fn(LinkId) -> u32| {
+            let mut count = vec![0usize; tiles.num_tiles()];
+            for l in 0..16 {
+                count[tile_of(LinkId(l)) as usize] += 1;
+            }
+            count.into_iter().max().unwrap_or(0)
+        };
+        let panel_bytes = largest(&|l| tiles.sender_tile_of(l))
+            * largest(&|l| tiles.receiver_tile_of(l))
+            * std::mem::size_of::<f64>();
+        let budget = if budget_panels == 4 {
+            usize::MAX
+        } else {
+            budget_panels * panel_bytes
+        };
+        let adaptive = TiledSinrFeasibility::with_options(
+            net.clone(),
+            UniformPower::unit(),
+            TileOptions::new(grid, eps)
+                .with_levels(levels)
+                .with_panel_mode(PanelCacheMode::Adaptive)
+                .with_panel_budget(budget),
+        );
+        let srng = ChaCha12Rng::seed_from_u64(29);
+        for (slot, mask) in masks.iter().enumerate() {
+            let mut attempts: Vec<Attempt> = (0..16u32)
+                .filter(|l| mask & (1 << l) != 0)
+                .map(|l| attempt(l, l as u64))
+                .collect();
+            if slot % 2 == 1 {
+                attempts.push(attempt(dup, 100));
+            }
+            prop_assert_eq!(
+                fixed.successes(&attempts, &mut srng.clone()),
+                adaptive.successes(&attempts, &mut srng.clone()),
+                "slot {}", slot
+            );
+            let a = fixed.slot_interference(&attempts);
+            let b = adaptive.slot_interference(&attempts);
+            for ((link_a, sum_a), (link_b, sum_b)) in a.into_iter().zip(b) {
+                prop_assert_eq!(link_a, link_b);
+                prop_assert_eq!(sum_a.to_bits(), sum_b.to_bits(), "slot {} at {}", slot, link_a);
+            }
+        }
+        let reference = SinrCache::new(&net, &UniformPower::unit());
+        for from in 0..16u32 {
+            for on in 0..16u32 {
+                if from == on {
+                    continue;
+                }
+                let (f, o) = (LinkId(from), LinkId(on));
+                prop_assert_eq!(
+                    adaptive.tiles().gain(f, o).to_bits(),
+                    reference.gain(f, o).to_bits(),
+                    "gain {} on {}", from, on
+                );
+            }
         }
     }
 
