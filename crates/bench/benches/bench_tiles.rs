@@ -14,18 +14,22 @@
 //! A separate scale section benches `m = 65536` flat (one tile level)
 //! against the hierarchical walk (four coarsening levels) and the
 //! threaded kernel on the same leaf grid, with the same
-//! in-harness `ε = 0` bit-for-bit assertion at every configuration.
+//! in-harness `ε = 0` bit-for-bit assertion at every configuration. It
+//! also times one tiled rate normalisation `‖W·R‖∞` of a uniform unit
+//! load over the hierarchical index (`measure_secs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dps_core::feasibility::{Attempt, Feasibility};
 use dps_core::ids::{LinkId, PacketId};
+use dps_core::interference::InterferenceModel;
+use dps_core::load::LinkLoad;
 use dps_core::rng::split_stream;
 use dps_sinr::feasibility::SinrFeasibility;
 use dps_sinr::instances::random_instance;
 use dps_sinr::network::SinrNetwork;
 use dps_sinr::params::SinrParams;
 use dps_sinr::power::LinearPower;
-use dps_sinr::tiles::{PanelCacheMode, TileOptions, TiledSinrFeasibility};
+use dps_sinr::tiles::{PanelCacheMode, TileOptions, TiledInterference, TiledSinrFeasibility};
 use std::time::{Duration, Instant};
 
 const SIZES: [usize; 3] = [1024, 4096, 16384];
@@ -296,6 +300,17 @@ fn bench_tiled_slot(c: &mut Criterion) {
             },
             budget,
         );
+        // One rate normalisation, as the stochastic injector runs it at
+        // set-up: the tiled measure of a unit load on every link.
+        let measure_secs = {
+            let model = TiledInterference::with_tiles(hier.shared_tiles().clone());
+            let load = LinkLoad::from_links(HIER_M, (0..HIER_M as u32).map(LinkId));
+            let start = Instant::now();
+            let value = model.measure(&load);
+            let secs = start.elapsed().as_secs_f64();
+            assert!(value.is_finite() && value >= 1.0, "measure {value}");
+            secs
+        };
         let per_sec = |d: Duration| 1.0 / d.as_secs_f64();
         let hier_speedup = flat_t.as_secs_f64() / hier_t.as_secs_f64();
         let far_per_level: Vec<String> = (0..HIER_LEVELS)
@@ -304,7 +319,8 @@ fn bench_tiled_slot(c: &mut Criterion) {
         println!(
             "tiles_slot_throughput/scale m={HIER_M} (grid {grid}, L={HIER_LEVELS}): \
              flat ε=1e-3 {:.3e} slots/s, hier {:.3e} slots/s ({hier_speedup:.2}x), \
-             hier 2-thread {:.3e} slots/s, far pairs flat {} vs per-level [{}]",
+             hier 2-thread {:.3e} slots/s, far pairs flat {} vs per-level [{}], \
+             unit-load measure {measure_secs:.3} s",
             per_sec(flat_t),
             per_sec(hier_t),
             per_sec(hier_t2_t),
@@ -319,7 +335,8 @@ fn bench_tiled_slot(c: &mut Criterion) {
              \"hier_eps1e3_slots_per_sec\": {:.2},\n    \
              \"hier_speedup_vs_flat\": {:.2},\n    \
              \"hier_t2_eps1e3_slots_per_sec\": {:.2},\n    \
-             \"flat_far_pairs\": {},\n    \"hier_far_pairs_per_level\": [{}]\n  }}",
+             \"flat_far_pairs\": {},\n    \"hier_far_pairs_per_level\": [{}],\n    \
+             \"measure_secs\": {measure_secs:.3}\n  }}",
             80.0 * (HIER_M as f64).sqrt(),
             attempts.len(),
             per_sec(flat_t),

@@ -46,14 +46,24 @@ pub trait InterferenceModel {
 
     /// The interference measure `I = ‖W·R‖∞`.
     ///
-    /// The default takes the maximum of [`InterferenceModel::row_load`] over
-    /// all rows. Models where only rows in the support can attain the
-    /// maximum may override this with a restriction to the support.
+    /// The default is [`max_row_load`]. Models where only rows in the
+    /// support can attain the maximum may override this with a
+    /// restriction to the support.
     fn measure(&self, load: &LinkLoad) -> f64 {
-        (0..self.num_links() as u32)
-            .map(|e| self.row_load(LinkId(e), load))
-            .fold(0.0, f64::max)
+        max_row_load(self, load)
     }
+}
+
+/// The exact row walk for `‖W·R‖∞`: the maximum of
+/// [`InterferenceModel::row_load`] over all rows, in ascending row order.
+///
+/// This is the default [`InterferenceModel::measure`]. An override that
+/// falls back to the exact walk calls it too, so the fallback returns the
+/// default's bits.
+pub fn max_row_load<M: InterferenceModel + ?Sized>(model: &M, load: &LinkLoad) -> f64 {
+    (0..model.num_links() as u32)
+        .map(|e| model.row_load(LinkId(e), load))
+        .fold(0.0, f64::max)
 }
 
 macro_rules! impl_interference_for_wrapper {

@@ -14,7 +14,7 @@ use crate::network::SinrNetwork;
 use crate::power::PowerAssignment;
 use dps_core::feasibility::{Attempt, Feasibility};
 use dps_core::ids::LinkId;
-use dps_core::interference::InterferenceModel;
+use dps_core::interference::{max_row_load, InterferenceModel};
 use dps_core::load::LinkLoad;
 use dps_core::parallel::parallel_map;
 use rand::RngCore;
@@ -726,12 +726,9 @@ impl InterferenceModel for TiledInterference {
     fn measure(&self, load: &LinkLoad) -> f64 {
         match &self.tiles {
             Some(tiles) if tiles.far_pairs() > 0 => super::measure::measure_with_tiles(tiles, load),
-            // The trait default's exact row walk, restated so the
-            // un-tiled (and ε = 0) paths stay bit-for-bit with every
-            // other interference model.
-            _ => (0..self.num_links() as u32)
-                .map(|e| self.row_load(LinkId(e), load))
-                .fold(0.0, f64::max),
+            // The trait default's exact row walk, so the un-tiled (and
+            // ε = 0) paths stay bit-for-bit with every other model.
+            _ => max_row_load(self, load),
         }
     }
 }

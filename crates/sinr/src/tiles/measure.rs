@@ -25,6 +25,36 @@
 //! * near-field gains use an `α = 3` specialised power
 //!   (`d³ = d·d·d`) instead of `powf` on the measure's dominant loop.
 //!
+//! **Layout.** Once per call the loaded senders (rate `> 0`) are
+//! gathered into structure-of-arrays columns (`x`, `y`, power, rate,
+//! link), leaf tile by leaf tile in `senders_links` order, so a near
+//! tile is one contiguous span. Per receiver tile the walk's near plan
+//! becomes a list of such spans (adjacent spans merged), and its far
+//! plan is flattened once into columns of (centre `x`, centre `y`,
+//! weight, level, tile).
+//!
+//! **Lanes.** The tile's member rows are evaluated [`LANES`] at a time,
+//! the rows left over one at a time. The near field goes in blocks of
+//! [`BLOCK`] senders: each lane writes the block's terms into its own
+//! buffer, in a loop without branches that the compiler vectorises
+//! across senders, and then the lanes add their buffers in sender
+//! order, [`LANES`] independent sums side by side. The far field loads
+//! each term once and charges every lane. `α = 3` is a const generic,
+//! so the hot instantiation has no `powf` branch. A row's own sender is
+//! masked by adding `+0.0` in place of its term, and its own tile at
+//! each level is looked up once per row.
+//!
+//! **Summation order, and so the bits.** Every row still adds its terms
+//! in the scalar walk's order: near tiles in plan (DFS) order, senders
+//! within a tile in CSR order, then far terms in plan order, and the
+//! rows fold into the max in member order. Each term is the scalar
+//! walk's expression, operation for operation (Rust neither fuses nor
+//! reassociates floating-point arithmetic, vectorised or not). Adding
+//! `+0.0` to a sum that starts at `+0.0` and only grows leaves it
+//! unchanged, and the lanes never mix, so every row, and with them the
+//! measure, is bit for bit the scalar walk's. A proptest holds each row
+//! to that walk, kept in the tests as the referee.
+//!
 //! With no far-qualified pairs (`ε = 0`, or geometry that never
 //! qualifies) callers must take the trait-default row walk instead —
 //! [`super::TiledInterference`]'s `measure` override delegates
@@ -33,12 +63,21 @@
 //! [`InterferenceModel::measure`]: dps_core::interference::InterferenceModel::measure
 
 use super::index::TiledSinrCache;
+use super::MAX_TILE_LEVELS;
 use dps_core::load::LinkLoad;
+use std::ops::Range;
 
-/// `d^α` with the hot `α = 3` case specialised to multiplications.
-#[inline]
-fn pow_alpha(d: f64, alpha: f64) -> f64 {
-    if alpha == 3.0 {
+/// Member rows evaluated side by side.
+const LANES: usize = 4;
+
+/// Senders per block: each lane writes a block's near terms, then the
+/// lanes add them up.
+const BLOCK: usize = 128;
+
+/// `d^α`, with `α = 3` specialised at compile time to `d·d·d`.
+#[inline(always)]
+fn pow_alpha<const CUBE: bool>(d: f64, alpha: f64) -> f64 {
+    if CUBE {
         d * d * d
     } else {
         d.powf(alpha)
@@ -56,6 +95,195 @@ struct LoadCoarse {
     children: Vec<u32>,
 }
 
+/// The loaded senders (rate `> 0`) as columns, leaf tile by leaf tile
+/// in `senders_links` order: leaf tile `t` owns `start[t]..start[t+1]`.
+#[derive(Default)]
+struct LoadedSenders {
+    start: Vec<u32>,
+    x: Vec<f64>,
+    y: Vec<f64>,
+    power: Vec<f64>,
+    rate: Vec<f64>,
+    link: Vec<u32>,
+}
+
+/// One receiver tile's walk plan: near spans into [`LoadedSenders`] and
+/// the far terms as columns, both in DFS order.
+#[derive(Default)]
+struct Plan {
+    near: Vec<(u32, u32)>,
+    far_x: Vec<f64>,
+    far_y: Vec<f64>,
+    far_weight: Vec<f64>,
+    far_level: Vec<u8>,
+    far_tile: Vec<u32>,
+}
+
+impl Plan {
+    fn clear(&mut self) {
+        self.near.clear();
+        self.far_x.clear();
+        self.far_y.clear();
+        self.far_weight.clear();
+        self.far_level.clear();
+        self.far_tile.clear();
+    }
+
+    /// Appends a near leaf tile's span, merged into the previous span
+    /// when the two are adjacent (same senders, same order).
+    fn push_near(&mut self, lo: u32, hi: u32) {
+        match self.near.last_mut() {
+            Some(last) if last.1 == lo => last.1 = hi,
+            _ => self.near.push((lo, hi)),
+        }
+    }
+}
+
+/// What every row of one call shares.
+struct Rows<'a> {
+    tiles: &'a TiledSinrCache,
+    beta: f64,
+    alpha: f64,
+    rate: &'a [f64],
+    total_rate: f64,
+    loaded: &'a LoadedSenders,
+}
+
+impl Rows<'_> {
+    /// Writes the near terms `rate · min(1, β·g/margin)` of the loaded
+    /// senders `block` on a receiver at `(rx, ry)` into `out`, the
+    /// row's own sender included. The loop has no branch, so it
+    /// vectorises across senders.
+    #[inline(always)]
+    fn near_terms<const CUBE: bool>(
+        &self,
+        block: Range<usize>,
+        (rx, ry): (f64, f64),
+        margin: f64,
+        out: &mut [f64],
+    ) {
+        let loaded = self.loaded;
+        let (xs, ys) = (&loaded.x[block.clone()], &loaded.y[block.clone()]);
+        let (ps, rs) = (&loaded.power[block.clone()], &loaded.rate[block]);
+        for i in 0..out.len() {
+            let d = ((xs[i] - rx).powi(2) + (ys[i] - ry).powi(2)).sqrt();
+            let a = (self.beta * (ps[i] / pow_alpha::<CUBE>(d, self.alpha)) / margin).min(1.0);
+            // Mirrors `SinrCache::affectance`: a non-positive cross
+            // distance blocks the receiver outright (affectance 1).
+            out[i] = rs[i] * if d <= 0.0 { 1.0 } else { a };
+        }
+    }
+
+    /// The rows of the `N` links `on`, each with its own accumulators
+    /// and in the scalar walk's summation order.
+    #[inline(always)]
+    fn eval<const CUBE: bool, const N: usize>(&self, plan: &Plan, on: &[u32]) -> [f64; N] {
+        let tiles = self.tiles;
+        let cache = &*tiles.cache;
+        let (beta, alpha) = (self.beta, self.alpha);
+        let g0 = tiles.grid.tiles_per_side();
+        let on: [u32; N] = std::array::from_fn(|k| on[k]);
+        let receiver: [(f64, f64); N] = std::array::from_fn(|k| {
+            let p = cache.receiver_positions()[on[k] as usize];
+            (p.x, p.y)
+        });
+        let margin: [f64; N] = std::array::from_fn(|k| cache.margins()[on[k] as usize]);
+        let own_mass: [f64; N] =
+            std::array::from_fn(|k| self.rate[on[k] as usize] * cache.tx_powers()[on[k] as usize]);
+        // `own_tile[l][k]`: the level-`l` tile holding lane `k`'s sender.
+        let mut own_tile = [[0u32; N]; MAX_TILE_LEVELS];
+        for (l, level) in tiles.levels.iter().enumerate() {
+            for k in 0..N {
+                own_tile[l][k] = level.tile_of_leaf(tiles.sender_tile[on[k] as usize], g0);
+            }
+        }
+        // Lane `k`'s own sender in the loaded columns, if it carries rate.
+        let loaded = self.loaded;
+        let own_at: [usize; N] = std::array::from_fn(|k| {
+            let t = tiles.sender_tile[on[k] as usize] as usize;
+            let lo = loaded.start[t] as usize;
+            loaded.link[lo..loaded.start[t + 1] as usize]
+                .iter()
+                .position(|&l| l == on[k])
+                .map_or(usize::MAX, |i| lo + i)
+        });
+
+        // Near field, one block of senders at a time: each lane writes
+        // its terms, its own sender's term becomes `+0.0`, and the lanes
+        // add their terms in sender order.
+        let mut near = [0.0f64; N];
+        let mut terms = [[0.0f64; BLOCK]; N];
+        for &(lo, hi) in &plan.near {
+            for start in (lo as usize..hi as usize).step_by(BLOCK) {
+                let block = start..(hi as usize).min(start + BLOCK);
+                let n = block.len();
+                for k in 0..N {
+                    let out = &mut terms[k][..n];
+                    self.near_terms::<CUBE>(block.clone(), receiver[k], margin[k], out);
+                    if block.contains(&own_at[k]) {
+                        out[own_at[k] - start] = 0.0;
+                    }
+                }
+                for i in 0..n {
+                    for (sum, lane) in near.iter_mut().zip(&terms) {
+                        *sum += lane[i];
+                    }
+                }
+            }
+        }
+
+        let mut far_gain = [0.0f64; N];
+        for i in 0..plan.far_weight.len() {
+            let own = &own_tile[plan.far_level[i] as usize];
+            for k in 0..N {
+                // The diagonal is charged separately at weight 1; remove
+                // the row's own mass from the aggregate holding it.
+                let weight = if own[k] == plan.far_tile[i] {
+                    plan.far_weight[i] - own_mass[k]
+                } else {
+                    plan.far_weight[i]
+                };
+                let (rx, ry) = receiver[k];
+                let d = ((plan.far_x[i] - rx).powi(2) + (plan.far_y[i] - ry).powi(2)).sqrt();
+                far_gain[k] += weight / pow_alpha::<CUBE>(d, alpha);
+            }
+        }
+
+        // A non-positive (or NaN) margin saturates every off-diagonal
+        // affectance at 1 and the diagonal weighs 1: the row is the
+        // whole rate mass. (`margin > 0.0` is false for NaN, which is
+        // exactly the saturating branch.)
+        std::array::from_fn(|k| {
+            if margin[k] > 0.0 {
+                self.rate[on[k] as usize] + near[k] + beta * far_gain[k] / margin[k]
+            } else {
+                self.total_rate
+            }
+        })
+    }
+
+    /// Hands the rows of `members` to `visit` in member order,
+    /// [`LANES`] at a time and the rest one by one.
+    fn visit_tile<const CUBE: bool>(
+        &self,
+        plan: &Plan,
+        members: &[u32],
+        visit: &mut impl FnMut(u32, f64),
+    ) {
+        let mut chunks = members.chunks_exact(LANES);
+        for chunk in &mut chunks {
+            let rows = self.eval::<CUBE, LANES>(plan, chunk);
+            for (&on, row) in chunk.iter().zip(rows) {
+                visit(on, row);
+            }
+        }
+        for &on in chunks.remainder() {
+            let [row] = self.eval::<CUBE, 1>(plan, &[on]);
+            visit(on, row);
+        }
+    }
+}
+
 /// The measure `‖W·R‖∞` of `load` under the fixed-power affectance
 /// matrix, far field aggregated through `tiles`' qualification tables.
 ///
@@ -64,15 +292,20 @@ struct LoadCoarse {
 /// order than the trait default, which would break the `ε = 0`
 /// bit-for-bit story for no benefit.
 pub(super) fn measure_with_tiles(tiles: &TiledSinrCache, load: &LinkLoad) -> f64 {
+    let mut max_row = 0.0f64;
+    visit_rows(tiles, load, |_, row| max_row = max_row.max(row));
+    max_row
+}
+
+/// Hands every row `(link, (W·R)_link)` of [`measure_with_tiles`] to
+/// `visit`: receiver tiles ascending, member order within a tile. An
+/// all-zero load visits no row.
+fn visit_rows(tiles: &TiledSinrCache, load: &LinkLoad, mut visit: impl FnMut(u32, f64)) {
     debug_assert!(tiles.far_pairs() > 0, "caller gates on far_pairs() > 0");
     let cache = &*tiles.cache;
     let m = cache.num_links();
-    let beta = cache.beta();
-    let alpha = cache.alpha();
     let powers = cache.tx_powers();
-    let margins = cache.margins();
     let senders = cache.sender_positions();
-    let receivers = cache.receiver_positions();
 
     let mut rate = vec![0.0f64; m];
     let mut total_rate = 0.0;
@@ -81,30 +314,37 @@ pub(super) fn measure_with_tiles(tiles: &TiledSinrCache, load: &LinkLoad) -> f64
         total_rate += r;
     }
     if total_rate <= 0.0 {
-        return 0.0;
+        return;
     }
 
-    // Rate-weighted power per occupied leaf tile (occupied iff some
-    // sender in it carries positive rate), ascending tile order via the
-    // sender CSR.
+    // Gather the loaded senders tile by tile, and with them the
+    // rate-weighted power per occupied leaf tile (occupied iff some
+    // sender in it carries positive rate), ascending tile order.
     let num_leaves = tiles.grid.num_tiles();
+    let mut loaded = LoadedSenders::default();
+    loaded.start.push(0);
     let mut leaf_tiles: Vec<u32> = Vec::new();
     let mut leaf_weight: Vec<f64> = Vec::new();
     for t in 0..num_leaves {
         let span = tiles.senders_start[t] as usize..tiles.senders_start[t + 1] as usize;
         let mut w = 0.0;
-        let mut occupied = false;
         for &link in &tiles.senders_links[span] {
             let r = rate[link as usize];
             if r > 0.0 {
-                occupied = true;
-                w += r * powers[link as usize];
+                let p = powers[link as usize];
+                w += r * p;
+                loaded.x.push(senders[link as usize].x);
+                loaded.y.push(senders[link as usize].y);
+                loaded.power.push(p);
+                loaded.rate.push(r);
+                loaded.link.push(link);
             }
         }
-        if occupied {
+        if loaded.link.len() > *loaded.start.last().expect("start holds 0") as usize {
             leaf_tiles.push(t as u32);
             leaf_weight.push(w);
         }
+        loaded.start.push(loaded.link.len() as u32);
     }
 
     // Coarsen the occupied list level by level — the slot kernel's
@@ -155,19 +395,25 @@ pub(super) fn measure_with_tiles(tiles: &TiledSinrCache, load: &LinkLoad) -> f64
     // Walk every receiver tile with members once (rows in tiles without
     // loaded senders are still charged by every loaded sender, and the
     // max may land on a zero-rate row), then fold its member rows.
+    let rows = Rows {
+        tiles,
+        beta: cache.beta(),
+        alpha: cache.alpha(),
+        rate: &rate,
+        total_rate,
+        loaded: &loaded,
+    };
+    let cube = cache.alpha() == 3.0;
     let top = levels.len() - 1;
-    let mut far_plan: Vec<(u8, u32)> = Vec::new();
-    let mut near_plan: Vec<u32> = Vec::new();
+    let mut plan = Plan::default();
     let mut stack: Vec<(u8, u32)> = Vec::new();
-    let mut max_row = 0.0f64;
     for rt in 0..num_leaves {
         let members = &tiles.receivers_links
             [tiles.receivers_start[rt] as usize..tiles.receivers_start[rt + 1] as usize];
         if members.is_empty() {
             continue;
         }
-        far_plan.clear();
-        near_plan.clear();
+        plan.clear();
         stack.clear();
         if top == 0 {
             for j in (0..leaf_tiles.len()).rev() {
@@ -180,88 +426,37 @@ pub(super) fn measure_with_tiles(tiles: &TiledSinrCache, load: &LinkLoad) -> f64
         }
         while let Some((l, j)) = stack.pop() {
             let l_us = l as usize;
-            if l == 0 {
-                let s = leaf_tiles[j as usize];
-                if levels[0].is_far(s, rt as u32) {
-                    far_plan.push((0, j));
-                } else {
-                    near_plan.push(s);
-                }
+            let (s, weight) = if l == 0 {
+                (leaf_tiles[j as usize], leaf_weight[j as usize])
             } else {
                 let occ = &coarse[l_us - 1];
-                let s = occ.tiles[j as usize];
-                let r = levels[l_us].tile_of_leaf(rt as u32, g0);
-                if levels[l_us].is_far(s, r) {
-                    far_plan.push((l, j));
-                } else {
-                    let span = occ.child_start[j as usize] as usize
-                        ..occ.child_start[j as usize + 1] as usize;
-                    for k in span.rev() {
-                        stack.push((l - 1, occ.children[k]));
-                    }
+                (occ.tiles[j as usize], occ.weight[j as usize])
+            };
+            if levels[l_us].is_far(s, levels[l_us].tile_of_leaf(rt as u32, g0)) {
+                let center = levels[l_us].center(s);
+                plan.far_x.push(center.x);
+                plan.far_y.push(center.y);
+                plan.far_weight.push(weight);
+                plan.far_level.push(l);
+                plan.far_tile.push(s);
+            } else if l == 0 {
+                plan.push_near(loaded.start[s as usize], loaded.start[s as usize + 1]);
+            } else {
+                let occ = &coarse[l_us - 1];
+                let span =
+                    occ.child_start[j as usize] as usize..occ.child_start[j as usize + 1] as usize;
+                for k in span.rev() {
+                    stack.push((l - 1, occ.children[k]));
                 }
             }
         }
 
-        for &on in members {
-            let on_us = on as usize;
-            let margin = margins[on_us];
-            // A non-positive (or NaN) margin saturates every off-diagonal
-            // affectance at 1 and the diagonal weighs 1: the row is the
-            // whole rate mass. (`margin > 0.0` is false for NaN, which
-            // is exactly the saturating branch.)
-            let row = if margin > 0.0 {
-                let receiver = receivers[on_us];
-                let own_leaf = tiles.sender_tile[on_us];
-                let mut near = 0.0f64;
-                for &s in &near_plan {
-                    let span = tiles.senders_start[s as usize] as usize
-                        ..tiles.senders_start[s as usize + 1] as usize;
-                    for &from in &tiles.senders_links[span] {
-                        if from == on {
-                            continue;
-                        }
-                        let r = rate[from as usize];
-                        if r <= 0.0 {
-                            continue;
-                        }
-                        let d = senders[from as usize].distance(&receiver);
-                        // Mirrors `SinrCache::affectance`: a non-positive
-                        // cross distance blocks the receiver outright
-                        // (affectance 1), otherwise clamp into [0, 1].
-                        let a = if d <= 0.0 {
-                            1.0
-                        } else {
-                            (beta * (powers[from as usize] / pow_alpha(d, alpha)) / margin).min(1.0)
-                        };
-                        near += r * a;
-                    }
-                }
-                let mut far_gain = 0.0f64;
-                for &(l, j) in &far_plan {
-                    let l_us = l as usize;
-                    let (s_tile, mut weight) = if l == 0 {
-                        (leaf_tiles[j as usize], leaf_weight[j as usize])
-                    } else {
-                        let occ = &coarse[l_us - 1];
-                        (occ.tiles[j as usize], occ.weight[j as usize])
-                    };
-                    if levels[l_us].tile_of_leaf(own_leaf, g0) == s_tile {
-                        // The diagonal is charged separately at weight 1;
-                        // remove `on`'s own mass from the aggregate.
-                        weight -= rate[on_us] * powers[on_us];
-                    }
-                    let d = levels[l_us].center(s_tile).distance(&receiver);
-                    far_gain += weight / pow_alpha(d, alpha);
-                }
-                rate[on_us] + near + beta * far_gain / margin
-            } else {
-                total_rate
-            };
-            max_row = max_row.max(row);
+        if cube {
+            rows.visit_tile::<true>(&plan, members, &mut visit);
+        } else {
+            rows.visit_tile::<false>(&plan, members, &mut visit);
         }
     }
-    max_row
 }
 
 #[cfg(test)]
@@ -269,13 +464,264 @@ mod tests {
     use super::*;
     use crate::cache::SinrCache;
     use crate::instances::random_instance;
+    use crate::network::SinrNetworkBuilder;
     use crate::params::SinrParams;
-    use crate::power::LinearPower;
+    use crate::power::{LinearPower, UniformPower};
     use crate::tiles::{TileOptions, TiledInterference};
     use dps_core::ids::LinkId;
-    use dps_core::interference::InterferenceModel;
+    use dps_core::interference::max_row_load;
     use dps_core::rng::split_stream;
+    use proptest::prelude::*;
+    use rand::Rng;
     use std::sync::Arc;
+
+    /// `d^α` with the `α = 3` case specialised to multiplications.
+    fn referee_pow(d: f64, alpha: f64) -> f64 {
+        if alpha == 3.0 {
+            d * d * d
+        } else {
+            d.powf(alpha)
+        }
+    }
+
+    /// The scalar walk [`visit_rows`] replaced: one row at a time,
+    /// skipping the row's own sender and zero-rate senders by branch,
+    /// handing each row to `visit`. The referee of the bitwise tests.
+    fn measure_referee(tiles: &TiledSinrCache, load: &LinkLoad, mut visit: impl FnMut(u32, f64)) {
+        let cache = &*tiles.cache;
+        let m = cache.num_links();
+        let beta = cache.beta();
+        let alpha = cache.alpha();
+        let powers = cache.tx_powers();
+        let margins = cache.margins();
+        let senders = cache.sender_positions();
+        let receivers = cache.receiver_positions();
+
+        let mut rate = vec![0.0f64; m];
+        let mut total_rate = 0.0;
+        for (link, r) in load.support() {
+            rate[link.index()] = r;
+            total_rate += r;
+        }
+        if total_rate <= 0.0 {
+            return;
+        }
+
+        // Rate-weighted power per occupied leaf tile (occupied iff some
+        // sender in it carries positive rate), ascending tile order via the
+        // sender CSR.
+        let num_leaves = tiles.grid.num_tiles();
+        let mut leaf_tiles: Vec<u32> = Vec::new();
+        let mut leaf_weight: Vec<f64> = Vec::new();
+        for t in 0..num_leaves {
+            let span = tiles.senders_start[t] as usize..tiles.senders_start[t + 1] as usize;
+            let mut w = 0.0;
+            let mut occupied = false;
+            for &link in &tiles.senders_links[span] {
+                let r = rate[link as usize];
+                if r > 0.0 {
+                    occupied = true;
+                    w += r * powers[link as usize];
+                }
+            }
+            if occupied {
+                leaf_tiles.push(t as u32);
+                leaf_weight.push(w);
+            }
+        }
+
+        // Coarsen the occupied list level by level — the slot kernel's
+        // `build_coarse`, with rates folded into the weights.
+        let g0 = tiles.grid.tiles_per_side();
+        let levels = &tiles.levels;
+        let mut coarse: Vec<LoadCoarse> = Vec::with_capacity(levels.len().saturating_sub(1));
+        for l in 1..levels.len() {
+            let (below_tiles, below_weight, below_side): (&[u32], &[f64], usize) = if l == 1 {
+                (&leaf_tiles, &leaf_weight, g0)
+            } else {
+                let below = &coarse[l - 2];
+                (&below.tiles, &below.weight, levels[l - 1].tiles_per_side)
+            };
+            let this_side = levels[l].tiles_per_side;
+            // Parent indices are not monotone in the child's row-major
+            // order (a row of children alternates between two parent rows),
+            // so sorting restores ascending tile order.
+            let mut pairs: Vec<(u32, u32)> = below_tiles
+                .iter()
+                .enumerate()
+                .map(|(i, &tile)| {
+                    let row = tile as usize / below_side;
+                    let col = tile as usize % below_side;
+                    (((row >> 1) * this_side + (col >> 1)) as u32, i as u32)
+                })
+                .collect();
+            pairs.sort_unstable();
+            let mut up = LoadCoarse {
+                tiles: Vec::new(),
+                weight: Vec::new(),
+                child_start: Vec::new(),
+                children: Vec::with_capacity(pairs.len()),
+            };
+            for &(parent, child) in &pairs {
+                if up.tiles.last() != Some(&parent) {
+                    up.tiles.push(parent);
+                    up.child_start.push(up.children.len() as u32);
+                    up.weight.push(0.0);
+                }
+                up.children.push(child);
+                *up.weight.last_mut().expect("group opened above") += below_weight[child as usize];
+            }
+            up.child_start.push(up.children.len() as u32);
+            coarse.push(up);
+        }
+
+        // Walk every receiver tile with members once (rows in tiles without
+        // loaded senders are still charged by every loaded sender, and the
+        // max may land on a zero-rate row), then fold its member rows.
+        let top = levels.len() - 1;
+        let mut far_plan: Vec<(u8, u32)> = Vec::new();
+        let mut near_plan: Vec<u32> = Vec::new();
+        let mut stack: Vec<(u8, u32)> = Vec::new();
+        for rt in 0..num_leaves {
+            let members = &tiles.receivers_links
+                [tiles.receivers_start[rt] as usize..tiles.receivers_start[rt + 1] as usize];
+            if members.is_empty() {
+                continue;
+            }
+            far_plan.clear();
+            near_plan.clear();
+            stack.clear();
+            if top == 0 {
+                for j in (0..leaf_tiles.len()).rev() {
+                    stack.push((0, j as u32));
+                }
+            } else {
+                for j in (0..coarse[top - 1].tiles.len()).rev() {
+                    stack.push((top as u8, j as u32));
+                }
+            }
+            while let Some((l, j)) = stack.pop() {
+                let l_us = l as usize;
+                if l == 0 {
+                    let s = leaf_tiles[j as usize];
+                    if levels[0].is_far(s, rt as u32) {
+                        far_plan.push((0, j));
+                    } else {
+                        near_plan.push(s);
+                    }
+                } else {
+                    let occ = &coarse[l_us - 1];
+                    let s = occ.tiles[j as usize];
+                    let r = levels[l_us].tile_of_leaf(rt as u32, g0);
+                    if levels[l_us].is_far(s, r) {
+                        far_plan.push((l, j));
+                    } else {
+                        let span = occ.child_start[j as usize] as usize
+                            ..occ.child_start[j as usize + 1] as usize;
+                        for k in span.rev() {
+                            stack.push((l - 1, occ.children[k]));
+                        }
+                    }
+                }
+            }
+
+            for &on in members {
+                let on_us = on as usize;
+                let margin = margins[on_us];
+                // A non-positive (or NaN) margin saturates every off-diagonal
+                // affectance at 1 and the diagonal weighs 1: the row is the
+                // whole rate mass. (`margin > 0.0` is false for NaN, which
+                // is exactly the saturating branch.)
+                let row = if margin > 0.0 {
+                    let receiver = receivers[on_us];
+                    let own_leaf = tiles.sender_tile[on_us];
+                    let mut near = 0.0f64;
+                    for &s in &near_plan {
+                        let span = tiles.senders_start[s as usize] as usize
+                            ..tiles.senders_start[s as usize + 1] as usize;
+                        for &from in &tiles.senders_links[span] {
+                            if from == on {
+                                continue;
+                            }
+                            let r = rate[from as usize];
+                            if r <= 0.0 {
+                                continue;
+                            }
+                            let d = senders[from as usize].distance(&receiver);
+                            // Mirrors `SinrCache::affectance`: a non-positive
+                            // cross distance blocks the receiver outright
+                            // (affectance 1), otherwise clamp into [0, 1].
+                            let a = if d <= 0.0 {
+                                1.0
+                            } else {
+                                (beta * (powers[from as usize] / referee_pow(d, alpha)) / margin)
+                                    .min(1.0)
+                            };
+                            near += r * a;
+                        }
+                    }
+                    let mut far_gain = 0.0f64;
+                    for &(l, j) in &far_plan {
+                        let l_us = l as usize;
+                        let (s_tile, mut weight) = if l == 0 {
+                            (leaf_tiles[j as usize], leaf_weight[j as usize])
+                        } else {
+                            let occ = &coarse[l_us - 1];
+                            (occ.tiles[j as usize], occ.weight[j as usize])
+                        };
+                        if levels[l_us].tile_of_leaf(own_leaf, g0) == s_tile {
+                            // The diagonal is charged separately at weight 1;
+                            // remove `on`'s own mass from the aggregate.
+                            weight -= rate[on_us] * powers[on_us];
+                        }
+                        let d = levels[l_us].center(s_tile).distance(&receiver);
+                        far_gain += weight / referee_pow(d, alpha);
+                    }
+                    rate[on_us] + near + beta * far_gain / margin
+                } else {
+                    total_rate
+                };
+                visit(on, row);
+            }
+        }
+    }
+
+    /// Every row of `load`, as `(link, bits)`, in visiting order.
+    fn rows_of(
+        walk: fn(&TiledSinrCache, &LinkLoad, &mut dyn FnMut(u32, f64)),
+        tiles: &TiledSinrCache,
+        load: &LinkLoad,
+    ) -> Vec<(u32, u64)> {
+        let mut rows = Vec::new();
+        walk(tiles, load, &mut |on, row: f64| {
+            rows.push((on, row.to_bits()))
+        });
+        rows
+    }
+
+    /// Row by row, the lane kernel's bits against the referee's; then
+    /// the measure against the referee rows' max. Returns the measure.
+    fn assert_same_bits(tiles: &TiledSinrCache, load: &LinkLoad) -> Result<f64, TestCaseError> {
+        let fast = rows_of(|t, l, v| visit_rows(t, l, v), tiles, load);
+        let referee = rows_of(|t, l, v| measure_referee(t, l, v), tiles, load);
+        prop_assert_eq!(fast.len(), referee.len());
+        for (&(on, a), &(on_ref, b)) in fast.iter().zip(&referee) {
+            prop_assert_eq!(on, on_ref);
+            prop_assert!(
+                a == b,
+                "row {on}: lanes {} vs referee {}",
+                f64::from_bits(a),
+                f64::from_bits(b)
+            );
+        }
+        let max = referee
+            .iter()
+            .map(|&(_, b)| f64::from_bits(b))
+            .fold(0.0, f64::max);
+        let measure = measure_with_tiles(tiles, load);
+        prop_assert_eq!(measure.to_bits(), max.to_bits());
+        Ok(measure)
+    }
 
     fn tiled(m: usize, side: f64, eps: f64, levels: usize) -> Arc<TiledSinrCache> {
         let mut rng = split_stream(71, m as u64);
@@ -289,6 +735,27 @@ mod tests {
         tiles
     }
 
+    /// A noisy, unit-power instance: `extra` hand-placed links
+    /// (`[sender x, sender y, receiver x, receiver y]`) first,
+    /// then `filler` random unit-length links spread over `side`, tiled
+    /// on an 8-per-side grid with `levels` levels at `ε = 10⁻²`.
+    fn hand_built(extra: &[[f64; 4]], filler: usize, side: f64, levels: usize) -> TiledSinrCache {
+        let mut b = SinrNetworkBuilder::new(SinrParams::with_noise(1e-2));
+        for &[sx, sy, rx, ry] in extra {
+            b.add_isolated_link((sx, sy), (rx, ry));
+        }
+        let mut rng = split_stream(72, filler as u64);
+        for _ in 0..filler {
+            let (sx, sy) = (rng.gen::<f64>() * side, rng.gen::<f64>() * side);
+            b.add_isolated_link((sx, sy), (sx + 1.0, sy));
+        }
+        let cache = Arc::new(SinrCache::new(&b.build(), &UniformPower::unit()));
+        let tiles =
+            TiledSinrCache::with_options(cache, TileOptions::new(8, 1e-2).with_levels(levels));
+        assert!(tiles.far_pairs() > 0, "geometry must qualify far pairs");
+        tiles
+    }
+
     #[test]
     fn tiled_measure_matches_trait_default_within_contract() {
         for levels in [1usize, 3] {
@@ -296,9 +763,7 @@ mod tests {
             let load = LinkLoad::from_links(256, (0..256u32).map(LinkId));
             let fast = measure_with_tiles(&tiles, &load);
             let model = TiledInterference::new(tiles.cache.clone());
-            let exact = (0..256u32)
-                .map(|e| model.row_load(LinkId(e), &load))
-                .fold(0.0, f64::max);
+            let exact = max_row_load(&model, &load);
             let tol = 0.05 * exact + 1e-9;
             assert!(
                 (fast - exact).abs() <= tol,
@@ -326,6 +791,116 @@ mod tests {
     #[test]
     fn tiled_measure_of_empty_load_is_zero() {
         let tiles = tiled(64, 200.0, 1e-2, 2);
-        assert_eq!(measure_with_tiles(&tiles, &LinkLoad::new(64)), 0.0);
+        let empty = LinkLoad::new(64);
+        assert_eq!(
+            assert_same_bits(&tiles, &empty).unwrap().to_bits(),
+            0.0f64.to_bits()
+        );
+    }
+
+    /// A noise-starved link (length 5 under `ν = 10⁻²`: margin
+    /// `5⁻³ − 2·10⁻² < 0`) saturates: its row is the whole rate mass,
+    /// which tops every other row of this sparse instance.
+    #[test]
+    fn nonpositive_margin_row_is_the_total_rate() {
+        for levels in [1usize, 3] {
+            let tiles = hand_built(&[[10.0, 10.0, 15.0, 10.0]], 60, 600.0, levels);
+            assert!(tiles.cache.margins()[0] <= 0.0);
+            let m = tiles.cache.num_links();
+            let mut load = LinkLoad::new(m);
+            for l in 0..m as u32 {
+                load.set(LinkId(l), 0.25 + (l % 3) as f64);
+            }
+            let measure = assert_same_bits(&tiles, &load).unwrap();
+            assert_eq!(measure.to_bits(), load.total().to_bits(), "levels {levels}");
+        }
+    }
+
+    /// A sender exactly on another link's receiver: the cross distance
+    /// is 0, so the affectance is 1 and that row carries both rates.
+    #[test]
+    fn coincident_sender_and_receiver_block_at_affectance_one() {
+        for levels in [1usize, 3] {
+            let tiles = hand_built(
+                &[[20.0, 20.0, 21.0, 20.0], [21.0, 20.0, 22.0, 20.0]],
+                60,
+                600.0,
+                levels,
+            );
+            let m = tiles.cache.num_links();
+            let mut load = LinkLoad::new(m);
+            load.set(LinkId(0), 2.0);
+            load.set(LinkId(1), 3.0);
+            for l in 2..m as u32 {
+                load.set(LinkId(l), 0.5);
+            }
+            let measure = assert_same_bits(&tiles, &load).unwrap();
+            assert!(measure >= 5.0, "levels {levels}: measure {measure}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The lane kernel against the scalar referee, row by row and
+        /// bit for bit: 1–3 levels, both ε, `α = 3` and the `powf`
+        /// branch, zero-rate links in the load, and receiver tiles of
+        /// every member count (coarse grids pack many rows per tile,
+        /// rarely a multiple of the lane count).
+        ///
+        /// Random senders almost never sit in a far aggregate of their
+        /// own receiver's walk: the sender tile's radius rules it out.
+        /// The lattice instances put every sender on its leaf tile's
+        /// centre (radius 0) with receivers up to a few tiles away, so
+        /// the own-mass correction runs on most rows there.
+        #[test]
+        fn tiled_measure_is_bitwise_the_scalar_walk(
+            seed in 0u64..10_000,
+            m in 24usize..160,
+            grid in 2usize..9,
+            levels in 1usize..4,
+            eps_sel in 0usize..2,
+            alpha_sel in 0usize..2,
+            zero_per_16 in 0u64..12,
+            lattice in 0usize..2,
+        ) {
+            let eps = [1e-3, 1e-2][eps_sel];
+            let alpha = [3.0, 2.5][alpha_sel];
+            let mut rng = split_stream(seed, m as u64);
+            let params = SinrParams::new(alpha, 2.0, 1e-4);
+            let side = 60.0 * grid as f64;
+            let net = if lattice == 0 {
+                random_instance(m, side, 0.8, 3.0, params, &mut rng)
+            } else {
+                // One corner-to-corner link pins the grid to [0, side]²,
+                // so leaf tiles are 60 wide and their centres exact.
+                let mut b = SinrNetworkBuilder::new(params);
+                b.add_isolated_link((0.0, 0.0), (side, side));
+                for _ in 1..m {
+                    let col = rng.gen_range(0..grid) as f64;
+                    let row = rng.gen_range(0..grid) as f64;
+                    let (sx, sy) = ((col + 0.5) * 60.0, (row + 0.5) * 60.0);
+                    let angle = rng.gen::<f64>() * std::f64::consts::TAU;
+                    let len = 0.8 + rng.gen::<f64>() * 150.0;
+                    let rx = (sx + len * angle.cos()).clamp(0.0, side);
+                    let ry = (sy + len * angle.sin()).clamp(0.0, side);
+                    b.add_isolated_link((sx, sy), (rx, ry));
+                }
+                b.build()
+            };
+            let cache = Arc::new(SinrCache::new(&net, &LinearPower::new(alpha)));
+            let tiles = TiledSinrCache::with_options(
+                cache,
+                TileOptions::new(grid, eps).with_levels(levels),
+            );
+            prop_assume!(tiles.far_pairs() > 0);
+            let mut load = LinkLoad::new(m);
+            for l in 0..m as u32 {
+                if rng.gen_range(0..16u64) >= zero_per_16 {
+                    load.set(LinkId(l), rng.gen::<f64>() * 3.0);
+                }
+            }
+            assert_same_bits(&tiles, &load)?;
+        }
     }
 }
