@@ -1,26 +1,28 @@
-//! Injection-engine benchmark: the O(m)-per-slot naive sampler vs the
-//! batch engine (geometric skip-ahead calendar / dense binomial batch).
+//! Injection-engine benchmark: slot throughput of the batch engine
+//! (`BatchStochasticInjector`: skip-ahead calendar / counting batch),
+//! the one sampler of the stochastic model.
 //!
 //! PR 3 measured that two-stage sweep cells over the m = 1024 SINR
-//! substrate are floor-limited by the stochastic injector: ~15 µs per
-//! *idle* slot spent walking all `m` Bernoulli generators. The batch
+//! substrate were floor-limited by a naive per-generator sampler: ~15 µs
+//! per *idle* slot spent walking all `m` Bernoulli generators. The batch
 //! engine samples each generator's next injecting slot directly
 //! (`⌊ln u / ln(1−p)⌋`) and keys it in a min-heap calendar — idle slots
-//! cost a heap peek — or, for the dense symmetric workload, emits the
-//! slot's Binomial(m, p) batch by geometric index skipping.
+//! cost a heap peek — or, for the dense symmetric workload, draws the
+//! slot's Binomial(m, p) count and a Floyd sample of the injecting
+//! generators. The speed-ups over the naive sampler are recorded in
+//! CHANGES.md and the README; the naive sampler lives in `dps-core`'s
+//! tests, as the engine's distributional referee.
 //!
 //! Three measurements, written to `BENCH_inject.json` at the workspace
 //! root (override with `BENCH_INJECT_OUT`):
 //!
 //! * **idle-sparse** — m generators at a total of 0.1 expected packets
-//!   per slot (the idle-slot floor): slots/s, naive vs batch calendar.
+//!   per slot (the idle-slot floor): slots/s on the calendar.
 //! * **dense** — the symmetric workload at p = 0.25 (m/4 packets per
-//!   slot): slots/s, naive vs batch binomial path.
+//!   slot): slots/s on the counting batch.
 //! * **two-stage-cell** — end-to-end `sinr-dense` two-stage sweep cells
 //!   (the PR 3 bench_sweep grid: 4 λ × 4 repetitions, 1 frame per cell,
-//!   shared substrate), wall-clock with the batch engine (the default
-//!   since this PR) vs the naive sampler (`NaiveStochasticSpec`, the
-//!   PR 3 baseline behaviour).
+//!   shared substrate): wall-clock.
 //!
 //! CI runs this in fast mode (smaller m, one measurement run) as a perf
 //! harness smoke test; the checked-in file is the PR's baseline,
@@ -33,39 +35,12 @@ use dps_core::injection::Injector;
 use dps_core::path::RoutePath;
 use dps_core::prelude::LinkId;
 use dps_core::rng::split_stream;
-use dps_scenario::injector::stochastic_at_rate;
-use dps_scenario::{registry, InjectorSpec, Scenario, ScenarioError, Substrate};
+use dps_scenario::{registry, Scenario};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const LAMBDAS: [f64; 4] = [0.05, 0.1, 0.15, 0.2];
 const REPS: u64 = 4;
-
-/// An [`InjectorSpec`] building the naive per-generator stochastic
-/// sampler (one Bernoulli draw per generator per slot) instead of the
-/// batch engine: the pre-batching behaviour, the A side of the
-/// two-stage-cell measurement. Distribution-identical to the batch
-/// engine; only the RNG stream and the per-slot cost differ.
-#[derive(Debug)]
-struct NaiveStochasticSpec;
-
-impl InjectorSpec for NaiveStochasticSpec {
-    fn label(&self) -> String {
-        "stochastic (naive per-generator)".into()
-    }
-
-    fn build(
-        &self,
-        substrate: &Substrate,
-        lambda: f64,
-    ) -> Result<Box<dyn Injector + Send>, ScenarioError> {
-        Ok(Box::new(stochastic_at_rate(
-            &*substrate.model,
-            substrate.routes.clone(),
-            lambda,
-        )?))
-    }
-}
 
 fn routes(m: usize) -> Vec<Arc<RoutePath>> {
     (0..m as u32)
@@ -117,10 +92,9 @@ fn micro_cases(m: usize) -> Vec<(&'static str, f64)> {
     ]
 }
 
-/// Runs the 4λ × 4 repetition two-stage grid on one shared substrate,
-/// with the spec's default injector (the batch engine) or the naive
-/// sampler; returns the median wall-clock over `runs`.
-fn measure_two_stage(m: usize, naive: bool, runs: usize) -> Duration {
+/// Runs the 4λ × 4 repetition two-stage grid on one shared substrate
+/// and returns the median wall-clock over `runs`.
+fn measure_two_stage(m: usize, runs: usize) -> Duration {
     let mut base = registry::spec_for("sinr-dense")
         .expect("preset exists")
         .with_size(m);
@@ -134,11 +108,8 @@ fn measure_two_stage(m: usize, naive: bool, runs: usize) -> Duration {
         let start = Instant::now();
         let mut cells = 0usize;
         for &lambda in &LAMBDAS {
-            let mut scenario =
+            let scenario =
                 Scenario::from_spec(&base.clone().with_lambda(lambda)).expect("valid spec");
-            if naive {
-                scenario.injector = Box::new(NaiveStochasticSpec);
-            }
             for rep in 0..REPS {
                 let outcome = scenario.run_stream_on(&substrate, rep).expect("cell runs");
                 assert!(outcome.report.slots > 0);
@@ -165,17 +136,6 @@ fn bench_injection_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("injection_engine");
     group.sample_size(10);
     for (name, p) in micro_cases(m) {
-        group.bench_with_input(BenchmarkId::new(format!("naive/{name}"), m), &p, |b, &p| {
-            let mut injector = uniform_generators(routes(m), p).unwrap();
-            let mut rng = split_stream(3, 0);
-            let mut buf = Vec::new();
-            let mut slot = 0u64;
-            b.iter(|| {
-                injector.inject_into(slot, &mut rng, &mut buf);
-                slot += 1;
-                buf.len()
-            })
-        });
         group.bench_with_input(BenchmarkId::new(format!("batch/{name}"), m), &p, |b, &p| {
             let mut injector =
                 BatchStochasticInjector::from(uniform_generators(routes(m), p).unwrap());
@@ -191,67 +151,44 @@ fn bench_injection_engine(c: &mut Criterion) {
     }
     group.finish();
 
-    // Paired measurement for the JSON baseline.
+    // Median measurement for the JSON baseline.
     let mut cells = Vec::new();
     for (name, p) in micro_cases(m) {
-        let naive_make: Box<dyn Fn() -> Box<dyn Injector>> = {
-            let routes = routes(m);
-            Box::new(move |/* rebuilt per run */| -> Box<dyn Injector> {
-                Box::new(uniform_generators(routes.clone(), p).unwrap())
-            })
+        let routes = routes(m);
+        let make = move || -> Box<dyn Injector> {
+            Box::new(BatchStochasticInjector::from(
+                uniform_generators(routes.clone(), p).unwrap(),
+            ))
         };
-        let batch_make: Box<dyn Fn() -> Box<dyn Injector>> = {
-            let routes = routes(m);
-            Box::new(move || -> Box<dyn Injector> {
-                Box::new(BatchStochasticInjector::from(
-                    uniform_generators(routes.clone(), p).unwrap(),
-                ))
-            })
-        };
-        let (naive_rate, naive_emitted) = measure_slots_per_sec(&*naive_make, slots, runs);
-        let (batch_rate, batch_emitted) = measure_slots_per_sec(&*batch_make, slots, runs);
-        let speedup = batch_rate / naive_rate;
-        println!(
-            "injection_engine/{name}/m={m}: {speedup:.1}x \
-             (naive {naive_rate:.3e} slots/s [{naive_emitted} pkts], \
-             batch {batch_rate:.3e} slots/s [{batch_emitted} pkts])"
-        );
+        let (rate, emitted) = measure_slots_per_sec(&make, slots, runs);
+        println!("injection_engine/{name}/m={m}: {rate:.3e} slots/s [{emitted} pkts]");
         cells.push(format!(
             "    {{\n      \"case\": \"{name}\",\n      \"m\": {m},\n      \
              \"expected_per_slot\": {:.4},\n      \"slots\": {slots},\n      \
-             \"naive_slots_per_sec\": {naive_rate:.1},\n      \
-             \"batch_slots_per_sec\": {batch_rate:.1},\n      \
-             \"speedup\": {speedup:.2}\n    }}",
+             \"batch_slots_per_sec\": {rate:.1}\n    }}",
             p * m as f64,
         ));
     }
 
-    let naive_cell = measure_two_stage(m, true, runs);
-    let batch_cell = measure_two_stage(m, false, runs);
-    let cell_speedup = naive_cell.as_secs_f64() / batch_cell.as_secs_f64();
+    let cell = measure_two_stage(m, runs);
     println!(
-        "injection_engine/two-stage-cell/m={m}: {cell_speedup:.2}x \
-         (naive {:.3}s, batch {:.3}s, {} cells)",
-        naive_cell.as_secs_f64(),
-        batch_cell.as_secs_f64(),
+        "injection_engine/two-stage-cell/m={m}: {:.3}s for {} cells",
+        cell.as_secs_f64(),
         LAMBDAS.len() * REPS as usize,
     );
     cells.push(format!(
         "    {{\n      \"case\": \"two-stage-cell\",\n      \"m\": {m},\n      \
-         \"cells\": {},\n      \"naive_secs\": {:.4},\n      \
-         \"batch_secs\": {:.4},\n      \"speedup\": {cell_speedup:.2}\n    }}",
+         \"cells\": {},\n      \"batch_secs\": {:.4}\n    }}",
         LAMBDAS.len() * REPS as usize,
-        naive_cell.as_secs_f64(),
-        batch_cell.as_secs_f64(),
+        cell.as_secs_f64(),
     ));
 
     let json = format!(
-        "{{\n  \"bench\": \"bench_inject\",\n  \"metric\": \"stochastic injector slot \
-         throughput, naive per-generator sampler vs batch engine (skip-ahead calendar / \
-         dense binomial batch); `idle-sparse` = 0.1 expected packets/slot over m \
-         generators, `dense` = p=0.25 symmetric workload, `two-stage-cell` = end-to-end \
-         sinr-dense two-stage sweep cells (4 lambdas x 4 repetitions, 1 frame per cell, \
-         shared substrate)\",\n  \"cells\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"bench_inject\",\n  \"metric\": \"batch injection engine (skip-ahead \
+         calendar / counting batch): slots/s for `idle-sparse` = 0.1 expected packets/slot over \
+         m generators and `dense` = p=0.25 symmetric workload; wall-clock seconds for \
+         `two-stage-cell` = end-to-end sinr-dense two-stage sweep cells (4 lambdas x 4 \
+         repetitions, 1 frame per cell, shared substrate)\",\n  \"cells\": [\n{}\n  ]\n}}\n",
         cells.join(",\n")
     );
     let path = std::env::var("BENCH_INJECT_OUT").unwrap_or_else(|_| {

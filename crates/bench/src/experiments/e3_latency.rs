@@ -11,6 +11,7 @@
 use crate::setup::{dynamic_run, run_and_classify};
 use crate::ExpConfig;
 use dps_core::ids::LinkId;
+use dps_core::injection::batch::BatchStochasticInjector;
 use dps_core::injection::stochastic::{GeneratorSpec, StochasticInjector};
 use dps_core::path::RoutePath;
 use dps_core::staticsched::greedy::GreedyPerLink;
@@ -35,7 +36,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
             GeneratorSpec::bernoulli(route, per_route_rate).expect("valid probability")
         })
         .collect();
-    let mut injector = StochasticInjector::new(generators);
+    let mut injector = BatchStochasticInjector::new(StochasticInjector::new(generators));
 
     let mut run = dynamic_run(
         GreedyPerLink::new(),
@@ -109,7 +110,7 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let mut injector = StochasticInjector::new(routes);
+        let mut injector = BatchStochasticInjector::new(StochasticInjector::new(routes));
         let slots = 120 * run_.config.frame_len as u64;
         let (report, _) = run_and_classify(
             &mut run_.protocol,

@@ -5,11 +5,15 @@
 //! New workloads should not use this module: describe a
 //! [`dps_scenario::ScenarioSpec`] (or implement the factory traits) and
 //! run it — see E2/E5/E8/E11 for the pattern.
+//!
+//! Stochastic injection here runs the same sampler as a scenario spec
+//! with `kind = "stochastic"`: [`injector_at_rate`] wraps the scaled
+//! generator set in a [`BatchStochasticInjector`].
 
 use dps_core::dynamic::{DynamicProtocol, FrameConfig};
 use dps_core::error::ModelError;
 use dps_core::feasibility::Feasibility;
-use dps_core::injection::stochastic::StochasticInjector;
+use dps_core::injection::batch::BatchStochasticInjector;
 use dps_core::injection::Injector;
 use dps_core::interference::InterferenceModel;
 use dps_core::path::RoutePath;
@@ -23,9 +27,9 @@ pub use dps_scenario::injector::ValidatingInjector;
 pub use dps_scenario::scenario::verdict_cell;
 pub use dps_scenario::substrate::single_hop_routes;
 
-/// Builds a stochastic injector over `routes` whose rate under `model` is
-/// exactly `lambda`. Delegates to
-/// [`dps_scenario::injector::stochastic_at_rate`].
+/// Builds the batch engine over the stochastic generator set on
+/// `routes` whose rate under `model` is exactly `lambda`. The set comes
+/// from [`dps_scenario::injector::stochastic_at_rate`].
 ///
 /// # Errors
 ///
@@ -35,11 +39,13 @@ pub fn injector_at_rate<M: InterferenceModel + ?Sized>(
     routes: Vec<Arc<RoutePath>>,
     model: &M,
     lambda: f64,
-) -> Result<StochasticInjector, ModelError> {
-    dps_scenario::injector::stochastic_at_rate(model, routes, lambda).map_err(|e| match e {
-        dps_scenario::ScenarioError::Model(e) => e,
-        other => ModelError::InvalidConfig(other.to_string()),
-    })
+) -> Result<BatchStochasticInjector, ModelError> {
+    dps_scenario::injector::stochastic_at_rate(model, routes, lambda)
+        .map(BatchStochasticInjector::from)
+        .map_err(|e| match e {
+            dps_scenario::ScenarioError::Model(e) => e,
+            other => ModelError::InvalidConfig(other.to_string()),
+        })
 }
 
 /// Everything a dynamic-protocol run needs, pre-assembled.

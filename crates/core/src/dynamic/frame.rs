@@ -768,6 +768,7 @@ mod tests {
     use crate::feasibility::PerLinkFeasibility;
     use crate::graph::line_network;
     use crate::ids::PacketId;
+    use crate::injection::batch::BatchStochasticInjector;
     use crate::injection::stochastic::uniform_generators;
     use crate::injection::Injector;
     use crate::path::RoutePath;
@@ -810,7 +811,7 @@ mod tests {
         lambda: f64,
     ) -> (
         DynamicProtocol<GreedyPerLink>,
-        crate::injection::stochastic::StochasticInjector,
+        BatchStochasticInjector,
         PerLinkFeasibility,
     ) {
         let network = line_network(num_links);
@@ -820,7 +821,7 @@ mod tests {
         let routes: Vec<_> = (0..num_links as u32)
             .map(|l| RoutePath::single_hop(LinkId(l)).shared())
             .collect();
-        let injector = uniform_generators(routes, lambda).unwrap();
+        let injector = BatchStochasticInjector::from(uniform_generators(routes, lambda).unwrap());
         (protocol, injector, PerLinkFeasibility::new(num_links))
     }
 
@@ -877,8 +878,8 @@ mod tests {
         let full_path = RoutePath::new(&network, (0..num_links as u32).map(LinkId).collect())
             .unwrap()
             .shared();
-        let injector = uniform_generators([full_path], 0.2).unwrap();
-        let mut injector = injector;
+        let mut injector =
+            BatchStochasticInjector::from(uniform_generators([full_path], 0.2).unwrap());
         let phy = PerLinkFeasibility::new(num_links);
         let (delivered, _) = drive(&mut protocol, &mut injector, &phy, 40 * t, 21);
         assert!(!delivered.is_empty());
@@ -906,7 +907,7 @@ mod tests {
         let routes: Vec<_> = (0..3)
             .map(|_| RoutePath::single_hop(LinkId(0)).shared())
             .collect();
-        let mut injector = uniform_generators(routes, 0.9).unwrap();
+        let mut injector = BatchStochasticInjector::from(uniform_generators(routes, 0.9).unwrap());
         let phy = PerLinkFeasibility::new(num_links);
         let slots = 30 * protocol.config().frame_len as u64;
         let (_, injected) = drive(&mut protocol, &mut injector, &phy, slots, 3);
@@ -960,7 +961,8 @@ mod tests {
         let full_path = RoutePath::new(&network, (0..num_links as u32).map(LinkId).collect())
             .unwrap()
             .shared();
-        let mut injector = uniform_generators([full_path], 0.5).unwrap();
+        let mut injector =
+            BatchStochasticInjector::from(uniform_generators([full_path], 0.5).unwrap());
         let t = protocol.config().frame_len as u64;
         let (delivered, injected) = drive(&mut protocol, &mut injector, &phy, 200 * t, 77);
         assert!(injected > 0);
@@ -994,7 +996,7 @@ mod tests {
         let routes: Vec<_> = (0..num_links as u32)
             .map(|l| RoutePath::single_hop(LinkId(l)).shared())
             .collect();
-        let mut injector = uniform_generators(routes, 0.2).unwrap();
+        let mut injector = BatchStochasticInjector::from(uniform_generators(routes, 0.2).unwrap());
         let t = protocol.config().frame_len as u64;
         let _ = drive(&mut protocol, &mut injector, &phy, 200 * t, 9);
         // Σ over frames: potential_after(k) = potential_after(k-1)
@@ -1363,6 +1365,15 @@ mod golden_trace {
     /// trace, and every downstream decision moves with it. The previous
     /// pin was `hash = 0x5a08_62e8_be39_c7fb`, `injected = 1788`,
     /// `delivered = 1397`.
+    ///
+    /// Re-pinned again when the counting batch took over the geometric
+    /// index walk's band: the driver's one generator at p = 0.5 now
+    /// draws one Binomial(1, ½) count per slot instead of a geometric
+    /// gap, so the injection trace moves. The previous pin was
+    /// `hash = 0xf543_e521_3371_1729`, `injected = 1742`,
+    /// `delivered = 1381`, with frame 2 at 54 active packets and frame 5
+    /// at `(76, 11, 3, 3, 54)`.
+    ///
     /// The route-id-native lane (`inject_interned_into` feeding
     /// `step_interned`) must replay the exact same run as the `Packet`
     /// lane: same RNG stream, same decisions, same fingerprint.
@@ -1370,10 +1381,10 @@ mod golden_trace {
     fn interned_lane_reproduces_the_golden_fingerprint() {
         let (hash, _, delivered, injected) =
             super::tests_support_golden::golden_fingerprint_interned();
-        assert_eq!(injected, 1742, "interned injection trace diverged");
-        assert_eq!(delivered, 1381, "interned delivered trace diverged");
+        assert_eq!(injected, 1711, "interned injection trace diverged");
+        assert_eq!(delivered, 1411, "interned delivered trace diverged");
         assert_eq!(
-            hash, 0xf543_e521_3371_1729,
+            hash, 0x5c06_4a54_908c_6dfa,
             "interned lane fingerprint diverged from the Packet lane"
         );
     }
@@ -1381,31 +1392,31 @@ mod golden_trace {
     #[test]
     fn frame_event_stream_survives_buffer_reuse_refactor() {
         let (hash, events_head, delivered, injected) = golden_fingerprint();
-        assert_eq!(injected, 1742, "injection trace diverged");
-        assert_eq!(delivered, 1381, "delivered trace diverged");
+        assert_eq!(injected, 1711, "injection trace diverged");
+        assert_eq!(delivered, 1411, "delivered trace diverged");
         assert_eq!(
             events_head[2],
             FrameEvent {
                 frame: 2,
-                active_at_start: 54,
-                newly_failed: 0,
-                cleanup_selected: 0,
-                cleanup_served: 0,
-                potential_after: 0,
+                active_at_start: 59,
+                newly_failed: 2,
+                cleanup_selected: 1,
+                cleanup_served: 1,
+                potential_after: 5,
             }
         );
         assert_eq!(
             events_head[5],
             FrameEvent {
                 frame: 5,
-                active_at_start: 76,
-                newly_failed: 11,
+                active_at_start: 80,
+                newly_failed: 6,
                 cleanup_selected: 3,
                 cleanup_served: 3,
-                potential_after: 54,
+                potential_after: 22,
             }
         );
-        assert_eq!(hash, 0xf543_e521_3371_1729, "frame/delivery trace diverged");
+        assert_eq!(hash, 0x5c06_4a54_908c_6dfa, "frame/delivery trace diverged");
     }
 }
 
@@ -1424,10 +1435,11 @@ pub(crate) mod tests_support_golden {
 
     /// Drives a lossy multi-hop workload with a fixed seed and folds the
     /// full FrameEvent stream plus the delivered-packet trace into an FNV
-    /// fingerprint. Captured once before the buffer-reuse refactor and
+    /// fingerprint. Captured once before the buffer-reuse refactor,
     /// re-captured when the batch injection engine replaced the naive
-    /// per-generator sampler on this path; the regression test asserts
-    /// the exact same value after any further refactor.
+    /// per-generator sampler on this path and again when the counting
+    /// batch took over the geometric walk's band; the regression test
+    /// asserts the exact same value after any further refactor.
     pub fn golden_fingerprint() -> (u64, Vec<FrameEvent>, usize, u64) {
         let num_links = 3;
         let network = line_network(num_links);

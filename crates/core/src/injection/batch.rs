@@ -1,45 +1,34 @@
-//! O(1)-amortized batch sampling for the stochastic injection model.
+//! The sampler of the stochastic injection model (Section 2.1).
 //!
-//! [`StochasticInjector`] walks all `m` generators every slot — one
-//! uniform draw each — so at `m = 1024` an *idle* slot (no injection at
-//! all) still costs `m` RNG draws and CDF walks, and sweeps over large
-//! SINR substrates are floor-limited by the injector rather than by the
-//! SINR kernel it feeds. The paper's model (Section 2.1) only requires
-//! injections to be i.i.d. per slot and independent across generators —
-//! exactly the structure that admits standard discrete-event skip-ahead
-//! sampling:
+//! The model's generators inject i.i.d. per slot, independently of each
+//! other. [`BatchStochasticInjector`] samples a [`StochasticInjector`]'s
+//! generator set without walking all `m` generators every slot, in one
+//! of two modes selected from the generators' total probabilities:
 //!
-//! * **Skip-ahead calendar** (sparse regimes): for a Bernoulli(p)
+//! * **Counting batch** (symmetric generator sets expecting at least
+//!   [`COUNTING_MIN_EXPECTED_PER_SLOT`] packets per slot, `p = 1`
+//!   included): the slot's batch size is one CDF-inverted
+//!   Binomial(m, p) count draw, and a Floyd `k`-subset sample picks the
+//!   injecting generators — `1 + k` uniform draws for `k` packets.
+//! * **Skip-ahead calendar** (everything else): for a Bernoulli(p)
 //!   generator the gap to its next injecting slot is geometric, sampled
 //!   in O(1) as `⌊ln u / ln(1−p)⌋` with `u` uniform in `(0, 1]`. Each
 //!   generator keeps exactly one pending entry in a min-heap keyed by
-//!   slot; a slot's cost is a heap peek when idle and `O(log m)` per
-//!   actual injection otherwise.
-//! * **Dense per-slot batch** (the symmetric `uniform_generators`
-//!   workload): when every generator shares one probability `p`, the
-//!   set of injecting generators in a slot is a Binomial(m, p) batch,
-//!   sampled directly by geometric index skipping *within* the slot —
-//!   `O(1 + k)` where `k` is the number of packets actually injected,
-//!   with no per-slot heap churn.
-//! * **Counting batch** (dense symmetric workloads): when the expected
-//!   batch is large (`p·m ≥` [`COUNTING_MIN_EXPECTED_PER_SLOT`]), the
-//!   geometric walk's draw-per-packet overhead is itself replaced by
-//!   one CDF-inverted Binomial(m, p) *count* draw plus a Floyd
-//!   `k`-subset sample of the injecting indices — `1 + k` uniform
-//!   draws per slot instead of `1 + 2k`, and no `ln` per packet.
+//!   slot; a slot costs a heap peek when idle and `O(log m)` per actual
+//!   injection otherwise.
 //!
-//! The mode is selected automatically from the generators' total
-//! probabilities ([`BatchStochasticInjector::new`]). All paths draw the
-//! packet's route *conditionally on injection*
-//! ([`crate::injection::stochastic::GeneratorSpec::sample_conditional`]), so the per-slot distribution
-//! is exactly the naive sampler's: each generator injects independently
+//! Both modes draw the packet's route *conditionally on injection*
+//! ([`GeneratorSpec::sample_conditional_index`]), so the per-slot
+//! distribution is the model's: each generator injects independently
 //! with its total probability and picks route `i` with probability
-//! `p_i / total`. The RNG *stream* differs from the naive sampler's
-//! (skip-ahead consumes one draw per injection instead of one per
-//! generator per slot), so traces are not bit-identical — equivalence is
-//! distributional, pinned by the chi-square tests below.
+//! `p_i / total`. The tests below pin that distribution against a naive
+//! referee that samples the definition literally (one uniform per
+//! generator per slot, then a CDF walk over the choices); the RNG
+//! *streams* of the two differ, so the equivalence is distributional.
+//!
+//! [`GeneratorSpec::sample_conditional_index`]: crate::injection::stochastic::GeneratorSpec::sample_conditional_index
 
-use crate::injection::stochastic::{GeneratorSpec, StochasticInjector};
+use crate::injection::stochastic::StochasticInjector;
 use crate::injection::Injector;
 use crate::interference::InterferenceModel;
 use crate::load::LinkLoad;
@@ -50,65 +39,73 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// Expected injections per slot above which the symmetric workload uses
-/// the dense per-slot batch path instead of the calendar.
+/// Expected injections per slot from which a symmetric generator set
+/// uses the counting batch instead of the calendar.
 ///
-/// The dense path pays one geometric draw per slot plus one per packet;
-/// the calendar pays a heap peek on idle slots and `O(log m)` per
-/// packet. Below ~½ expected packet per slot most slots are idle and
-/// the peek-only calendar wins; above it the draw-per-slot overhead is
-/// amortized by the packets themselves.
-pub const DENSE_MIN_EXPECTED_PER_SLOT: f64 = 0.5;
+/// The counting batch pays one count draw per slot plus one draw per
+/// packet; the calendar pays a heap peek on idle slots and `O(log m)`
+/// per packet. Below ~½ expected packet per slot most slots are idle and
+/// the peek-only calendar wins; above it the draw per slot is amortized
+/// by the packets themselves.
+pub const COUNTING_MIN_EXPECTED_PER_SLOT: f64 = 0.5;
 
-/// Expected injections per slot above which the symmetric workload
-/// replaces the geometric index walk with one binomial count draw plus
-/// Floyd index sampling (the counting mode).
-///
-/// The walk costs two draws (one of them an `ln`) per injected packet;
-/// counting costs one uniform draw per packet plus a single CDF
-/// inversion per slot. The crossover favors counting once batches are
-/// reliably large; below it the walk's simplicity wins and tiny-batch
-/// slots avoid the count table's binary search.
-pub const COUNTING_MIN_EXPECTED_PER_SLOT: f64 = 8.0;
-
-/// The sampling strategy selected for a generator set.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The sampling mode selected for a generator set; each variant owns
+/// its state.
+#[derive(Clone, Debug)]
 enum Mode {
     /// No generator has positive probability: never injects.
     Idle,
-    /// Symmetric dense workload: one shared `p`, per-slot binomial batch
-    /// via within-slot geometric index skipping over `active`.
-    Dense,
-    /// Symmetric very dense workload: one Binomial(m, p) count draw by
-    /// CDF inversion, then a Floyd sample of which generators fired.
-    /// Requires `p < 1` (the count table's recurrence divides by both
-    /// `p` and `1−p`; `p = 1` stays on [`Mode::Dense`], which handles
-    /// it exactly).
-    Counting,
-    /// General case: per-generator geometric skip-ahead keyed in a
-    /// min-heap slot calendar. Seeded lazily at the first queried slot.
-    Calendar,
+    /// Symmetric dense generator set: one Binomial(m, p) count per slot.
+    Counting(CountingBatch),
+    /// General case: per-generator geometric skip-ahead calendar.
+    Calendar(Calendar),
 }
 
-/// Tabulated Binomial(m, p) count sampler: one uniform draw inverts the
-/// CDF by binary search.
+impl Mode {
+    /// Runs the mode for `slot`, handing each firing generator's index
+    /// to `emit` (which draws the route conditional on injection — one
+    /// draw for multi-choice generators, none otherwise).
+    fn run(
+        &mut self,
+        slot: u64,
+        rng: &mut dyn RngCore,
+        emit: &mut dyn FnMut(u32, &mut dyn RngCore),
+    ) {
+        match self {
+            Mode::Idle => {}
+            Mode::Counting(batch) => batch.run(rng, emit),
+            Mode::Calendar(calendar) => calendar.run(slot, rng, emit),
+        }
+    }
+}
+
+/// The counting batch over `m` symmetric generators of probability `p`.
 ///
-/// The pmf is built by the mode-anchored ratio recurrence
-/// `w(k+1)/w(k) = ((m−k)/(k+1))·(p/(1−p))` outward from the modal count
-/// (where the pmf is largest), then normalized — anchoring at the mode
-/// keeps every intermediate weight ≤ 1 relative to the anchor, so the
-/// table stays finite even where `C(m,k)` alone would overflow.
+/// The count table is the Binomial(m, p) CDF, built by the mode-anchored
+/// ratio recurrence `w(k+1)/w(k) = ((m−k)/(k+1))·(p/(1−p))` outward from
+/// the modal count (where the pmf is largest), then normalized —
+/// anchoring at the mode keeps every intermediate weight ≤ 1 relative to
+/// the anchor, so the table stays finite even where `C(m,k)` alone would
+/// overflow. At `p = 1` the downward recurrence multiplies by `1−p = 0`,
+/// so the table puts all its mass on `k = m`.
 #[derive(Clone, Debug)]
-struct CountingSampler {
+struct CountingBatch {
+    /// Indices of the generators with positive probability.
+    active: Vec<u32>,
     /// `cdf[k] = P(count ≤ k)` for `k = 0..=m`; last entry is 1.
     cdf: Vec<f64>,
+    /// Floyd-sample scratch: membership marks over `active` indices.
+    marks: Vec<bool>,
+    /// Floyd-sample scratch: this slot's chosen `active` indices.
+    picks: Vec<u64>,
 }
 
-impl CountingSampler {
-    /// Builds the count table for `m` generators at probability `p`,
-    /// which must be strictly inside `(0, 1)`.
-    fn new(m: usize, p: f64) -> Self {
-        debug_assert!(m > 0 && p > 0.0 && p < 1.0);
+impl CountingBatch {
+    /// Builds the count table for `active.len()` generators at
+    /// probability `p ∈ (0, 1]`.
+    fn new(active: Vec<u32>, p: f64) -> Self {
+        let m = active.len();
+        debug_assert!(m > 0 && p > 0.0 && p <= 1.0);
         let q = 1.0 - p;
         let k_mode = (((m as f64 + 1.0) * p).floor() as usize).min(m);
         let mut weights = vec![0.0f64; m + 1];
@@ -128,11 +125,16 @@ impl CountingSampler {
                 acc
             })
             .collect();
-        CountingSampler { cdf }
+        CountingBatch {
+            marks: vec![false; m],
+            active,
+            cdf,
+            picks: Vec::new(),
+        }
     }
 
     /// Draws a Binomial(m, p) count with a single uniform draw.
-    fn sample(&self, rng: &mut dyn RngCore) -> usize {
+    fn sample_count(&self, rng: &mut dyn RngCore) -> usize {
         let u = rng.gen::<f64>();
         // `partition_point` returns the first k with cdf[k] > u, i.e.
         // the smallest count whose CDF exceeds the draw; the min guards
@@ -141,11 +143,131 @@ impl CountingSampler {
             .partition_point(|&c| c <= u)
             .min(self.cdf.len() - 1)
     }
+
+    /// One slot: draw the batch size `k ~ Binomial(m, p)`, then pick
+    /// *which* `k` generators fired with Floyd's uniform `k`-subset
+    /// algorithm (`k` bounded draws, no rejection). Emission is in
+    /// ascending generator order, the model's within-slot order.
+    fn run(&mut self, rng: &mut dyn RngCore, emit: &mut dyn FnMut(u32, &mut dyn RngCore)) {
+        let len = self.active.len();
+        let k = self.sample_count(rng);
+        if k == 0 {
+            return;
+        }
+        if k >= len {
+            for &g in &self.active {
+                emit(g, rng);
+            }
+            return;
+        }
+        self.picks.clear();
+        // Floyd: for j in m−k..m, draw t uniform in [0, j]; take t unless
+        // already taken, else take j. Every k-subset is equally likely.
+        for j in (len - k)..len {
+            let t = rng.gen_range(0..j as u64 + 1) as usize;
+            let chosen = if self.marks[t] { j } else { t };
+            self.marks[chosen] = true;
+            self.picks.push(chosen as u64);
+        }
+        self.picks.sort_unstable();
+        for &idx in &self.picks {
+            self.marks[idx as usize] = false;
+            emit(self.active[idx as usize], rng);
+        }
+    }
 }
 
-/// Batch sampling engine over a [`StochasticInjector`]'s generators.
+/// The skip-ahead calendar, seeded lazily at the first queried slot.
+#[derive(Clone, Debug)]
+struct Calendar {
+    /// Indices of the generators with positive probability.
+    active: Vec<u32>,
+    /// `(p, ln(1 − p))` per generator (aligned with the generator
+    /// list): the total probability and the cached geometric-gap
+    /// denominator.
+    gaps: Vec<(f64, f64)>,
+    /// Pending `(next injecting slot, generator)` entries; min-heap via
+    /// `Reverse`, so ties pop in generator order (the model's
+    /// within-slot order).
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Whether the heap has been seeded.
+    seeded: bool,
+}
+
+impl Calendar {
+    fn new(active: Vec<u32>, totals: &[f64]) -> Self {
+        Calendar {
+            active,
+            gaps: totals.iter().map(|&p| (p, (-p).ln_1p())).collect(),
+            heap: BinaryHeap::new(),
+            seeded: false,
+        }
+    }
+
+    /// Seeds every active generator's first pending slot from `slot`,
+    /// once.
+    fn seed(&mut self, slot: u64, rng: &mut dyn RngCore) {
+        if self.seeded {
+            return;
+        }
+        for &i in &self.active {
+            let (p, ln_q) = self.gaps[i as usize];
+            if let Some(next) = slot.checked_add(geometric_gap_cached(p, ln_q, rng)) {
+                self.heap.push(Reverse((next, i)));
+            }
+        }
+        self.seeded = true;
+    }
+
+    /// One slot: pop every entry due at `slot`, emitting each and
+    /// rescheduling it one fresh geometric gap ahead.
+    fn run(
+        &mut self,
+        slot: u64,
+        rng: &mut dyn RngCore,
+        emit: &mut dyn FnMut(u32, &mut dyn RngCore),
+    ) {
+        self.seed(slot, rng);
+        while let Some(&Reverse((due, i))) = self.heap.peek() {
+            if due > slot {
+                break;
+            }
+            self.heap.pop();
+            let (p, ln_q) = self.gaps[i as usize];
+            if due < slot {
+                // The entry came due in a slot that was never queried
+                // (the caller skipped ahead). The geometric law is
+                // memoryless, so rescheduling with a fresh gap from the
+                // current slot reproduces exactly the conditional
+                // distribution of "next injection at or after `slot`".
+                if let Some(next) = slot.checked_add(geometric_gap_cached(p, ln_q, rng)) {
+                    self.heap.push(Reverse((next, i)));
+                }
+                continue;
+            }
+            emit(i, rng);
+            if let Some(next) = slot
+                .checked_add(1)
+                .and_then(|s| s.checked_add(geometric_gap_cached(p, ln_q, rng)))
+            {
+                self.heap.push(Reverse((next, i)));
+            }
+        }
+    }
+
+    /// The earliest slot `≥ after` with a pending entry (`u64::MAX` when
+    /// none), seeding the heap at `after` on a first-ever query.
+    fn next_due(&mut self, after: u64, rng: &mut dyn RngCore) -> u64 {
+        self.seed(after, rng);
+        self.heap
+            .peek()
+            .map_or(u64::MAX, |&Reverse((due, _))| due.max(after))
+    }
+}
+
+/// The sampler of a [`StochasticInjector`]'s generator set.
 ///
-/// Drop-in [`Injector`] with identical per-slot distribution and
+/// An [`Injector`] with the model's per-slot distribution and
 /// O(1)-amortized idle-slot cost. Construct with
 /// [`new`](BatchStochasticInjector::new) or via `From<StochasticInjector>`.
 ///
@@ -170,30 +292,6 @@ impl CountingSampler {
 pub struct BatchStochasticInjector {
     inner: StochasticInjector,
     mode: Mode,
-    /// Indices of generators with positive total probability — the only
-    /// ones either path ever schedules.
-    active: Vec<u32>,
-    /// The shared per-generator probability of the dense path.
-    dense_p: f64,
-    /// Cached `ln(1 − dense_p)` — the geometric-gap denominator. One
-    /// `ln_1p` per *injection* halved the dense path's transcendental
-    /// budget; the gap itself is the bit-identical `u.ln() / ln_q`.
-    dense_ln_q: f64,
-    /// Cached `ln(1 − p)` per generator (aligned with the wrapped
-    /// injector's generator list), for the calendar path.
-    ln_q: Vec<f64>,
-    /// Pending `(next injecting slot, generator)` entries; min-heap via
-    /// `Reverse`, so ties pop in generator order (matching the naive
-    /// sampler's iteration order within a slot).
-    calendar: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Slot the calendar was seeded at; `None` until the first query.
-    seeded_at: Option<u64>,
-    /// The Binomial(m, p) count table of the counting path.
-    counting: Option<CountingSampler>,
-    /// Floyd-sample scratch: membership marks over `active` indices.
-    counting_marks: Vec<bool>,
-    /// Floyd-sample scratch: this slot's chosen `active` indices.
-    counting_picks: Vec<u64>,
     /// Interned-id cache for the route-id lane, `[generator][choice]`.
     /// Filled on first emission of each choice; valid only against the
     /// single [`RouteTable`] this injector has been driven with.
@@ -201,13 +299,12 @@ pub struct BatchStochasticInjector {
 }
 
 impl BatchStochasticInjector {
-    /// Wraps `inner`, selecting the batch path from its generators'
-    /// total probabilities: the counting batch when every positive
-    /// generator shares one probability `p < 1` and the workload
-    /// expects at least [`COUNTING_MIN_EXPECTED_PER_SLOT`] packets per
-    /// slot, the dense binomial batch for symmetric workloads above
-    /// [`DENSE_MIN_EXPECTED_PER_SLOT`], the skip-ahead calendar
-    /// otherwise.
+    /// Samples `inner`'s generators, selecting the mode from their total
+    /// probabilities: the counting batch when every positive generator
+    /// shares one probability `p` (`p = 1` included) and the set expects
+    /// at least [`COUNTING_MIN_EXPECTED_PER_SLOT`] packets per slot, the
+    /// skip-ahead calendar otherwise, and idle when no generator can
+    /// inject.
     pub fn new(inner: StochasticInjector) -> Self {
         let totals: Vec<f64> = inner
             .generators()
@@ -220,34 +317,18 @@ impl BatchStochasticInjector {
             .filter(|(_, &t)| t > 0.0)
             .map(|(i, _)| i as u32)
             .collect();
-        let mut dense_p = 0.0;
-        let mode = if active.is_empty() {
-            Mode::Idle
-        } else {
-            let p0 = totals[active[0] as usize];
-            let symmetric = active.iter().all(|&i| totals[i as usize] == p0);
-            let expected = p0 * active.len() as f64;
-            if symmetric && p0 < 1.0 && expected >= COUNTING_MIN_EXPECTED_PER_SLOT {
-                dense_p = p0;
-                Mode::Counting
-            } else if symmetric && expected >= DENSE_MIN_EXPECTED_PER_SLOT {
-                dense_p = p0;
-                Mode::Dense
-            } else {
-                Mode::Calendar
+        let mode = match active.first() {
+            None => Mode::Idle,
+            Some(&first) => {
+                let p = totals[first as usize];
+                let symmetric = active.iter().all(|&i| totals[i as usize] == p);
+                if symmetric && p * active.len() as f64 >= COUNTING_MIN_EXPECTED_PER_SLOT {
+                    Mode::Counting(CountingBatch::new(active, p))
+                } else {
+                    Mode::Calendar(Calendar::new(active, &totals))
+                }
             }
         };
-        let counting =
-            (mode == Mode::Counting).then(|| CountingSampler::new(active.len(), dense_p));
-        let counting_marks = vec![
-            false;
-            if mode == Mode::Counting {
-                active.len()
-            } else {
-                0
-            }
-        ];
-        let ln_q = totals.iter().map(|&t| (-t).ln_1p()).collect();
         let route_ids = inner
             .generators()
             .iter()
@@ -256,44 +337,22 @@ impl BatchStochasticInjector {
         BatchStochasticInjector {
             inner,
             mode,
-            active,
-            dense_p,
-            dense_ln_q: (-dense_p).ln_1p(),
-            ln_q,
-            calendar: BinaryHeap::new(),
-            seeded_at: None,
-            counting,
-            counting_marks,
-            counting_picks: Vec::new(),
             route_ids,
         }
     }
 
-    /// The wrapped per-generator injector (specs, rates, loads).
+    /// The generator set this engine samples (specs, rates, loads).
     pub fn inner(&self) -> &StochasticInjector {
         &self.inner
     }
 
-    /// Unwraps back into the naive per-generator sampler.
-    pub fn into_inner(self) -> StochasticInjector {
-        self.inner
-    }
-
-    /// Whether a dense per-slot batch path was selected (the geometric
-    /// index walk or the counting sampler — both visit every slot and
-    /// draw a Binomial(m, p) batch there).
-    pub fn is_dense(&self) -> bool {
-        matches!(self.mode, Mode::Dense | Mode::Counting)
-    }
-
-    /// Whether the counting variant of the dense path was selected
-    /// (one binomial count draw plus Floyd index sampling per slot).
+    /// Whether the counting batch was selected (one binomial count draw
+    /// plus Floyd index sampling per slot).
     pub fn is_counting(&self) -> bool {
-        self.mode == Mode::Counting
+        matches!(self.mode, Mode::Counting(_))
     }
 
-    /// Expected per-slot load vector `F` (delegates to the wrapped
-    /// injector; batching does not change the distribution).
+    /// Expected per-slot load vector `F` of the generator set.
     pub fn expected_load(&self, num_links: usize) -> LinkLoad {
         self.inner.expected_load(num_links)
     }
@@ -301,203 +360,6 @@ impl BatchStochasticInjector {
     /// The injection rate `λ = ‖W·F‖∞` under `model`.
     pub fn rate<M: InterferenceModel + ?Sized>(&self, model: &M) -> f64 {
         self.inner.rate(model)
-    }
-
-    /// Seeds every active generator's first pending slot from `slot`.
-    fn seed_calendar(&mut self, slot: u64, rng: &mut dyn RngCore) {
-        seed_calendar_parts(
-            slot,
-            self.inner.generators(),
-            &self.active,
-            &self.ln_q,
-            &mut self.calendar,
-            &mut self.seeded_at,
-            rng,
-        );
-    }
-}
-
-/// Split-borrow view of the sampling-mode state, so the inject paths
-/// can lend `emit` closures mutable access to caller-side output state
-/// (the output buffer, the id cache, a `RouteTable`) while the mode
-/// machinery holds its own `&mut` borrows of the calendar and scratch.
-struct ModeParts<'a> {
-    mode: &'a Mode,
-    active: &'a [u32],
-    dense_p: f64,
-    dense_ln_q: f64,
-    ln_q: &'a [f64],
-    calendar: &'a mut BinaryHeap<Reverse<(u64, u32)>>,
-    seeded_at: &'a mut Option<u64>,
-    counting: &'a Option<CountingSampler>,
-    counting_marks: &'a mut [bool],
-    counting_picks: &'a mut Vec<u64>,
-}
-
-/// Runs the selected sampling mode for `slot`, handing each firing
-/// generator's index to `emit` (which draws the route conditional on
-/// injection — one draw for multi-choice generators, none otherwise).
-fn run_mode(
-    parts: ModeParts<'_>,
-    slot: u64,
-    generators: &[GeneratorSpec],
-    rng: &mut dyn RngCore,
-    emit: &mut dyn FnMut(u32, &mut dyn RngCore),
-) {
-    match parts.mode {
-        Mode::Idle => {}
-        Mode::Dense => run_dense(parts.active, parts.dense_p, parts.dense_ln_q, rng, emit),
-        Mode::Counting => run_counting(
-            parts.active,
-            parts
-                .counting
-                .as_ref()
-                .expect("counting mode has a sampler"),
-            parts.counting_marks,
-            parts.counting_picks,
-            rng,
-            emit,
-        ),
-        Mode::Calendar => run_calendar(
-            slot,
-            generators,
-            parts.active,
-            parts.ln_q,
-            parts.calendar,
-            parts.seeded_at,
-            rng,
-            emit,
-        ),
-    }
-}
-
-/// Seeds every active generator's first pending slot from `slot`
-/// (split-borrow form shared by the inject paths and the hint query).
-fn seed_calendar_parts(
-    slot: u64,
-    generators: &[GeneratorSpec],
-    active: &[u32],
-    ln_q: &[f64],
-    calendar: &mut BinaryHeap<Reverse<(u64, u32)>>,
-    seeded_at: &mut Option<u64>,
-    rng: &mut dyn RngCore,
-) {
-    for &i in active {
-        let p = generators[i as usize].total_probability();
-        let gap = geometric_gap_cached(p, ln_q[i as usize], rng);
-        if let Some(next) = slot.checked_add(gap) {
-            calendar.push(Reverse((next, i)));
-        }
-    }
-    *seeded_at = Some(slot);
-}
-
-/// Calendar-mode slot: pop every entry due at `slot`, emitting each and
-/// rescheduling it one fresh geometric gap ahead.
-#[allow(clippy::too_many_arguments)]
-fn run_calendar(
-    slot: u64,
-    generators: &[GeneratorSpec],
-    active: &[u32],
-    ln_q: &[f64],
-    calendar: &mut BinaryHeap<Reverse<(u64, u32)>>,
-    seeded_at: &mut Option<u64>,
-    rng: &mut dyn RngCore,
-    emit: &mut dyn FnMut(u32, &mut dyn RngCore),
-) {
-    if seeded_at.is_none() {
-        seed_calendar_parts(slot, generators, active, ln_q, calendar, seeded_at, rng);
-    }
-    while let Some(&Reverse((due, i))) = calendar.peek() {
-        if due > slot {
-            break;
-        }
-        calendar.pop();
-        let p = generators[i as usize].total_probability();
-        let lq = ln_q[i as usize];
-        if due < slot {
-            // The entry came due in a slot that was never queried
-            // (the caller skipped ahead). The geometric law is
-            // memoryless, so rescheduling with a fresh gap from the
-            // current slot reproduces exactly the conditional
-            // distribution of "next injection at or after `slot`".
-            if let Some(next) = slot.checked_add(geometric_gap_cached(p, lq, rng)) {
-                calendar.push(Reverse((next, i)));
-            }
-            continue;
-        }
-        emit(i, rng);
-        if let Some(next) = slot
-            .checked_add(1)
-            .and_then(|s| s.checked_add(geometric_gap_cached(p, lq, rng)))
-        {
-            calendar.push(Reverse((next, i)));
-        }
-    }
-}
-
-/// Dense-mode slot: geometric index skipping over the active
-/// generators. Each is included independently with probability `p`, so
-/// the emitted batch size is Binomial(|active|, p) — without ever
-/// touching the generators that stay silent this slot.
-fn run_dense(
-    active: &[u32],
-    p: f64,
-    ln_q: f64,
-    rng: &mut dyn RngCore,
-    emit: &mut dyn FnMut(u32, &mut dyn RngCore),
-) {
-    let len = active.len() as u64;
-    let mut j = geometric_gap_cached(p, ln_q, rng);
-    while j < len {
-        emit(active[j as usize], rng);
-        j = match j
-            .checked_add(1)
-            .and_then(|j| j.checked_add(geometric_gap_cached(p, ln_q, rng)))
-        {
-            Some(next) => next,
-            None => break,
-        };
-    }
-}
-
-/// Counting-mode slot: draw the batch size `k ~ Binomial(|active|, p)`
-/// with one CDF inversion, then pick *which* `k` generators fired with
-/// Floyd's uniform `k`-subset algorithm (`k` bounded draws, no
-/// rejection). Emission is in ascending generator order, matching the
-/// naive sampler's and the geometric walk's within-slot order.
-fn run_counting(
-    active: &[u32],
-    sampler: &CountingSampler,
-    marks: &mut [bool],
-    picks: &mut Vec<u64>,
-    rng: &mut dyn RngCore,
-    emit: &mut dyn FnMut(u32, &mut dyn RngCore),
-) {
-    let len = active.len();
-    let k = sampler.sample(rng);
-    if k == 0 {
-        return;
-    }
-    if k >= len {
-        for &g in active {
-            emit(g, rng);
-        }
-        return;
-    }
-    picks.clear();
-    // Floyd: for j in m−k..m, draw t uniform in [0, j]; take t unless
-    // already taken, else take j. Every k-subset is equally likely.
-    for j in (len - k)..len {
-        let t = rng.gen_range(0..j as u64 + 1) as usize;
-        let chosen = if marks[t] { j } else { t };
-        marks[chosen] = true;
-        picks.push(chosen as u64);
-    }
-    picks.sort_unstable();
-    for &idx in picks.iter() {
-        marks[idx as usize] = false;
-        emit(active[idx as usize], rng);
     }
 }
 
@@ -510,58 +372,24 @@ impl From<StochasticInjector> for BatchStochasticInjector {
 impl Injector for BatchStochasticInjector {
     fn inject_into(&mut self, slot: u64, rng: &mut dyn RngCore, out: &mut Vec<Arc<RoutePath>>) {
         out.clear();
-        let BatchStochasticInjector {
-            inner,
-            mode,
-            active,
-            dense_p,
-            dense_ln_q,
-            ln_q,
-            calendar,
-            seeded_at,
-            counting,
-            counting_marks,
-            counting_picks,
-            ..
-        } = self;
-        let generators = inner.generators();
-        let parts = ModeParts {
-            mode,
-            active,
-            dense_p: *dense_p,
-            dense_ln_q: *dense_ln_q,
-            ln_q,
-            calendar,
-            seeded_at,
-            counting,
-            counting_marks,
-            counting_picks,
-        };
-        run_mode(parts, slot, generators, rng, &mut |g, rng| {
-            if let Some(route) = generators[g as usize].sample_conditional(rng) {
-                out.push(route);
+        let generators = self.inner.generators();
+        self.mode.run(slot, rng, &mut |g, rng| {
+            let generator = &generators[g as usize];
+            if let Some(choice) = generator.sample_conditional_index(rng) {
+                out.push(generator.choices()[choice].0.clone());
             }
         });
     }
 
-    /// Calendar mode answers from its min-heap (seeding it lazily on a
-    /// first-ever query); the dense modes may inject every slot, so the
-    /// hint is `after` itself; idle never injects again.
+    /// The calendar answers from its min-heap (seeding it lazily on a
+    /// first-ever query); the counting batch may inject every slot, so
+    /// its hint is `after` itself; idle never injects again.
     fn next_active_slot(&mut self, after: u64, rng: &mut dyn RngCore) -> Option<u64> {
-        match self.mode {
-            Mode::Idle => Some(u64::MAX),
-            Mode::Dense | Mode::Counting => Some(after),
-            Mode::Calendar => {
-                if self.seeded_at.is_none() {
-                    self.seed_calendar(after, rng);
-                }
-                Some(
-                    self.calendar
-                        .peek()
-                        .map_or(u64::MAX, |&Reverse((due, _))| due.max(after)),
-                )
-            }
-        }
+        Some(match &mut self.mode {
+            Mode::Idle => u64::MAX,
+            Mode::Counting(_) => after,
+            Mode::Calendar(calendar) => calendar.next_due(after, rng),
+        })
     }
 
     fn interned_capable(&self) -> bool {
@@ -580,42 +408,18 @@ impl Injector for BatchStochasticInjector {
         out: &mut Vec<RouteId>,
     ) {
         out.clear();
-        let BatchStochasticInjector {
-            inner,
-            mode,
-            active,
-            dense_p,
-            dense_ln_q,
-            ln_q,
-            calendar,
-            seeded_at,
-            counting,
-            counting_marks,
-            counting_picks,
-            route_ids,
-        } = self;
-        let generators = inner.generators();
-        let parts = ModeParts {
-            mode,
-            active,
-            dense_p: *dense_p,
-            dense_ln_q: *dense_ln_q,
-            ln_q,
-            calendar,
-            seeded_at,
-            counting,
-            counting_marks,
-            counting_picks,
-        };
-        run_mode(parts, slot, generators, rng, &mut |g, rng| {
-            if let Some(choice) = generators[g as usize].sample_conditional_index(rng) {
+        let generators = self.inner.generators();
+        let route_ids = &mut self.route_ids;
+        self.mode.run(slot, rng, &mut |g, rng| {
+            let generator = &generators[g as usize];
+            if let Some(choice) = generator.sample_conditional_index(rng) {
                 let cache = &mut route_ids[g as usize];
                 let id = cache[choice].unwrap_or_else(|| {
                     // First emission of this choice: intern once, then
                     // replay the id for the rest of the run. Interning
                     // lazily in emission order assigns exactly the ids
                     // the `Arc` lane's arrival stream would have.
-                    let id = table.intern(&generators[g as usize].choices()[choice].0);
+                    let id = table.intern(&generator.choices()[choice].0);
                     cache[choice] = Some(id);
                     id
                 });
@@ -638,7 +442,7 @@ pub fn geometric_gap(p: f64, rng: &mut dyn RngCore) -> u64 {
 }
 
 /// [`geometric_gap`] with the denominator `ln(1 − p)` precomputed (the
-/// injector caches it per generator: one `ln_1p` per construction
+/// calendar caches it per generator: one `ln_1p` per construction
 /// instead of one per injection). Bit-identical to [`geometric_gap`]:
 /// same draw, same division.
 fn geometric_gap_cached(p: f64, ln_q: f64, rng: &mut dyn RngCore) -> u64 {
@@ -673,6 +477,41 @@ mod tests {
         RoutePath::single_hop(LinkId(link)).shared()
     }
 
+    /// The model's definition, sampled literally: every slot, one
+    /// uniform per generator; the generator injects iff the draw falls
+    /// below its total probability, and a CDF walk over its choices with
+    /// the same draw picks the route (rounding residue falls back to the
+    /// last choice that can carry traffic). The engine's distributional
+    /// referee; it shares none of the engine's sampling code.
+    struct NaiveReferee(StochasticInjector);
+
+    impl Injector for NaiveReferee {
+        fn inject_into(
+            &mut self,
+            _slot: u64,
+            rng: &mut dyn RngCore,
+            out: &mut Vec<Arc<RoutePath>>,
+        ) {
+            out.clear();
+            for g in self.0.generators() {
+                let u: f64 = rng.gen();
+                if u >= g.total_probability() {
+                    continue;
+                }
+                let mut acc = 0.0;
+                let route = g
+                    .choices()
+                    .iter()
+                    .find(|(_, p)| {
+                        acc += p;
+                        u < acc
+                    })
+                    .or_else(|| g.choices().iter().rev().find(|(_, p)| *p > 0.0));
+                out.extend(route.map(|(r, _)| r.clone()));
+            }
+        }
+    }
+
     /// χ² statistic of observed counts against expected counts.
     fn chi_square(observed: &[f64], expected: &[f64]) -> f64 {
         observed
@@ -685,21 +524,57 @@ mod tests {
             .sum()
     }
 
+    /// Two-sample χ² homogeneity statistic of two histograms over the
+    /// same number of trials, adjacent bins pooled until each holds at
+    /// least ten observations. Returns `(statistic, degrees of freedom)`.
+    fn two_sample_chi_square(a: &[u64], b: &[u64]) -> (f64, usize) {
+        let mut bins: Vec<(f64, f64)> = Vec::new();
+        let (mut pa, mut pb) = (0.0, 0.0);
+        for (&x, &y) in a.iter().zip(b) {
+            pa += x as f64;
+            pb += y as f64;
+            if pa + pb >= 10.0 {
+                bins.push((pa, pb));
+                (pa, pb) = (0.0, 0.0);
+            }
+        }
+        match bins.last_mut() {
+            Some(last) => {
+                last.0 += pa;
+                last.1 += pb;
+            }
+            None => bins.push((pa, pb)),
+        }
+        let stat = bins.iter().map(|&(x, y)| (x - y).powi(2) / (x + y)).sum();
+        (stat, bins.len() - 1)
+    }
+
+    /// Upper α = 0.001 critical value of χ²(df), by the Wilson–Hilferty
+    /// approximation (zero for df = 0, where the statistic is zero).
+    fn chi_square_critical(df: usize) -> f64 {
+        if df == 0 {
+            return 0.0;
+        }
+        let d = df as f64;
+        let h = 2.0 / (9.0 * d);
+        d * (1.0 - h + 3.0902 * h.sqrt()).powi(3)
+    }
+
     #[test]
     fn mode_selection_follows_totals() {
         let dense =
             BatchStochasticInjector::from(uniform_generators((0..8).map(path), 0.25).unwrap());
-        assert!(dense.is_dense(), "8 × 0.25 = 2 expected/slot is dense");
+        assert!(dense.is_counting(), "8 × 0.25 = 2 expected/slot counts");
 
         let sparse =
             BatchStochasticInjector::from(uniform_generators((0..8).map(path), 0.01).unwrap());
-        assert!(!sparse.is_dense(), "8 × 0.01 expected/slot is sparse");
+        assert!(!sparse.is_counting(), "8 × 0.01 expected/slot is sparse");
 
         let asymmetric = BatchStochasticInjector::from(StochasticInjector::new(vec![
             GeneratorSpec::bernoulli(path(0), 0.9).unwrap(),
             GeneratorSpec::bernoulli(path(1), 0.5).unwrap(),
         ]));
-        assert!(!asymmetric.is_dense(), "mixed totals use the calendar");
+        assert!(!asymmetric.is_counting(), "mixed totals use the calendar");
 
         let mut idle =
             BatchStochasticInjector::from(StochasticInjector::new(vec![GeneratorSpec::bernoulli(
@@ -707,10 +582,12 @@ mod tests {
                 0.0,
             )
             .unwrap()]));
+        assert!(!idle.is_counting());
         let mut rng = root_rng(1);
         for slot in 0..100 {
             assert!(idle.inject(slot, &mut rng).is_empty());
         }
+        assert_eq!(idle.next_active_slot(0, &mut rng), Some(u64::MAX));
     }
 
     #[test]
@@ -781,8 +658,8 @@ mod tests {
 
         let mut batch =
             BatchStochasticInjector::from(uniform_generators((0..m as u32).map(path), p).unwrap());
-        assert!(batch.is_dense());
-        let mut naive = uniform_generators((0..m as u32).map(path), p).unwrap();
+        assert!(batch.is_counting());
+        let mut naive = NaiveReferee(uniform_generators((0..m as u32).map(path), p).unwrap());
 
         let mut rng_b = root_rng(21);
         let mut rng_n = root_rng(22);
@@ -825,8 +702,8 @@ mod tests {
 
         let mut batch =
             BatchStochasticInjector::from(uniform_generators((0..m as u32).map(path), p).unwrap());
-        assert!(!batch.is_dense());
-        let mut naive = uniform_generators((0..m as u32).map(path), p).unwrap();
+        assert!(!batch.is_counting());
+        let mut naive = NaiveReferee(uniform_generators((0..m as u32).map(path), p).unwrap());
 
         let mut rng_b = root_rng(31);
         let mut rng_n = root_rng(32);
@@ -854,7 +731,7 @@ mod tests {
     fn per_choice_distribution_matches_naive_chi_square() {
         // A mixture generator plus an asymmetric companion forces the
         // calendar; the route distribution conditional on injection must
-        // match the naive sampler's `p_i / total`.
+        // match the model's `p_i / total`.
         let weights = [0.05, 0.03, 0.02];
         let total: f64 = weights.iter().sum();
         let make = || {
@@ -887,8 +764,8 @@ mod tests {
             counts
         };
         let mut batch = BatchStochasticInjector::new(make());
-        assert!(!batch.is_dense());
-        let mut naive = make();
+        assert!(!batch.is_counting());
+        let mut naive = NaiveReferee(make());
         let batch_counts = run(&mut batch, 41);
         let naive_counts = run(&mut naive, 42);
 
@@ -918,7 +795,7 @@ mod tests {
             GeneratorSpec::new(vec![(path(0), 0.5), (path(1), 0.5)]).unwrap(),
             GeneratorSpec::bernoulli(path(2), 0.25).unwrap(),
         ]));
-        assert!(!batch.is_dense());
+        assert!(!batch.is_counting());
         let mut rng = root_rng(8);
         let mut buf = Vec::new();
         for slot in 0..2_000 {
@@ -934,7 +811,7 @@ mod tests {
         let m = 8;
         let mut batch =
             BatchStochasticInjector::from(uniform_generators((0..m).map(path), 1.0).unwrap());
-        assert!(batch.is_dense());
+        assert!(batch.is_counting());
         let mut rng = root_rng(9);
         let mut buf = Vec::new();
         for slot in 0..500 {
@@ -990,86 +867,92 @@ mod tests {
         // 256 × 0.3 = 76.8 expected/slot: counting.
         let big =
             BatchStochasticInjector::from(uniform_generators((0..256).map(path), 0.3).unwrap());
-        assert!(big.is_counting() && big.is_dense());
-        // 16 × 0.25 = 4 expected/slot: dense walk, below the counting bar.
+        assert!(big.is_counting());
+        // 16 × 0.25 = 4 expected/slot: counting too, down to the bar.
         let mid =
             BatchStochasticInjector::from(uniform_generators((0..16).map(path), 0.25).unwrap());
-        assert!(mid.is_dense() && !mid.is_counting());
-        // p = 1 always stays on the exact dense walk (the count table's
-        // recurrence needs p < 1), however large the batch.
+        assert!(mid.is_counting());
+        let at_bar =
+            BatchStochasticInjector::from(uniform_generators((0..1).map(path), 0.5).unwrap());
+        assert!(at_bar.is_counting(), "1 × 0.5 sits on the bar");
+        let below =
+            BatchStochasticInjector::from(uniform_generators((0..4).map(path), 0.1).unwrap());
+        assert!(!below.is_counting(), "4 × 0.1 = 0.4 uses the calendar");
+        // p = 1 counts as well: its table puts all mass on k = m.
         let certain =
             BatchStochasticInjector::from(uniform_generators((0..64).map(path), 1.0).unwrap());
-        assert!(certain.is_dense() && !certain.is_counting());
+        assert!(certain.is_counting());
     }
 
+    /// The RNG-change rule for the counting batch: its per-slot count
+    /// distribution must be the model's, checked against the naive
+    /// referee by a two-sample χ² test over the count histogram. The
+    /// inputs are the batch's original regime (128 × 0.25) and the ones
+    /// the geometric index walk served before the counting batch took
+    /// over its band: the golden driver (1 × 0.5), ring-routing
+    /// (8 × 0.25), sinr-dense (256 × 0.0093), and p = 1.
     #[test]
     fn counting_batch_matches_naive_count_distribution() {
-        let m = 128usize;
-        let p = 0.25;
         let slots = 30_000u64;
-        let mut batch =
-            BatchStochasticInjector::from(uniform_generators((0..m as u32).map(path), p).unwrap());
-        assert!(batch.is_counting());
-        let mut naive = uniform_generators((0..m as u32).map(path), p).unwrap();
+        for (m, p) in [
+            (128usize, 0.25),
+            (1, 0.5),
+            (8, 0.25),
+            (256, 0.0093),
+            (8, 1.0),
+        ] {
+            let make = || uniform_generators((0..m as u32).map(path), p).unwrap();
+            let mut batch = BatchStochasticInjector::from(make());
+            assert!(batch.is_counting(), "{m} × {p} must use the counting batch");
+            let mut naive = NaiveReferee(make());
 
-        let run_counts = |inject: &mut dyn FnMut(u64, &mut Vec<Arc<RoutePath>>),
-                          per_generator: &mut [u64]|
-         -> (f64, f64) {
-            let mut buf = Vec::new();
-            let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
-            for slot in 0..slots {
-                inject(slot, &mut buf);
-                assert!(buf.len() <= m);
-                for route in buf.iter() {
-                    per_generator[route.hop(0).unwrap().index()] += 1;
+            // Per-slot count histogram and per-generator occupancy.
+            let run = |injector: &mut dyn Injector, seed: u64| -> (Vec<u64>, Vec<u64>) {
+                let mut rng = root_rng(seed);
+                let mut buf = Vec::new();
+                let mut histogram = vec![0u64; m + 1];
+                let mut per_generator = vec![0u64; m];
+                for slot in 0..slots {
+                    injector.inject_into(slot, &mut rng, &mut buf);
+                    assert!(buf.len() <= m, "more packets than generators");
+                    histogram[buf.len()] += 1;
+                    for route in &buf {
+                        per_generator[route.hop(0).unwrap().index()] += 1;
+                    }
                 }
-                let k = buf.len() as f64;
-                sum += k;
-                sum_sq += k * k;
+                (histogram, per_generator)
+            };
+            let (hist_b, per_gen_b) = run(&mut batch, 51);
+            let (hist_n, _) = run(&mut naive, 52);
+
+            let (chi2, df) = two_sample_chi_square(&hist_b, &hist_n);
+            assert!(
+                chi2 <= chi_square_critical(df),
+                "{m} × {p}: count distribution differs from the referee: χ² = {chi2}, df = {df}"
+            );
+            // Binomial(m, p) mean, within six standard errors.
+            let mean = hist_b
+                .iter()
+                .enumerate()
+                .map(|(k, &c)| k as f64 * c as f64)
+                .sum::<f64>()
+                / slots as f64;
+            let stderr = (m as f64 * p * (1.0 - p) / slots as f64).sqrt();
+            assert!(
+                (mean - m as f64 * p).abs() <= 6.0 * stderr + 1e-9,
+                "{m} × {p}: counting mean {mean}"
+            );
+            // Floyd sampling must keep the injecting set uniform over
+            // generators (the mean check above covers m = 1).
+            if m > 1 {
+                let observed: Vec<f64> = per_gen_b.iter().map(|&c| c as f64).collect();
+                let chi2 = chi_square(&observed, &vec![slots as f64 * p; m]);
+                assert!(
+                    chi2 <= chi_square_critical(m - 1),
+                    "{m} × {p}: counting occupancy skewed: χ² = {chi2}"
+                );
             }
-            let mean = sum / slots as f64;
-            (mean, sum_sq / slots as f64 - mean * mean)
-        };
-
-        let mut rng_b = root_rng(51);
-        let mut per_gen_b = vec![0u64; m];
-        let (mean_b, var_b) = run_counts(
-            &mut |slot, buf| batch.inject_into(slot, &mut rng_b, buf),
-            &mut per_gen_b,
-        );
-        let mut rng_n = root_rng(52);
-        let mut per_gen_n = vec![0u64; m];
-        let (mean_n, var_n) = run_counts(
-            &mut |slot, buf| {
-                *buf = naive.inject(slot, &mut rng_n);
-            },
-            &mut per_gen_n,
-        );
-
-        // Binomial(128, 0.25): mean 32, variance 24.
-        let (exp_mean, exp_var) = (m as f64 * p, m as f64 * p * (1.0 - p));
-        assert!(
-            (mean_b - exp_mean).abs() < 0.2,
-            "counting mean {mean_b} vs {exp_mean}"
-        );
-        assert!(
-            (mean_b - mean_n).abs() < 0.3,
-            "counting mean {mean_b} vs naive {mean_n}"
-        );
-        assert!(
-            (var_b - exp_var).abs() / exp_var < 0.05,
-            "counting variance {var_b} vs {exp_var}"
-        );
-        assert!(
-            (var_b - var_n).abs() / exp_var < 0.08,
-            "counting variance {var_b} vs naive {var_n}"
-        );
-        // Floyd sampling must keep the injecting set uniform over
-        // generators: χ² over 128 cells, df = 127, α ≈ 0.001 → ~181.
-        let observed: Vec<f64> = per_gen_b.iter().map(|&c| c as f64).collect();
-        let expected = vec![slots as f64 * p; m];
-        let chi2 = chi_square(&observed, &expected);
-        assert!(chi2 < 181.0, "counting occupancy skewed: χ² = {chi2}");
+        }
     }
 
     #[test]
@@ -1224,7 +1107,7 @@ mod tests {
         use crate::route_table::RouteTable;
         for (label, p, m) in [
             ("calendar", 0.003, 64u32),
-            ("dense", 0.2, 4),
+            ("small counting", 0.2, 4),
             ("counting", 0.3, 64),
         ] {
             let make = || {

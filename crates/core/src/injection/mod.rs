@@ -5,7 +5,8 @@
 //! the injection rate is `λ = ‖W·F‖∞`.
 //!
 //! * [`stochastic`] — a finite set of independent generators, each injecting
-//!   at most one packet per slot, identically distributed over time;
+//!   at most one packet per slot, identically distributed over time,
+//!   sampled by [`batch`]'s engine;
 //! * [`adversarial`] — `(w, λ)`-bounded window adversaries: in every
 //!   interval of `w` slots the measure of all injected routes is at most
 //!   `λ·w`.

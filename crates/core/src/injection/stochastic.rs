@@ -8,7 +8,6 @@
 //! per slot whose route uses `e` (with multiplicity).
 
 use crate::error::ModelError;
-use crate::injection::Injector;
 use crate::interference::InterferenceModel;
 use crate::load::LinkLoad;
 use crate::path::RoutePath;
@@ -88,43 +87,18 @@ impl GeneratorSpec {
         &self.choices
     }
 
-    /// One per-slot draw: `Some(route)` with probability `total`, `None`
-    /// otherwise.
-    ///
-    /// The injection decision compares `u` against the stored `total` —
-    /// not against the re-accumulated cumulative sum, whose intermediate
-    /// rounding used to let `u` land in the gap between the two and
-    /// silently return `None` for a generator with total probability one.
-    /// Once injection is decided, the CDF walk cannot fall off the end
-    /// (`new` accumulated the same sums in the same order), but any
-    /// float-rounding residue falls back to the last choice.
-    fn sample(&self, rng: &mut dyn RngCore) -> Option<Arc<RoutePath>> {
-        let u: f64 = rng.gen();
-        if u >= self.total {
-            return None;
-        }
-        self.pick(u).map(|i| self.choices[i].0.clone())
-    }
-
     /// Picks a route *given that this generator injects* — the
-    /// conditional distribution `p_i / total` the batch samplers need
-    /// after their skip-ahead draw already decided the injection.
+    /// conditional distribution `p_i / total` the batch engine needs
+    /// after its count or skip-ahead draw already decided the injection
+    /// — and returns its *choice index*, so the route-id lane can
+    /// resolve it against its interned-id cache without touching the
+    /// route's reference count.
     ///
-    /// Returns `None` only for a generator with no positive-probability
-    /// choice (which never injects and should never be asked).
-    pub fn sample_conditional(&self, rng: &mut dyn RngCore) -> Option<Arc<RoutePath>> {
-        self.sample_conditional_index(rng)
-            .map(|i| self.choices[i].0.clone())
-    }
-
-    /// [`sample_conditional`](Self::sample_conditional) returning the
-    /// *choice index* instead of cloning the route `Arc` — the
-    /// route-id-native injection lane resolves the index against its
-    /// interned-id cache without touching the reference count.
-    ///
-    /// Consumes exactly the same RNG draws as `sample_conditional`
-    /// (none for single-choice generators, one otherwise), so the two
-    /// entry points are interchangeable mid-stream.
+    /// Consumes no RNG draw for single-choice generators and one
+    /// otherwise, so the `Arc` and route-id lanes stay interchangeable
+    /// mid-stream. Returns `None` only for a generator with no
+    /// positive-probability choice (which never injects and should never
+    /// be asked).
     pub fn sample_conditional_index(&self, rng: &mut dyn RngCore) -> Option<usize> {
         if self.total <= 0.0 || self.choices.is_empty() {
             return None;
@@ -166,8 +140,14 @@ impl GeneratorSpec {
     }
 }
 
-/// The stochastic injection model: a finite set of independent
-/// [`GeneratorSpec`]s queried once per slot.
+/// The stochastic injection model's generator set: a finite set of
+/// independent [`GeneratorSpec`]s, each queried once per slot.
+///
+/// This type holds the specs and answers for their expected load, their
+/// rate and their scaling; the
+/// [`BatchStochasticInjector`](crate::injection::batch::BatchStochasticInjector)
+/// built from it (`BatchStochasticInjector::from(set)`) is the
+/// [`Injector`](crate::injection::Injector) that samples it.
 ///
 /// ```
 /// use dps_core::prelude::*;
@@ -263,13 +243,6 @@ impl StochasticInjector {
     }
 }
 
-impl Injector for StochasticInjector {
-    fn inject_into(&mut self, _slot: u64, rng: &mut dyn RngCore, out: &mut Vec<Arc<RoutePath>>) {
-        out.clear();
-        out.extend(self.generators.iter().filter_map(|g| g.sample(rng)));
-    }
-}
-
 /// Builds one Bernoulli generator per given route, each injecting with
 /// probability `p` — the standard symmetric workload of the experiments.
 ///
@@ -291,6 +264,8 @@ pub fn uniform_generators(
 mod tests {
     use super::*;
     use crate::ids::LinkId;
+    use crate::injection::batch::BatchStochasticInjector;
+    use crate::injection::Injector;
     use crate::interference::{CompleteInterference, IdentityInterference};
     use crate::rng::root_rng;
 
@@ -362,8 +337,8 @@ mod tests {
 
     #[test]
     fn empirical_rate_matches_expectation() {
-        let inj = uniform_generators([path(0)], 0.3).unwrap();
-        let mut injector = inj.clone();
+        let mut injector =
+            BatchStochasticInjector::from(uniform_generators([path(0)], 0.3).unwrap());
         let mut rng = root_rng(99);
         let slots = 20_000;
         let mut count = 0usize;
@@ -380,7 +355,7 @@ mod tests {
     #[test]
     fn generator_injects_at_most_one_per_slot() {
         let g = GeneratorSpec::new(vec![(path(0), 0.5), (path(1), 0.5)]).unwrap();
-        let mut inj = StochasticInjector::new(vec![g]);
+        let mut inj = BatchStochasticInjector::from(StochasticInjector::new(vec![g]));
         let mut rng = root_rng(5);
         for slot in 0..1000 {
             assert!(inj.inject(slot, &mut rng).len() <= 1);
@@ -397,13 +372,25 @@ mod tests {
     fn certain_generator_always_injects_at_p_one() {
         let g = GeneratorSpec::bernoulli(path(0), 1.0).unwrap();
         assert_eq!(g.total_probability(), 1.0);
-        let mut rng = max_rng();
-        for _ in 0..100 {
-            assert!(g.sample(&mut rng).is_some(), "p=1 generator skipped a slot");
-        }
-        let mut rng = root_rng(3);
-        for _ in 0..1000 {
-            assert!(g.sample(&mut rng).is_some());
+        // Alone it runs the counting batch; an asymmetric companion
+        // moves it onto the calendar. Either must inject every slot.
+        let companion = GeneratorSpec::bernoulli(path(1), 0.25).unwrap();
+        for set in [vec![g.clone()], vec![g, companion]] {
+            let mut inj = BatchStochasticInjector::from(StochasticInjector::new(set));
+            let mut rng = max_rng();
+            let mut buf = Vec::new();
+            for slot in 0..100 {
+                inj.inject_into(slot, &mut rng, &mut buf);
+                assert!(
+                    buf.iter().any(|r| r.hop(0) == Some(LinkId(0))),
+                    "p=1 generator skipped a slot"
+                );
+            }
+            let mut rng = root_rng(3);
+            for slot in 100..1100 {
+                inj.inject_into(slot, &mut rng, &mut buf);
+                assert!(buf.iter().any(|r| r.hop(0) == Some(LinkId(0))));
+            }
         }
     }
 
@@ -411,14 +398,16 @@ mod tests {
     fn certain_generator_split_across_tiny_choices_always_injects() {
         // Ten 0.1s accumulate to 1 − 2⁻⁵³, one ulp below the exact sum;
         // the adversarial draw u = 1 − 2⁻⁵³ used to land in the rounding
-        // gap and silently return `None`. The stored total snaps to 1.
+        // gap and silently skip the slot. The stored total snaps to 1.
         let choices: Vec<_> = (0..10).map(|l| (path(l), 0.1)).collect();
         let g = GeneratorSpec::new(choices).unwrap();
         assert_eq!(g.total_probability(), 1.0, "total must snap to one");
+        let mut inj = BatchStochasticInjector::from(StochasticInjector::new(vec![g]));
         let mut rng = max_rng();
-        for _ in 0..100 {
-            assert!(
-                g.sample(&mut rng).is_some(),
+        for slot in 0..100 {
+            assert_eq!(
+                inj.inject(slot, &mut rng).len(),
+                1,
                 "generator with total probability 1 failed to inject"
             );
         }
@@ -435,9 +424,11 @@ mod tests {
         let g = GeneratorSpec::new(choices).unwrap();
         let mut rng = max_rng();
         for _ in 0..100 {
-            let route = g.sample(&mut rng).expect("certain generator injects");
+            let choice = g
+                .sample_conditional_index(&mut rng)
+                .expect("certain generator injects");
             assert_ne!(
-                route.hop(0).unwrap(),
+                g.choices()[choice].0.hop(0).unwrap(),
                 LinkId(99),
                 "zero-probability route was injected"
             );
@@ -462,31 +453,35 @@ mod tests {
         let g = GeneratorSpec::new(choices).unwrap();
         let mut rng = max_rng();
         for _ in 0..100 {
-            assert!(g.sample_conditional(&mut rng).is_some());
+            assert!(g.sample_conditional_index(&mut rng).is_some());
         }
         let empty = GeneratorSpec::new(vec![]).unwrap();
-        assert!(empty.sample_conditional(&mut root_rng(1)).is_none());
+        assert!(empty.sample_conditional_index(&mut root_rng(1)).is_none());
         let zero = GeneratorSpec::bernoulli(path(0), 0.0).unwrap();
-        assert!(zero.sample_conditional(&mut root_rng(1)).is_none());
+        assert!(zero.sample_conditional_index(&mut root_rng(1)).is_none());
     }
 
-    /// The index and route entry points must consume identical RNG
-    /// draws and agree on every pick — the route-id injection lane
-    /// swaps one for the other mid-simulation.
+    /// The draw accounting the two injection lanes rely on: a
+    /// multi-choice pick consumes exactly one uniform, scaled by the
+    /// total and walked over the cumulative choices, and a single-choice
+    /// pick consumes none.
     #[test]
-    fn conditional_index_matches_conditional_route_stream() {
+    fn conditional_index_draws_once_per_multi_choice_pick() {
         let choices: Vec<_> = (0..5).map(|l| (path(l), 0.1)).collect();
         let g = GeneratorSpec::new(choices).unwrap();
         let mut rng_a = root_rng(23);
         let mut rng_b = root_rng(23);
         for _ in 0..2000 {
-            let by_route = g.sample_conditional(&mut rng_a).unwrap();
-            let by_index = g.sample_conditional_index(&mut rng_b).unwrap();
-            assert!(Arc::ptr_eq(&by_route, &g.choices()[by_index].0));
+            let choice = g.sample_conditional_index(&mut rng_a).unwrap();
+            let u = rng_b.gen::<f64>() * g.total_probability();
+            let below: f64 = g.choices()[..choice].iter().map(|(_, p)| p).sum();
+            assert!(below <= u && u < below + g.choices()[choice].1);
         }
-        // Single-choice generators consume no draw on either entry point.
+        assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "streams drifted");
         let single = GeneratorSpec::bernoulli(path(0), 0.5).unwrap();
-        assert_eq!(single.sample_conditional_index(&mut root_rng(1)), Some(0));
+        let mut rng = root_rng(1);
+        assert_eq!(single.sample_conditional_index(&mut rng), Some(0));
+        assert_eq!(rng.next_u64(), root_rng(1).next_u64(), "single pick drew");
     }
 
     #[test]
@@ -512,7 +507,7 @@ mod tests {
     #[test]
     fn inject_into_matches_inject_streams() {
         let routes: Vec<_> = (0..4).map(path).collect();
-        let mut a = uniform_generators(routes.clone(), 0.4).unwrap();
+        let mut a = BatchStochasticInjector::from(uniform_generators(routes.clone(), 0.4).unwrap());
         let mut b = a.clone();
         let mut rng_a = root_rng(17);
         let mut rng_b = root_rng(17);
@@ -530,7 +525,7 @@ mod tests {
     #[test]
     fn mixture_generator_samples_each_choice() {
         let g = GeneratorSpec::new(vec![(path(0), 0.4), (path(1), 0.4)]).unwrap();
-        let mut inj = StochasticInjector::new(vec![g]);
+        let mut inj = BatchStochasticInjector::from(StochasticInjector::new(vec![g]));
         let mut rng = root_rng(11);
         let mut seen = [0usize; 2];
         for slot in 0..5000 {

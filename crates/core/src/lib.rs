@@ -14,7 +14,9 @@
 //!   [`packet::Packet`], [`load::LinkLoad`]) — Section 2 of the paper;
 //! * interference models ([`interference::InterferenceModel`]) and physical
 //!   feasibility oracles ([`feasibility::Feasibility`]);
-//! * the two injection models ([`injection::stochastic::StochasticInjector`] and the
+//! * the two injection models (the stochastic generator set
+//!   [`injection::stochastic::StochasticInjector`], sampled by
+//!   [`injection::batch::BatchStochasticInjector`], and the
 //!   `(w, λ)`-bounded adversaries in [`injection::adversarial`]) — Section 2.1;
 //! * step-wise static scheduling algorithms
 //!   ([`staticsched::StaticScheduler`]), including the uniform-rate algorithm

@@ -154,16 +154,19 @@ mod tests {
     use super::*;
     use crate::workloads::RoutingSetup;
     use dps_core::ids::PacketId;
+    use dps_core::injection::batch::BatchStochasticInjector;
     use dps_core::injection::stochastic::uniform_generators;
     use dps_core::injection::Injector;
     use dps_core::rng::split_stream;
 
     fn drive(setup: &RoutingSetup, lambda: f64, slots: u64, seed: u64) -> (SisProtocol, u64, u64) {
         let mut protocol = SisProtocol::new(setup.network.num_links());
-        let mut injector = uniform_generators(setup.routes.clone(), 0.01)
-            .unwrap()
-            .scaled_to_rate(&setup.model, lambda)
-            .unwrap();
+        let mut injector = BatchStochasticInjector::from(
+            uniform_generators(setup.routes.clone(), 0.01)
+                .unwrap()
+                .scaled_to_rate(&setup.model, lambda)
+                .unwrap(),
+        );
         let mut rng = split_stream(seed, 0);
         let mut next_id = 0u64;
         let mut injected = 0u64;

@@ -9,7 +9,7 @@ use dps_core::injection::adversarial::{
     BurstyAdversary, RoundRobinAdversary, SingleEdgeAdversary, SmoothAdversary, WindowValidator,
 };
 use dps_core::injection::batch::BatchStochasticInjector;
-use dps_core::injection::stochastic::uniform_generators;
+use dps_core::injection::stochastic::{uniform_generators, StochasticInjector};
 use dps_core::injection::Injector;
 use dps_core::interference::InterferenceModel;
 use dps_core::path::RoutePath;
@@ -63,10 +63,9 @@ impl InjectorSpec for InjectionConfig {
         let routes = substrate.routes.clone();
         let w = self.window;
         Ok(match self.kind {
-            // Stochastic workloads run on the batch engine: same per-slot
-            // distribution as the naive per-generator sampler,
-            // O(1)-amortized idle slots (skip-ahead calendar / dense
-            // binomial batch, selected from the generators' totals).
+            // The batch engine samples the generator set: O(1)-amortized
+            // idle slots (skip-ahead calendar or counting batch, selected
+            // from the generators' totals).
             InjectionKind::Stochastic => Box::new(BatchStochasticInjector::from(
                 stochastic_at_rate(&model, routes, lambda)?,
             )),
@@ -85,32 +84,24 @@ impl InjectorSpec for InjectionConfig {
     }
 }
 
-/// Builds a stochastic injector over `routes` whose rate under `model` is
-/// exactly `lambda`.
+/// Builds the stochastic generator set over `routes` whose rate under
+/// `model` is exactly `lambda`: uniform generators at base probability
+/// 0.01, rescaled to the target.
 ///
-/// Starts from a small uniform per-generator probability and rescales;
-/// retries with smaller bases when the target rate would push a single
-/// generator past probability one.
+/// The rate is linear in the base, so the scaled probabilities do not
+/// depend on it and no other base could admit a target this one
+/// rejects.
 ///
 /// # Errors
 ///
-/// Propagates the final [`dps_core::error::ModelError`] if no base
-/// probability admits the target rate.
+/// Propagates the [`dps_core::error::ModelError`] of the scaling, e.g.
+/// when the target rate would push a generator past probability one.
 pub fn stochastic_at_rate<M: InterferenceModel + ?Sized>(
     model: &M,
     routes: Vec<Arc<RoutePath>>,
     lambda: f64,
-) -> Result<dps_core::injection::stochastic::StochasticInjector, ScenarioError> {
-    let mut last_err = None;
-    for base in [0.01, 0.001, 0.0001] {
-        match uniform_generators(routes.clone(), base)
-            .and_then(|inj| inj.scaled_to_rate(model, lambda))
-        {
-            Ok(injector) => return Ok(injector),
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(last_err.expect("at least one attempt").into())
+) -> Result<StochasticInjector, ScenarioError> {
+    Ok(uniform_generators(routes, 0.01)?.scaled_to_rate(model, lambda)?)
 }
 
 /// Wraps an injector and records its trace into a [`WindowValidator`], so
@@ -152,6 +143,7 @@ mod tests {
     use super::*;
     use crate::spec::SubstrateConfig;
     use crate::substrate::SubstrateSpec;
+    use dps_core::error::ModelError;
     use dps_core::rng::split_stream;
 
     #[test]
@@ -189,6 +181,25 @@ mod tests {
         let injector =
             stochastic_at_rate(&*substrate.model, substrate.routes.clone(), 0.7).unwrap();
         assert!((injector.rate(&*substrate.model) - 0.7).abs() < 1e-9);
+    }
+
+    #[test]
+    fn stochastic_rejects_infeasible_rate_with_a_typed_error() {
+        let substrate = SubstrateConfig::RingRouting { nodes: 4, hops: 1 }
+            .build()
+            .unwrap();
+        // Identity interference: rate 1.5 needs per-generator
+        // probability 1.5.
+        let err = stochastic_at_rate(&*substrate.model, substrate.routes.clone(), 1.5).unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::Model(ModelError::InvalidProbability(_))),
+            "{err:?}"
+        );
+        let err = stochastic_at_rate(&*substrate.model, substrate.routes.clone(), 0.0).unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::Model(ModelError::InvalidRate(_))),
+            "{err:?}"
+        );
     }
 
     #[test]

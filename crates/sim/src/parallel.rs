@@ -147,6 +147,7 @@ mod tests {
     use dps_core::dynamic::{DynamicProtocol, FrameConfig};
     use dps_core::feasibility::PerLinkFeasibility;
     use dps_core::ids::LinkId;
+    use dps_core::injection::batch::BatchStochasticInjector;
     use dps_core::injection::stochastic::uniform_generators;
     use dps_core::path::RoutePath;
     use dps_core::staticsched::greedy::GreedyPerLink;
@@ -160,11 +161,11 @@ mod tests {
         DynamicProtocol::new(GreedyPerLink::new(), config.clone(), 3)
     }
 
-    fn make_injector() -> dps_core::injection::stochastic::StochasticInjector {
+    fn make_injector() -> BatchStochasticInjector {
         let routes: Vec<_> = (0..3u32)
             .map(|l| RoutePath::single_hop(LinkId(l)).shared())
             .collect();
-        uniform_generators(routes, 0.4).unwrap()
+        BatchStochasticInjector::from(uniform_generators(routes, 0.4).unwrap())
     }
 
     #[test]

@@ -499,6 +499,7 @@ mod tests {
     use dps_core::dynamic::{DynamicProtocol, FrameConfig};
     use dps_core::feasibility::PerLinkFeasibility;
     use dps_core::ids::LinkId;
+    use dps_core::injection::batch::BatchStochasticInjector;
     use dps_core::injection::stochastic::uniform_generators;
     use dps_core::path::RoutePath;
     use dps_core::staticsched::greedy::GreedyPerLink;
@@ -507,7 +508,7 @@ mod tests {
         lambda: f64,
     ) -> (
         DynamicProtocol<GreedyPerLink>,
-        dps_core::injection::stochastic::StochasticInjector,
+        BatchStochasticInjector,
         PerLinkFeasibility,
     ) {
         let num_links = 3;
@@ -516,7 +517,7 @@ mod tests {
         let routes: Vec<_> = (0..num_links as u32)
             .map(|l| RoutePath::single_hop(LinkId(l)).shared())
             .collect();
-        let injector = uniform_generators(routes, lambda).unwrap();
+        let injector = BatchStochasticInjector::from(uniform_generators(routes, lambda).unwrap());
         (protocol, injector, PerLinkFeasibility::new(num_links))
     }
 
@@ -695,31 +696,12 @@ mod tests {
         assert_eq!(a.slots, b.slots);
     }
 
-    fn sparse_setup(
-        lambda: f64,
-    ) -> (
-        DynamicProtocol<GreedyPerLink>,
-        dps_core::injection::batch::BatchStochasticInjector,
-        PerLinkFeasibility,
-    ) {
-        let num_links = 3;
-        let config = FrameConfig::tuned(&GreedyPerLink::new(), num_links, 0.9).unwrap();
-        let protocol = DynamicProtocol::new(GreedyPerLink::new(), config, num_links);
-        let routes: Vec<_> = (0..num_links as u32)
-            .map(|l| RoutePath::single_hop(LinkId(l)).shared())
-            .collect();
-        let injector = dps_core::injection::batch::BatchStochasticInjector::new(
-            uniform_generators(routes, lambda).unwrap(),
-        );
-        (protocol, injector, PerLinkFeasibility::new(num_links))
-    }
-
     #[test]
     fn event_path_matches_slot_path_on_sparse_traffic() {
         let cfg = SimulationConfig::new(50_000, 9).with_sample_every(1000);
-        let (mut p1, mut i1, phy) = sparse_setup(0.0004);
+        let (mut p1, mut i1, phy) = setup(0.0004);
         let fast = run_simulation(&mut p1, &mut i1, &phy, cfg.with_events(true));
-        let (mut p2, mut i2, phy2) = sparse_setup(0.0004);
+        let (mut p2, mut i2, phy2) = setup(0.0004);
         let slow = run_simulation(&mut p2, &mut i2, &phy2, cfg.with_events(false));
         assert_reports_equal(&fast, &slow);
         assert_eq!(slow.idle_slots_skipped, 0);
@@ -736,22 +718,37 @@ mod tests {
         // Dense traffic never skips, but the event machinery must still
         // agree with the reference loop bit for bit.
         let cfg = SimulationConfig::new(8_000, 10);
-        let (mut p1, mut i1, phy) = sparse_setup(0.5);
+        let (mut p1, mut i1, phy) = setup(0.5);
         let fast = run_simulation(&mut p1, &mut i1, &phy, cfg.with_events(true));
-        let (mut p2, mut i2, phy2) = sparse_setup(0.5);
+        let (mut p2, mut i2, phy2) = setup(0.5);
         let slow = run_simulation(&mut p2, &mut i2, &phy2, cfg.with_events(false));
         assert_reports_equal(&fast, &slow);
         assert!(fast.injected > 0);
     }
 
+    /// An injector that forwards only the slot method, so it keeps the
+    /// trait's hint default (`None`).
+    struct Hintless(BatchStochasticInjector);
+
+    impl Injector for Hintless {
+        fn inject_into(
+            &mut self,
+            slot: u64,
+            rng: &mut dyn rand::RngCore,
+            out: &mut Vec<std::sync::Arc<RoutePath>>,
+        ) {
+            self.0.inject_into(slot, rng, out);
+        }
+    }
+
     #[test]
     fn hintless_injector_keeps_per_slot_stepping() {
-        // The plain `StochasticInjector` exposes no calendar hint, so the
-        // fast path must never engage even with events enabled.
-        let (mut protocol, mut injector, phy) = setup(0.001);
+        // An injector without a calendar hint must never engage the fast
+        // path, even with events enabled.
+        let (mut protocol, injector, phy) = setup(0.001);
         let report = run_simulation(
             &mut protocol,
-            &mut injector,
+            &mut Hintless(injector),
             &phy,
             SimulationConfig::new(5_000, 13),
         );
@@ -761,7 +758,7 @@ mod tests {
     #[test]
     fn traced_event_run_expands_to_the_per_slot_trace() {
         let cfg = SimulationConfig::new(20_000, 21).with_sample_every(500);
-        let (mut p1, mut i1, phy) = sparse_setup(0.0005);
+        let (mut p1, mut i1, phy) = setup(0.0005);
         let mut fast_trace = crate::trace::TraceRecorder::new(cfg.slots as usize);
         let fast = super::run_simulation_traced(
             &mut p1,
@@ -770,7 +767,7 @@ mod tests {
             cfg.with_events(true),
             &mut fast_trace,
         );
-        let (mut p2, mut i2, phy2) = sparse_setup(0.0005);
+        let (mut p2, mut i2, phy2) = setup(0.0005);
         let mut slow_trace = crate::trace::TraceRecorder::new(cfg.slots as usize);
         let slow = super::run_simulation_traced(
             &mut p2,

@@ -265,6 +265,7 @@ mod tests {
     use crate::instances::star_instance;
     use crate::power::UniformPower;
     use dps_core::ids::PacketId;
+    use dps_core::injection::batch::BatchStochasticInjector;
     use dps_core::injection::stochastic::uniform_generators;
     use dps_core::injection::Injector;
     use dps_core::path::RoutePath;
@@ -285,7 +286,8 @@ mod tests {
             .chain(std::iter::once(&star.long_link))
             .map(|&l| RoutePath::single_hop(l).shared())
             .collect();
-        let mut injector = uniform_generators(routes, lambda).unwrap();
+        let mut injector =
+            BatchStochasticInjector::from(uniform_generators(routes, lambda).unwrap());
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let mut next_id = 0u64;
         let mut injected = 0u64;

@@ -75,8 +75,10 @@
 //! let mut protocol = DynamicProtocol::new(GreedyPerLink::new(), config.clone(), 8);
 //!
 //! // Stochastic injection at rate 0.5 < 1/f(m) = 1.
-//! let mut injector = dps::dps_core::injection::stochastic::uniform_generators(
-//!     setup.routes.clone(), 0.05)?.scaled_to_rate(&setup.model, 0.5)?;
+//! let mut injector = BatchStochasticInjector::from(
+//!     dps::dps_core::injection::stochastic::uniform_generators(setup.routes.clone(), 0.05)?
+//!         .scaled_to_rate(&setup.model, 0.5)?,
+//! );
 //!
 //! let report = run_simulation(
 //!     &mut protocol,

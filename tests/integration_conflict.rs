@@ -41,10 +41,12 @@ fn node_constrained_dynamic_protocol_is_stable() {
         .link_ids()
         .map(|l| RoutePath::single_hop(l).shared())
         .collect();
-    let mut injector = uniform_generators(routes, 0.001)
-        .unwrap()
-        .scaled_to_rate(&model, lambda)
-        .unwrap();
+    let mut injector = BatchStochasticInjector::from(
+        uniform_generators(routes, 0.001)
+            .unwrap()
+            .scaled_to_rate(&model, lambda)
+            .unwrap(),
+    );
     let report = run_simulation(
         &mut protocol,
         &mut injector,

@@ -39,10 +39,12 @@ fn classify<S: StaticScheduler + Clone + 'static>(
 #[test]
 fn routing_stable_below_one_unstable_above() {
     let setup = RoutingSetup::ring(8, 2).unwrap();
-    let mut low = uniform_generators(setup.routes.clone(), 0.01)
-        .unwrap()
-        .scaled_to_rate(&setup.model, 0.6)
-        .unwrap();
+    let mut low = BatchStochasticInjector::from(
+        uniform_generators(setup.routes.clone(), 0.01)
+            .unwrap()
+            .scaled_to_rate(&setup.model, 0.6)
+            .unwrap(),
+    );
     let (report, verdict) = classify(
         GreedyPerLink::new(),
         8,
@@ -60,10 +62,12 @@ fn routing_stable_below_one_unstable_above() {
         "conservation"
     );
 
-    let mut high = uniform_generators(setup.routes.clone(), 0.01)
-        .unwrap()
-        .scaled_to_rate(&setup.model, 1.5)
-        .unwrap();
+    let mut high = BatchStochasticInjector::from(
+        uniform_generators(setup.routes.clone(), 0.01)
+            .unwrap()
+            .scaled_to_rate(&setup.model, 1.5)
+            .unwrap(),
+    );
     let (_, verdict) = classify(
         GreedyPerLink::new(),
         8,
@@ -93,10 +97,12 @@ fn sinr_linear_power_protocol_is_stable_at_half_rate() {
         .link_ids()
         .map(|l| RoutePath::single_hop(l).shared())
         .collect();
-    let mut injector = uniform_generators(routes, 0.01)
-        .unwrap()
-        .scaled_to_rate(&model, lambda)
-        .unwrap();
+    let mut injector = BatchStochasticInjector::from(
+        uniform_generators(routes, 0.01)
+            .unwrap()
+            .scaled_to_rate(&model, lambda)
+            .unwrap(),
+    );
     let (report, verdict) = classify(scheduler, m, m, lambda, &mut injector, &phy, 20, 3);
     assert!(verdict.is_stable(), "{verdict:?}");
     assert!(report.delivered > 0);
@@ -113,20 +119,24 @@ fn mac_symmetric_threshold_is_between_quarter_and_one() {
         .map(|l| RoutePath::single_hop(dps_core::ids::LinkId(l)).shared())
         .collect();
 
-    let mut below = uniform_generators(routes.clone(), 0.001)
-        .unwrap()
-        .scaled_to_rate(&model, 0.6 * lambda_max)
-        .unwrap();
+    let mut below = BatchStochasticInjector::from(
+        uniform_generators(routes.clone(), 0.001)
+            .unwrap()
+            .scaled_to_rate(&model, 0.6 * lambda_max)
+            .unwrap(),
+    );
     let (_, verdict) = classify(scheduler, m, m, 0.6 * lambda_max, &mut below, &phy, 40, 4);
     assert!(verdict.is_stable(), "below threshold: {verdict:?}");
 
     // Provision at 70% of capacity: the frame length scales as
     // Θ(overhead/ε²) and Algorithm 2's tail overhead makes near-threshold
     // configurations prohibitively long to simulate.
-    let mut above = uniform_generators(routes, 0.001)
-        .unwrap()
-        .scaled_to_rate(&model, 0.8) // far above 1/e
-        .unwrap();
+    let mut above = BatchStochasticInjector::from(
+        uniform_generators(routes, 0.001)
+            .unwrap()
+            .scaled_to_rate(&model, 0.8) // far above 1/e
+            .unwrap(),
+    );
     let (_, verdict) = classify(scheduler, m, m, 0.7 * lambda_max, &mut above, &phy, 40, 5);
     assert!(!verdict.is_stable(), "above 1/e must diverge: {verdict:?}");
 }
@@ -143,10 +153,12 @@ fn star_instance_separates_global_from_local_clock() {
         .collect();
     let model = dps_core::interference::IdentityInterference::new(star.net.num_links());
     let run = |protocol: &mut dyn Protocol, seed: u64| {
-        let mut injector = uniform_generators(routes.clone(), 0.01)
-            .unwrap()
-            .scaled_to_rate(&model, 0.4)
-            .unwrap();
+        let mut injector = BatchStochasticInjector::from(
+            uniform_generators(routes.clone(), 0.01)
+                .unwrap()
+                .scaled_to_rate(&model, 0.4)
+                .unwrap(),
+        );
         run_simulation(
             protocol,
             &mut injector,
@@ -172,10 +184,12 @@ fn jammed_network_stays_stable_at_reduced_rate() {
     // it (failures are drained by clean-up phases).
     let setup = RoutingSetup::ring(4, 1).unwrap();
     let jammed = JammedFeasibility::new(setup.feasibility, 8, 2);
-    let mut injector = uniform_generators(setup.routes.clone(), 0.01)
-        .unwrap()
-        .scaled_to_rate(&setup.model, 0.4)
-        .unwrap();
+    let mut injector = BatchStochasticInjector::from(
+        uniform_generators(setup.routes.clone(), 0.01)
+            .unwrap()
+            .scaled_to_rate(&setup.model, 0.4)
+            .unwrap(),
+    );
     let (report, verdict) = classify(
         GreedyPerLink::new(),
         4,
@@ -200,10 +214,12 @@ fn lossy_network_reduces_but_keeps_stability() {
     // stable at reduced rate.
     let setup = RoutingSetup::ring(6, 1).unwrap();
     let lossy = LossyFeasibility::new(setup.feasibility, 0.2);
-    let mut injector = uniform_generators(setup.routes.clone(), 0.01)
-        .unwrap()
-        .scaled_to_rate(&setup.model, 0.5)
-        .unwrap();
+    let mut injector = BatchStochasticInjector::from(
+        uniform_generators(setup.routes.clone(), 0.01)
+            .unwrap()
+            .scaled_to_rate(&setup.model, 0.5)
+            .unwrap(),
+    );
     let (report, verdict) = classify(
         GreedyPerLink::new(),
         6,

@@ -109,8 +109,9 @@ proptest! {
         let routes: Vec<_> = (0..m as u32)
             .map(|l| dps_core::path::RoutePath::single_hop(dps_core::ids::LinkId(l)).shared())
             .collect();
-        let mut injector =
-            dps_core::injection::stochastic::uniform_generators(routes, p).unwrap();
+        let mut injector = BatchStochasticInjector::from(
+            dps_core::injection::stochastic::uniform_generators(routes, p).unwrap(),
+        );
         let model = dps_core::interference::CompleteInterference::new(m);
         let analytic = injector.rate(&model);
         let mut rng = split_stream(seed, 3);
@@ -167,11 +168,12 @@ proptest! {
             .chain(setup.routes.iter())
             .cloned()
             .collect();
-        let mut injector =
+        let mut injector = BatchStochasticInjector::from(
             dps_core::injection::stochastic::uniform_generators(routes, 0.01)
                 .unwrap()
                 .scaled_to_rate(&setup.model, lambda)
-                .unwrap();
+                .unwrap(),
+        );
         let report = run_simulation(
             &mut protocol,
             &mut injector,
