@@ -6,11 +6,15 @@
 //! simultaneous attempts at `m ∈ {64, 256, 1024}`, once through the
 //! cached fast path (`SinrFeasibility::successes`: precomputed
 //! signals/margins + gain table, `O(k²)`) and once through the naive
-//! reference (`SinrFeasibility::successes_naive`: recomputed geometry,
-//! `O(k·m)` with `sqrt`/`powf`), and writes the measured slot throughput
+//! referee (`successes_naive` from `crates/sinr/tests/support/referee.rs`:
+//! recomputed geometry, `O(k·m)` with `sqrt`/`powf`), and writes the
+//! measured slot throughput
 //! and speedup to `BENCH_sinr.json` at the workspace root (override the
 //! path with `BENCH_SINR_OUT`). CI runs this in fast mode as a perf
 //! harness smoke test; the checked-in file is the PR's baseline.
+
+#[path = "../../sinr/tests/support/referee.rs"]
+mod referee;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dps_core::feasibility::{Attempt, Feasibility};
@@ -22,6 +26,7 @@ use dps_sinr::matrix::SinrInterference;
 use dps_sinr::network::SinrNetwork;
 use dps_sinr::params::SinrParams;
 use dps_sinr::power::LinearPower;
+use referee::successes_naive;
 use std::time::{Duration, Instant};
 
 const THROUGHPUT_SIZES: [usize; 3] = [64, 256, 1024];
@@ -125,10 +130,7 @@ fn bench_slot_throughput(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("naive", m), &m, |b, _| {
-            b.iter(|| {
-                let mut rng = split_stream(10, m as u64);
-                oracle.successes_naive(&attempts, &mut rng)
-            })
+            b.iter(|| successes_naive(oracle.network(), oracle.power(), &attempts))
         });
 
         // Paired measurement for the JSON baseline.
@@ -141,7 +143,7 @@ fn bench_slot_throughput(c: &mut Criterion) {
         );
         let naive = measure_slot(
             || {
-                std::hint::black_box(oracle.successes_naive(&attempts, &mut rng));
+                std::hint::black_box(successes_naive(oracle.network(), oracle.power(), &attempts));
             },
             budget,
         );

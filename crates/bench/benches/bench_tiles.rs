@@ -118,20 +118,15 @@ fn bench_tiled_slot(c: &mut Criterion) {
         // Above DEFAULT_DENSE_GAIN_LIMIT (1024) the exact oracle runs on
         // the on-the-fly powf fallback — the path the tiles replace.
         let exact = SinrFeasibility::new(net.clone(), LinearPower::new(alpha));
-        let tiled_exact = TiledSinrFeasibility::with_budget(
-            net.clone(),
-            LinearPower::new(alpha),
-            grid,
-            0.0,
-            PANEL_BUDGET,
-        );
-        let tiled_approx = TiledSinrFeasibility::with_budget(
-            net.clone(),
-            LinearPower::new(alpha),
-            grid,
-            1e-3,
-            PANEL_BUDGET,
-        );
+        let tiled = |epsilon| {
+            TiledSinrFeasibility::with_options(
+                net.clone(),
+                LinearPower::new(alpha),
+                TileOptions::new(grid, epsilon).with_panel_budget(PANEL_BUDGET),
+            )
+        };
+        let tiled_exact = tiled(0.0);
+        let tiled_approx = tiled(1e-3);
         let attempts = slot_attempts(m);
         let mut out = Vec::new();
 

@@ -23,7 +23,6 @@ use dps_sim::runner::{run_simulation, SimulationConfig, SimulationReport};
 use dps_sim::stability::{classify_stability, StabilityVerdict};
 use std::sync::Arc;
 
-pub use dps_scenario::injector::ValidatingInjector;
 pub use dps_scenario::scenario::verdict_cell;
 pub use dps_scenario::substrate::single_hop_routes;
 

@@ -9,18 +9,21 @@
 //! * the noise-adjusted margin `p(d(ℓ))/d(ℓ)^α − β·ν`,
 //!
 //! plus — for moderate `m` — a dense `m × m` **gain table**
-//! `G[ℓ', ℓ] = p(d(ℓ'))/d(s', r)^α`, the interference `ℓ''`s sender
-//! contributes at `ℓ''s receiver. Above [`SinrCache::dense_limit`] links
-//! the table is skipped and gains are computed on the fly from the
-//! cached endpoint positions, so memory stays `O(m)` while the per-link
-//! scalars are still cached.
+//! `G[ℓ', ℓ] = p(d(ℓ'))/d(s', r)^α`, the interference the sender `s'` of
+//! `ℓ'` contributes at the receiver `r` of `ℓ`. Above
+//! [`DEFAULT_DENSE_GAIN_LIMIT`] links (or the limit given to
+//! [`SinrCache::with_dense_limit`]) the table is skipped and gains are
+//! computed on the fly from the cached endpoint positions, so memory
+//! stays `O(m)` while the per-link scalars are still cached.
 //!
 //! Every cached value is produced by the *same floating-point
 //! expression* the naive recomputation uses, so consumers — the exact
-//! oracle [`crate::feasibility::SinrFeasibility`] and the matrix
-//! constructions of [`crate::matrix`] — make bit-for-bit identical
-//! decisions with and without the cache (property-tested in
-//! `tests/prop_sinr.rs`).
+//! slot check that [`crate::feasibility::SinrFeasibility`] and
+//! [`crate::tiles::TiledSinrFeasibility`] share, the tiled near-field
+//! panels and the matrix constructions of [`crate::matrix`] — make
+//! bit-for-bit identical decisions with and without the cache, and with
+//! and without the dense table (property-tested in `tests/prop_sinr.rs`
+//! against the naive referee in `tests/support/referee.rs`).
 //!
 //! A cross distance `d(s', r) ≤ 0` (sender of one link on top of another
 //! link's receiver, as happens between consecutive links of a line
@@ -39,15 +42,11 @@ use dps_core::ids::LinkId;
 pub const DEFAULT_DENSE_GAIN_BUDGET_BYTES: usize = 8 << 20;
 
 /// Links up to which the dense pairwise gain table is materialized under
-/// the default budget (`1024` — the `8 MiB` table is exactly full at the
+/// the default budget: the largest `m` whose `m × m` `f64` table fits,
+/// `⌊√(budget/8)⌋ = 1024` (the `8 MiB` table is exactly full at the
 /// limit). Beyond it gains fall back to on-the-fly evaluation.
-pub const DEFAULT_DENSE_GAIN_LIMIT: usize = dense_limit_for_budget(DEFAULT_DENSE_GAIN_BUDGET_BYTES);
-
-/// The largest link count whose dense `m × m` gain table of `f64`s fits
-/// in `budget_bytes`: `⌊√(budget/8)⌋`.
-pub const fn dense_limit_for_budget(budget_bytes: usize) -> usize {
-    (budget_bytes / std::mem::size_of::<f64>()).isqrt()
-}
+pub const DEFAULT_DENSE_GAIN_LIMIT: usize =
+    (DEFAULT_DENSE_GAIN_BUDGET_BYTES / std::mem::size_of::<f64>()).isqrt();
 
 /// Number of sender rows the blocked slot kernel packs and accumulates
 /// per pass (see [`SinrCache::active_interference_into`]). Lanes are
@@ -71,10 +70,10 @@ pub struct SinrCache {
     /// `p(d(ℓ))/d(ℓ)^α − β·ν` per link.
     margin: Vec<f64>,
     /// Dense row-major `m × m` gain table `gains[from·m + on]`, when
-    /// `m ≤ dense_limit`. The diagonal is unused (self-gain is excluded
-    /// from every SINR sum).
+    /// `m` is within the dense limit the cache was built with. The
+    /// diagonal is `0.0` and unused (self-gain is excluded from every
+    /// SINR sum).
     gains: Option<Vec<f64>>,
-    dense_limit: usize,
     /// Per-link sender positions, for the on-the-fly fallback.
     sender: Vec<crate::geom::Point>,
     /// Per-link receiver positions, for the on-the-fly fallback.
@@ -82,22 +81,11 @@ pub struct SinrCache {
 }
 
 impl SinrCache {
-    /// Builds the cache with the default dense-table memory budget
-    /// ([`DEFAULT_DENSE_GAIN_BUDGET_BYTES`]).
+    /// Builds the cache with the default dense-table limit
+    /// ([`DEFAULT_DENSE_GAIN_LIMIT`], from
+    /// [`DEFAULT_DENSE_GAIN_BUDGET_BYTES`]).
     pub fn new<P: PowerAssignment + ?Sized>(net: &SinrNetwork, power: &P) -> Self {
         Self::with_dense_limit(net, power, DEFAULT_DENSE_GAIN_LIMIT)
-    }
-
-    /// Builds the cache under an explicit memory budget for the dense
-    /// gain table: the table is materialized only while its full `m × m`
-    /// `f64` storage fits in `budget_bytes` (`0` forces the `O(m)`-memory
-    /// on-the-fly fallback).
-    pub fn with_memory_budget<P: PowerAssignment + ?Sized>(
-        net: &SinrNetwork,
-        power: &P,
-        budget_bytes: usize,
-    ) -> Self {
-        Self::with_dense_limit(net, power, dense_limit_for_budget(budget_bytes))
     }
 
     /// Builds the cache, materializing the dense gain table only when the
@@ -143,7 +131,6 @@ impl SinrCache {
             signal,
             margin,
             gains,
-            dense_limit,
             sender,
             receiver,
         }
@@ -157,11 +144,6 @@ impl SinrCache {
     /// Whether the dense pairwise gain table was materialized.
     pub fn is_dense(&self) -> bool {
         self.gains.is_some()
-    }
-
-    /// The dense-table link limit this cache was built with.
-    pub fn dense_limit(&self) -> usize {
-        self.dense_limit
     }
 
     /// The SINR threshold `β`.
@@ -237,7 +219,8 @@ impl SinrCache {
     ///
     /// Dense path only: returns `false` (leaving `acc` untouched) when no
     /// dense gain table is materialized, and the caller falls back to the
-    /// scalar per-pair loop.
+    /// scalar per-pair loop (`exact_interference` in
+    /// [`crate::feasibility`]).
     ///
     /// Structure: sender gain rows are contiguous (`gains[from·m ..]`),
     /// so the kernel packs `KERNEL_LANES` (4) rows at a time — gathering
@@ -338,9 +321,10 @@ impl SinrCache {
 }
 
 /// The one gain expression shared by the dense table, the on-the-fly
-/// fallback, the tiled near-field panels ([`crate::tiles`]) and the
-/// naive reference oracle: same operations, same rounding, bit-for-bit
-/// interchangeable.
+/// fallback and the tiled near-field panels ([`crate::tiles`]), and
+/// spelled out the same way by the naive referee of
+/// `tests/support/referee.rs`: same operations, same rounding,
+/// bit-for-bit interchangeable.
 #[inline]
 pub(crate) fn raw_gain(
     sender: &[crate::geom::Point],
@@ -442,43 +426,33 @@ mod tests {
 
     #[test]
     fn budget_limits_are_isqrt_of_table_cells() {
-        assert_eq!(dense_limit_for_budget(0), 0);
-        assert_eq!(dense_limit_for_budget(7), 0);
-        assert_eq!(dense_limit_for_budget(8), 1);
-        assert_eq!(dense_limit_for_budget(4 * 4 * 8), 4);
-        assert_eq!(dense_limit_for_budget(4 * 4 * 8 + 7), 4);
-        assert_eq!(dense_limit_for_budget(5 * 5 * 8 - 1), 4);
-        assert_eq!(dense_limit_for_budget(5 * 5 * 8), 5);
-        // The default budget reproduces the historical 1024-link cap.
+        // The default limit is the largest m whose m×m f64 table fits
+        // the default budget, which reproduces the historical cap.
+        let cells = |m: usize| m * m * std::mem::size_of::<f64>();
         assert_eq!(DEFAULT_DENSE_GAIN_LIMIT, 1024);
-        assert_eq!(
-            dense_limit_for_budget(DEFAULT_DENSE_GAIN_BUDGET_BYTES),
-            1024
-        );
+        assert!(cells(DEFAULT_DENSE_GAIN_LIMIT) <= DEFAULT_DENSE_GAIN_BUDGET_BYTES);
+        assert!(cells(DEFAULT_DENSE_GAIN_LIMIT + 1) > DEFAULT_DENSE_GAIN_BUDGET_BYTES);
     }
 
     #[test]
-    fn memory_budget_controls_the_dense_fallback_boundary() {
+    fn dense_limit_controls_the_fallback_boundary() {
         let mut rng = ChaCha12Rng::seed_from_u64(17);
         let params = SinrParams::default_noiseless();
         let m = 6;
         let net = random_instance(m, 30.0, 1.0, 2.0, params, &mut rng);
         let power = UniformPower::unit();
-        let table_bytes = m * m * std::mem::size_of::<f64>();
-        // Exactly enough for the m×m table: dense.
-        let dense = SinrCache::with_memory_budget(&net, &power, table_bytes);
+        // A limit of exactly m links: dense.
+        let dense = SinrCache::with_dense_limit(&net, &power, m);
         assert!(dense.is_dense());
-        assert_eq!(dense.dense_limit(), m);
-        // One byte short: the fallback path, same verdicts bitwise.
-        let lazy = SinrCache::with_memory_budget(&net, &power, table_bytes - 1);
+        // One link short: the fallback path, same affectances bitwise.
+        let lazy = SinrCache::with_dense_limit(&net, &power, m - 1);
         assert!(!lazy.is_dense());
-        assert!(lazy.dense_limit() < m);
         for from in net.network().link_ids() {
             for on in net.network().link_ids() {
                 assert_eq!(
                     dense.affectance(from, on).to_bits(),
                     lazy.affectance(from, on).to_bits(),
-                    "affectance({from}, {on}) across the budget boundary"
+                    "affectance({from}, {on}) across the dense boundary"
                 );
             }
         }
@@ -500,13 +474,7 @@ mod tests {
         let mut scratch = Vec::new();
         assert!(cache.active_interference_into(&active, &mut acc, &mut scratch));
         for (i, &(on, _)) in active.iter().enumerate() {
-            let mut scalar = 0.0f64;
-            for &(from, count) in &active {
-                if from == on {
-                    continue;
-                }
-                scalar += count as f64 * cache.gain(LinkId(from), LinkId(on));
-            }
+            let scalar = crate::feasibility::exact_interference(&cache, &active, on);
             assert_eq!(
                 acc[i].to_bits(),
                 scalar.to_bits(),

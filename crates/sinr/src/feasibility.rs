@@ -8,10 +8,14 @@
 //! implementation therefore judges a slot from a [`SinrCache`] — cached
 //! signals, margins and pairwise gains, no `sqrt`/`powf` — and iterates
 //! only the `k` *attempted* links (`O(k²)` per slot) instead of scanning
-//! all `m` links per attempt (`O(k·m)` with transcendentals, as the
-//! reference implementation [`SinrFeasibility::successes_naive`] still
-//! does). The two paths make bit-for-bit identical decisions; the
-//! equivalence is property-tested in `tests/prop_sinr.rs`.
+//! all `m` links per attempt (`O(k·m)` with transcendentals, as the naive
+//! referee in `tests/support/referee.rs` does). The two make bit-for-bit
+//! identical decisions; the equivalence is property-tested in
+//! `tests/prop_sinr.rs`.
+//!
+//! The slot check itself is one crate-internal function, shared with the
+//! tiled oracle ([`crate::tiles::TiledSinrFeasibility`]), which hands it
+//! every slot of an index that far-qualifies no tile pair.
 
 use crate::cache::SinrCache;
 use crate::network::SinrNetwork;
@@ -44,20 +48,6 @@ impl<P: PowerAssignment> SinrFeasibility<P> {
         SinrFeasibility { net, power, cache }
     }
 
-    /// Creates the oracle with an explicit dense-gain-table limit
-    /// (`0` forces the `O(m)`-memory on-the-fly gain fallback).
-    pub fn with_dense_limit(net: SinrNetwork, power: P, dense_limit: usize) -> Self {
-        let cache = Arc::new(SinrCache::with_dense_limit(&net, &power, dense_limit));
-        SinrFeasibility { net, power, cache }
-    }
-
-    /// Creates the oracle with an explicit memory budget for the dense
-    /// gain table (see [`SinrCache::with_memory_budget`]).
-    pub fn with_memory_budget(net: SinrNetwork, power: P, budget_bytes: usize) -> Self {
-        let cache = Arc::new(SinrCache::with_memory_budget(&net, &power, budget_bytes));
-        SinrFeasibility { net, power, cache }
-    }
-
     /// Creates the oracle around an already-built shared cache, instead
     /// of deriving its own — the substrate-sharing path: one
     /// [`SinrCache`] per topology serves this oracle and the
@@ -79,6 +69,11 @@ impl<P: PowerAssignment> SinrFeasibility<P> {
     /// The network the oracle judges.
     pub fn network(&self) -> &SinrNetwork {
         &self.net
+    }
+
+    /// The power assignment the oracle judges under.
+    pub fn power(&self) -> &P {
+        &self.power
     }
 
     /// The precomputed geometry cache the fast path judges from.
@@ -106,53 +101,6 @@ impl<P: PowerAssignment> SinrFeasibility<P> {
             .collect();
         let mut rng = rand::rngs::mock::StepRng::new(0, 1);
         self.successes(&attempts, &mut rng).into_iter().all(|ok| ok)
-    }
-
-    /// The reference implementation: recomputes every distance and
-    /// path-loss term from scratch and scans all `m` links per attempt.
-    ///
-    /// Kept as the ground truth for the cached-vs-naive equivalence
-    /// proptest and as the pre-optimization baseline in `bench_sinr`.
-    /// Interference contributions accumulate as `count · (p/d^α)` — the
-    /// same association as the cached path — in link-index order. (The
-    /// pre-cache oracle associated this as `(count · p)/d^α`, which can
-    /// differ by an ulp for `count ≥ 3`; the equivalence guarantee is
-    /// between the two current paths, whose expressions are identical.)
-    pub fn successes_naive(&self, attempts: &[Attempt], _rng: &mut dyn RngCore) -> Vec<bool> {
-        let params = *self.net.params();
-        // Count transmissions per link: two packets on one link collide at
-        // the shared transmitter regardless of SINR.
-        let mut mult = vec![0u32; self.net.num_links()];
-        for a in attempts {
-            mult[a.link.index()] += 1;
-        }
-        attempts
-            .iter()
-            .map(|a| {
-                if mult[a.link.index()] != 1 {
-                    return false;
-                }
-                let own = self.net.sender_pos(a.link);
-                let len = own.distance(&self.net.receiver_pos(a.link));
-                let signal = self.power.power(len) / len.powf(params.alpha);
-                let mut interference = 0.0;
-                for (other_idx, &count) in mult.iter().enumerate() {
-                    if count == 0 || other_idx == a.link.index() {
-                        continue;
-                    }
-                    let other = dps_core::ids::LinkId(other_idx as u32);
-                    let other_sender = self.net.sender_pos(other);
-                    let other_len = other_sender.distance(&self.net.receiver_pos(other));
-                    let d = other_sender.distance(&self.net.receiver_pos(a.link));
-                    if d <= 0.0 {
-                        return false;
-                    }
-                    interference +=
-                        count as f64 * (self.power.power(other_len) / d.powf(params.alpha));
-                }
-                signal >= params.beta * (interference + params.noise)
-            })
-            .collect()
     }
 }
 
@@ -210,9 +158,9 @@ pub(crate) fn dedup_attempts(attempts: &[Attempt], active: &mut Vec<(u32, u32)>)
     active.truncate(write + 1);
 }
 
-/// Per-thread slot scratch: distinct links with multiplicity, the
-/// per-distinct-link verdicts, and the blocked kernel's accumulator and
-/// lane-pack buffers.
+/// Per-thread scratch of the exact slot check: distinct links with
+/// multiplicity, the per-distinct-link verdicts, and the blocked
+/// kernel's accumulator and lane-pack buffers.
 struct SlotScratch {
     active: Vec<(u32, u32)>,
     verdicts: Vec<bool>,
@@ -221,8 +169,8 @@ struct SlotScratch {
 }
 
 thread_local! {
-    /// Keeps [`SinrFeasibility`] callable through `&self`/`Arc` across
-    /// threads while the slot loop stays allocation-free in steady state.
+    /// Keeps both oracles callable through `&self`/`Arc` across threads
+    /// while the exact slot check stays allocation-free in steady state.
     static SLOT_SCRATCH: RefCell<SlotScratch> = const {
         RefCell::new(SlotScratch {
             active: Vec::new(),
@@ -233,67 +181,83 @@ thread_local! {
     };
 }
 
+/// The exact accumulative SINR check of one slot: `out[i]` is whether
+/// `attempts[i]` succeeds, judged from `cache`.
+///
+/// The attempts collapse into their distinct links ([`dedup_attempts`]),
+/// and each distinct link gets one SINR evaluation, `O(k²)` overall. With
+/// a dense gain table the blocked kernel
+/// ([`SinrCache::active_interference_into`]) accumulates every receiver's
+/// interference at once; without one, [`exact_interference`] sums the
+/// on-the-fly gains per receiver. Both add the same terms in the same
+/// order, so the verdicts are the same bits either way.
+pub(crate) fn exact_successes_into(cache: &SinrCache, attempts: &[Attempt], out: &mut Vec<bool>) {
+    out.clear();
+    if attempts.is_empty() {
+        return;
+    }
+    let beta = cache.beta();
+    let noise = cache.noise();
+    SLOT_SCRATCH.with(|scratch| {
+        let SlotScratch {
+            active,
+            verdicts,
+            interference,
+            lanes,
+        } = &mut *scratch.borrow_mut();
+        dedup_attempts(attempts, active);
+        let dense = cache.active_interference_into(active, interference, lanes);
+        verdicts.clear();
+        verdicts.extend(active.iter().enumerate().map(|(i, &(on_raw, count))| {
+            // A shared transmitter collides regardless of SINR.
+            count == 1 && {
+                let sum = if dense {
+                    interference[i]
+                } else {
+                    exact_interference(cache, active, on_raw)
+                };
+                cache.signal(LinkId(on_raw)) >= beta * (sum + noise)
+            }
+        }));
+        verdicts_per_attempt(attempts, active, verdicts, out);
+    });
+}
+
+/// The interference the distinct active links (`(link, multiplicity)`,
+/// ascending) contribute at `on_raw`'s receiver, from `cache`'s gains in
+/// ascending link order, `on_raw`'s own transmission excluded. A `NaN`
+/// gain (coincident endpoints) poisons the sum and so fails the SINR
+/// comparison: zero cross distance blocks the receiver.
+pub(crate) fn exact_interference(cache: &SinrCache, active: &[(u32, u32)], on_raw: u32) -> f64 {
+    let on = LinkId(on_raw);
+    let mut interference = 0.0;
+    for &(from_raw, from_count) in active {
+        if from_raw != on_raw {
+            interference += from_count as f64 * cache.gain(LinkId(from_raw), on);
+        }
+    }
+    interference
+}
+
+/// Maps per-distinct-link verdicts (parallel to `active`) back onto the
+/// slot's attempts, in attempt order.
+pub(crate) fn verdicts_per_attempt(
+    attempts: &[Attempt],
+    active: &[(u32, u32)],
+    verdicts: &[bool],
+    out: &mut Vec<bool>,
+) {
+    out.extend(attempts.iter().map(|a| {
+        let slot = active
+            .binary_search_by_key(&a.link.0, |&(link, _)| link)
+            .expect("every attempted link is in the active list");
+        verdicts[slot]
+    }));
+}
+
 impl<P: PowerAssignment> Feasibility for SinrFeasibility<P> {
     fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, _rng: &mut dyn RngCore) {
-        out.clear();
-        if attempts.is_empty() {
-            return;
-        }
-        let beta = self.cache.beta();
-        let noise = self.cache.noise();
-        SLOT_SCRATCH.with(|scratch| {
-            let SlotScratch {
-                active,
-                verdicts,
-                interference,
-                lanes,
-            } = &mut *scratch.borrow_mut();
-            dedup_attempts(attempts, active);
-            // One SINR evaluation per distinct receiver: O(k²) overall.
-            verdicts.clear();
-            if self
-                .cache
-                .active_interference_into(active, interference, lanes)
-            {
-                // Dense path: the blocked kernel produced every
-                // receiver's accumulated interference, bit-for-bit in the
-                // scalar order; only the comparisons remain.
-                verdicts.extend(active.iter().zip(interference.iter()).map(
-                    |(&(on_raw, count), &interference)| {
-                        // A shared transmitter collides regardless of SINR.
-                        count == 1
-                            && self.cache.signal(LinkId(on_raw)) >= beta * (interference + noise)
-                    },
-                ));
-            } else {
-                // Fallback (no dense gain table): per-pair scalar loop
-                // over on-the-fly gains.
-                verdicts.extend(active.iter().map(|&(on_raw, count)| {
-                    if count != 1 {
-                        // A shared transmitter collides regardless of SINR.
-                        return false;
-                    }
-                    let on = LinkId(on_raw);
-                    let mut interference = 0.0;
-                    for &(from_raw, from_count) in active.iter() {
-                        if from_raw == on_raw {
-                            continue;
-                        }
-                        // A NaN gain (coincident endpoints) poisons the
-                        // sum, failing the comparison — the naive "zero
-                        // cross distance blocks the receiver" rule.
-                        interference += from_count as f64 * self.cache.gain(LinkId(from_raw), on);
-                    }
-                    self.cache.signal(on) >= beta * (interference + noise)
-                }));
-            }
-            out.extend(attempts.iter().map(|a| {
-                let slot = active
-                    .binary_search_by_key(&a.link.0, |&(link, _)| link)
-                    .expect("every attempted link is in the active list");
-                verdicts[slot]
-            }));
-        });
+        exact_successes_into(&self.cache, attempts, out);
     }
 }
 

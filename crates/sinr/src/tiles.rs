@@ -60,11 +60,13 @@
 //!   identical at any thread count.
 //!
 //! **Exactness knob.** `epsilon = 0` disables far-field aggregation
-//! entirely: no tile pair qualifies as far at any level, the kernel
-//! accumulates the same terms in the same (ascending link index) order
-//! as the exact oracle's scalar path, and the verdicts are bit-for-bit
-//! identical — property-tested in `tests/prop_tiles.rs` across level
-//! and thread counts. `epsilon > 0` trades a bounded verdict
+//! entirely: no tile pair qualifies as far at any level. An index with
+//! no far pair (at `epsilon = 0`, or on geometry where nothing
+//! qualifies) has nothing for the tiled kernel to do, so the oracle
+//! hands each slot to the exact check the flat oracle runs, and the
+//! verdicts are bit-for-bit identical — property-tested in
+//! `tests/prop_tiles.rs` across level and thread counts, with and
+//! without a dense gain table. `epsilon > 0` trades a bounded verdict
 //! perturbation for `O(active tiles at the coarsest qualifying level)`
 //! far-field work.
 //!
@@ -143,8 +145,7 @@ pub struct TileOptions {
 
 impl TileOptions {
     /// Flat single-level options at the given resolution and epsilon,
-    /// with the default panel budget and fixed panels — the historical
-    /// [`TiledSinrCache::new`] configuration.
+    /// with the default panel budget and fixed panels.
     pub fn new(tiles_per_side: usize, epsilon: f64) -> Self {
         TileOptions {
             tiles_per_side,

@@ -101,25 +101,6 @@ pub struct TiledSinrCache {
 }
 
 impl TiledSinrCache {
-    /// Builds a flat (single-level, fixed-panel) index — the historical
-    /// constructor, equivalent to [`TiledSinrCache::with_options`] with
-    /// `levels = 1` and [`PanelCacheMode::Fixed`].
-    ///
-    /// # Panics
-    ///
-    /// As [`TiledSinrCache::with_options`].
-    pub fn new(
-        cache: Arc<SinrCache>,
-        tiles_per_side: usize,
-        epsilon: f64,
-        panel_budget_bytes: usize,
-    ) -> Self {
-        Self::with_options(
-            cache,
-            TileOptions::new(tiles_per_side, epsilon).with_panel_budget(panel_budget_bytes),
-        )
-    }
-
     /// Builds the tiled index over an already-built shared cache.
     ///
     /// `options.epsilon` is the per-slot relative error budget: a slot
@@ -127,7 +108,7 @@ impl TiledSinrCache {
     /// interference perturbed by at most `epsilon · margin(receiver)`,
     /// no matter which hierarchy level each far charge lands on.
     /// `epsilon = 0` disables far-field aggregation entirely (the tiled
-    /// kernel is then bit-for-bit the exact oracle).
+    /// oracle then runs the exact oracle's slot check).
     ///
     /// # Panics
     ///
@@ -437,30 +418,30 @@ impl TiledSinrCache {
                 fill_panel_row(&self.cache, s_links, r_links[row], out)
             })
     }
+}
 
-    /// The gain `p(d(from))/d(s_from, r_on)^α`, served from the pair's
-    /// panel when one is resident and recomputed on the fly otherwise —
-    /// bit-for-bit [`SinrCache::gain`] either way. The value for
-    /// `from == on` is unspecified; SINR sums never include it.
-    #[inline]
-    pub fn gain(&self, from: LinkId, on: LinkId) -> f64 {
-        let s = self.sender_tile[from.index()];
-        let r = self.receiver_tile[on.index()];
-        let s_count =
-            (self.senders_start[s as usize + 1] - self.senders_start[s as usize]) as usize;
-        let row = self.receiver_rank[on.index()] as usize;
-        let index = row * s_count + self.sender_rank[from.index()] as usize;
-        match self.panels.probe((s, r), row, index) {
-            Some(gain) => gain,
-            None => raw_gain(
-                self.cache.sender_positions(),
-                self.cache.receiver_positions(),
-                self.cache.tx_powers(),
-                self.cache.alpha(),
-                from.index(),
-                on.index(),
-            ),
-        }
+#[cfg(test)]
+impl TiledSinrCache {
+    /// Calls `visit(from, on, gain)` for every filled cell of every
+    /// resident panel: the fixed arena's whole blocks, the adaptive
+    /// store's filled rows. Returns the number of cells visited.
+    pub(crate) fn for_each_panel_gain(&self, mut visit: impl FnMut(LinkId, LinkId, f64)) -> usize {
+        let span = |start: &[u32], tile: u32| {
+            start[tile as usize] as usize..start[tile as usize + 1] as usize
+        };
+        let mut cells = 0;
+        self.panels.for_each_resident(|(s, r), data, filled| {
+            let s_links = &self.senders_links[span(&self.senders_start, s)];
+            let r_links = &self.receivers_links[span(&self.receivers_start, r)];
+            for (row, &on) in r_links.iter().enumerate().filter(|&(row, _)| filled(row)) {
+                let gains = &data[row * s_links.len()..][..s_links.len()];
+                for (&from, &gain) in s_links.iter().zip(gains) {
+                    visit(LinkId(from), LinkId(on), gain);
+                    cells += 1;
+                }
+            }
+        });
+        cells
     }
 }
 

@@ -9,7 +9,10 @@ use std::sync::Arc;
 use super::index::TiledSinrCache;
 use super::panels::PanelRef;
 use crate::cache::SinrCache;
-use crate::feasibility::{assert_cache_pairing, dedup_attempts};
+use crate::feasibility::{
+    assert_cache_pairing, dedup_attempts, exact_interference, exact_successes_into,
+    verdicts_per_attempt,
+};
 use crate::network::SinrNetwork;
 use crate::power::PowerAssignment;
 use dps_core::feasibility::{Attempt, Feasibility};
@@ -77,10 +80,11 @@ enum PlanTerm {
     Near { group: u32, panel: PanelRef },
 }
 
-/// Per-thread slot scratch for the tiled oracle: distinct links with
-/// multiplicity, per-distinct-link verdicts, the per-slot tile grouping
-/// and hierarchy bookkeeping (all sized by the *active* set, never by
-/// the tile count — sparse slots stay cheap).
+/// Per-thread slot scratch for the tiled far-field path: distinct links
+/// with multiplicity, per-distinct-link verdicts, the per-slot tile
+/// grouping and hierarchy bookkeeping (all sized by the *active* set,
+/// never by the tile count — sparse slots stay cheap).
+#[derive(Default)]
 struct TiledSlotScratch {
     active: Vec<(u32, u32)>,
     verdicts: Vec<bool>,
@@ -90,26 +94,14 @@ struct TiledSlotScratch {
     plans: SlotPlans,
     stack: Vec<(u8, u32)>,
     receivers: Vec<(u32, u32)>,
-    interference: Vec<f64>,
-    lanes: Vec<f64>,
 }
 
 thread_local! {
     /// Keeps [`TiledSinrFeasibility`] callable through `&self`/`Arc`
     /// across threads while the slot loop stays allocation-free in
     /// steady state.
-    static TILED_SLOT_SCRATCH: RefCell<TiledSlotScratch> = RefCell::new(TiledSlotScratch {
-        active: Vec::new(),
-        verdicts: Vec::new(),
-        groups: TileGroups::default(),
-        coarse: Vec::new(),
-        pairs: Vec::new(),
-        plans: SlotPlans::default(),
-        stack: Vec::new(),
-        receivers: Vec::new(),
-        interference: Vec::new(),
-        lanes: Vec::new(),
-    });
+    static TILED_SLOT_SCRATCH: RefCell<TiledSlotScratch> =
+        RefCell::new(TiledSlotScratch::default());
 }
 
 /// The tiled accumulative SINR oracle: near-field terms exactly (from
@@ -121,8 +113,11 @@ thread_local! {
 /// receiver's accumulation order is independent of the split, so
 /// verdicts are bit-for-bit identical at any thread count.
 ///
-/// At `epsilon = 0` this is bit-for-bit [`SinrFeasibility`]'s fallback
-/// scalar path (property-tested in `tests/prop_tiles.rs`).
+/// An index that far-qualifies no tile pair (always the case at
+/// `epsilon = 0`) has nothing to aggregate: the oracle then hands every
+/// slot to the exact check [`SinrFeasibility`] runs, dense blocked
+/// kernel included, so its verdicts are that oracle's bits
+/// (property-tested in `tests/prop_tiles.rs`).
 ///
 /// [`SinrFeasibility`]: crate::feasibility::SinrFeasibility
 #[derive(Clone, Debug)]
@@ -142,22 +137,6 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
     /// [`super::DEFAULT_PANEL_BUDGET_BYTES`].
     pub fn new(net: SinrNetwork, power: P, tiles_per_side: usize, epsilon: f64) -> Self {
         Self::with_options(net, power, super::TileOptions::new(tiles_per_side, epsilon))
-    }
-
-    /// Creates the flat tiled oracle with an explicit panel byte budget
-    /// (`0` forces every gain onto the on-the-fly path).
-    pub fn with_budget(
-        net: SinrNetwork,
-        power: P,
-        tiles_per_side: usize,
-        epsilon: f64,
-        panel_budget_bytes: usize,
-    ) -> Self {
-        Self::with_options(
-            net,
-            power,
-            super::TileOptions::new(tiles_per_side, epsilon).with_panel_budget(panel_budget_bytes),
-        )
     }
 
     /// Creates the tiled oracle from full [`super::TileOptions`] —
@@ -238,51 +217,45 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
     /// surface: `tests/prop_tiles.rs` pins `|I_tiled − I_exact| ≤
     /// ε·margin` against the naive oracle's sums.
     pub fn slot_interference(&self, attempts: &[Attempt]) -> Vec<(LinkId, f64)> {
-        let mut active: Vec<(u32, u32)> = Vec::new();
-        dedup_attempts(attempts, &mut active);
-        let mut groups = TileGroups::default();
-        let mut coarse = Vec::new();
-        let mut pairs = Vec::new();
-        let mut plans = SlotPlans::default();
-        let mut stack = Vec::new();
-        let mut receivers = Vec::new();
-        self.group_active_by_tile(&active, &mut groups);
-        if !groups.touched.is_empty() {
-            self.build_coarse(&groups, &mut coarse, &mut pairs);
-            self.build_plans(
-                &active,
-                &groups,
-                &coarse,
-                &mut plans,
-                &mut stack,
-                &mut receivers,
-            );
+        let TiledSlotScratch {
+            active,
+            groups,
+            coarse,
+            pairs,
+            plans,
+            stack,
+            receivers,
+            ..
+        } = &mut TiledSlotScratch::default();
+        dedup_attempts(attempts, active);
+        let far = self.tiles.far_pairs() > 0;
+        if far {
+            self.group_active_by_tile(active, groups);
+            self.build_coarse(groups, coarse, pairs);
+            self.build_plans(active, groups, coarse, plans, stack, receivers);
         }
+        let cache = self.tiles.cache();
         active
             .iter()
             .map(|&(on_raw, _)| {
-                (
-                    LinkId(on_raw),
-                    interference_with_plans(&self.tiles, on_raw, &active, &groups, &coarse, &plans),
-                )
+                let sum = if far {
+                    interference_with_plans(&self.tiles, on_raw, groups, coarse, plans)
+                } else {
+                    exact_interference(cache, active, on_raw)
+                };
+                (LinkId(on_raw), sum)
             })
             .collect()
     }
 
     /// Buckets the active list by sender leaf tile: entries sorted by
     /// `(tile, link)`, touched tiles ascending with group extents and
-    /// summed transmission weights `W_S = Σ count·p`. Skipped entirely
-    /// when nothing is far-qualified at any level — the slot kernel
-    /// then runs the plain (exact) scalar loop and never reads the
-    /// grouping.
+    /// summed transmission weights `W_S = Σ count·p`.
     fn group_active_by_tile(&self, active: &[(u32, u32)], groups: &mut TileGroups) {
         groups.entries.clear();
         groups.touched.clear();
         groups.start.clear();
         groups.weight.clear();
-        if self.tiles.far_pairs() == 0 {
-            return;
-        }
         groups.entries.extend(
             active
                 .iter()
@@ -457,19 +430,15 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
     }
 }
 
-/// The tiled interference accumulated at distinct active link `on_raw`.
+/// The tiled interference accumulated at distinct active link `on_raw`
+/// of a slot whose index far-qualifies some tile pair.
 ///
-/// With no far-qualified tile pairs (`ε = 0`, or geometry that never
-/// qualifies) this is the exact oracle's scalar loop — ascending
-/// link order over the shared cache's gains, bit-for-bit.
-///
-/// Otherwise the kernel replays its receiver tile's walk plan in
-/// DFS term order: a far term contributes one aggregated subtree
-/// term `W / d(center, r)^α` (with `on`'s own power removed when
-/// its sender tile lies under the charged subtree), a near term
-/// streams its leaf group's active senders through the tile-pair
-/// panel row (contiguous reads) or on-the-fly gains when the pair
-/// is un-panelled.
+/// The kernel replays its receiver tile's walk plan in DFS term
+/// order: a far term contributes one aggregated subtree term
+/// `W / d(center, r)^α` (with `on`'s own power removed when its sender
+/// tile lies under the charged subtree), a near term streams its leaf
+/// group's active senders through the tile-pair panel row (contiguous
+/// reads) or on-the-fly gains when the pair is un-panelled.
 ///
 /// A free function over the (fully `Sync`) tiled index rather than a
 /// method, so the parallel verdict closure never captures the oracle's
@@ -478,111 +447,93 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
 fn interference_with_plans(
     tiles: &TiledSinrCache,
     on_raw: u32,
-    active: &[(u32, u32)],
     groups: &TileGroups,
     coarse: &[SlotCoarse],
     plans: &SlotPlans,
 ) -> f64 {
-    {
-        let cache = &*tiles.cache;
-        let on = LinkId(on_raw);
-        let mut interference = 0.0;
-        if groups.touched.is_empty() {
-            for &(from_raw, from_count) in active {
-                if from_raw == on_raw {
-                    continue;
+    let cache = &*tiles.cache;
+    let on = LinkId(on_raw);
+    let mut interference = 0.0;
+    let g0 = tiles.grid.tiles_per_side();
+    let r_leaf = tiles.receiver_tile[on_raw as usize];
+    let r_rank = tiles.receiver_rank[on_raw as usize] as usize;
+    let plan = plans
+        .keys
+        .binary_search(&r_leaf)
+        .expect("every active receiver tile has a plan");
+    let terms = &plans.terms[plans.term_start[plan] as usize..plans.term_start[plan + 1] as usize];
+    let alpha = cache.alpha();
+    let receiver = cache.receiver_positions()[on_raw as usize];
+    let own_leaf = tiles.sender_tile[on_raw as usize];
+    for term in terms {
+        match term {
+            PlanTerm::Far { level, idx } => {
+                // Far tiles are geometrically incapable of zero
+                // cross distances, so aggregating them never hides
+                // a NaN.
+                let l = *level as usize;
+                let idx = *idx as usize;
+                let (s_tile, mut weight) = if l == 0 {
+                    (groups.touched[idx], groups.weight[idx])
+                } else {
+                    (coarse[l - 1].tiles[idx], coarse[l - 1].weight[idx])
+                };
+                if tiles.levels[l].tile_of_leaf(own_leaf, g0) == s_tile {
+                    // The exact sum excludes `on`'s own
+                    // transmission; remove it from the aggregate.
+                    // Receivers sharing a slot with their own
+                    // multiplicity > 1 are judged failed before
+                    // interference is evaluated, so one
+                    // transmission is exact here.
+                    weight -= cache.tx_powers()[on_raw as usize];
                 }
-                // A NaN gain (coincident endpoints) poisons the sum,
-                // failing the comparison — the naive "zero cross
-                // distance blocks the receiver" rule.
-                interference += from_count as f64 * cache.gain(LinkId(from_raw), on);
+                let d = tiles.levels[l].center(s_tile).distance(&receiver);
+                interference += weight / d.powf(alpha);
             }
-            return interference;
-        }
-        let g0 = tiles.grid.tiles_per_side();
-        let r_leaf = tiles.receiver_tile[on_raw as usize];
-        let r_rank = tiles.receiver_rank[on_raw as usize] as usize;
-        let plan = plans
-            .keys
-            .binary_search(&r_leaf)
-            .expect("every active receiver tile has a plan");
-        let terms =
-            &plans.terms[plans.term_start[plan] as usize..plans.term_start[plan + 1] as usize];
-        let alpha = cache.alpha();
-        let receiver = cache.receiver_positions()[on_raw as usize];
-        let own_leaf = tiles.sender_tile[on_raw as usize];
-        for term in terms {
-            match term {
-                PlanTerm::Far { level, idx } => {
-                    // Far tiles are geometrically incapable of zero
-                    // cross distances, so aggregating them never hides
-                    // a NaN.
-                    let l = *level as usize;
-                    let idx = *idx as usize;
-                    let (s_tile, mut weight) = if l == 0 {
-                        (groups.touched[idx], groups.weight[idx])
-                    } else {
-                        (coarse[l - 1].tiles[idx], coarse[l - 1].weight[idx])
-                    };
-                    if tiles.levels[l].tile_of_leaf(own_leaf, g0) == s_tile {
-                        // The exact sum excludes `on`'s own
-                        // transmission; remove it from the aggregate.
-                        // Receivers sharing a slot with their own
-                        // multiplicity > 1 are judged failed before
-                        // interference is evaluated, so one
-                        // transmission is exact here.
-                        weight -= cache.tx_powers()[on_raw as usize];
+            PlanTerm::Near { group, panel } => {
+                let i = *group as usize;
+                let group_entries =
+                    &groups.entries[groups.start[i] as usize..groups.start[i + 1] as usize];
+                let s = groups.touched[i] as usize;
+                let row: Option<&[f64]> = match panel {
+                    PanelRef::Arena(offset) => {
+                        let super::panels::PanelStore::Fixed { arena, .. } = &tiles.panels else {
+                            unreachable!("arena refs only come from fixed stores")
+                        };
+                        let s_count =
+                            (tiles.senders_start[s + 1] - tiles.senders_start[s]) as usize;
+                        Some(&arena[offset + r_rank * s_count..][..s_count])
                     }
-                    let d = tiles.levels[l].center(s_tile).distance(&receiver);
-                    interference += weight / d.powf(alpha);
-                }
-                PlanTerm::Near { group, panel } => {
-                    let i = *group as usize;
-                    let group_entries =
-                        &groups.entries[groups.start[i] as usize..groups.start[i + 1] as usize];
-                    let s = groups.touched[i] as usize;
-                    let row: Option<&[f64]> = match panel {
-                        PanelRef::Arena(offset) => {
-                            let super::panels::PanelStore::Fixed { arena, .. } = &tiles.panels
-                            else {
-                                unreachable!("arena refs only come from fixed stores")
-                            };
-                            let s_count =
-                                (tiles.senders_start[s + 1] - tiles.senders_start[s]) as usize;
-                            Some(&arena[offset + r_rank * s_count..][..s_count])
-                        }
-                        PanelRef::Owned(data) => {
-                            let s_count =
-                                (tiles.senders_start[s + 1] - tiles.senders_start[s]) as usize;
-                            Some(&data[r_rank * s_count..][..s_count])
-                        }
-                        PanelRef::None => None,
-                    };
-                    match row {
-                        Some(row) => {
-                            for &(_, from_raw, from_count) in group_entries {
-                                if from_raw == on_raw {
-                                    continue;
-                                }
-                                interference += from_count as f64
-                                    * row[tiles.sender_rank[from_raw as usize] as usize];
+                    PanelRef::Owned(data) => {
+                        let s_count =
+                            (tiles.senders_start[s + 1] - tiles.senders_start[s]) as usize;
+                        Some(&data[r_rank * s_count..][..s_count])
+                    }
+                    PanelRef::None => None,
+                };
+                match row {
+                    Some(row) => {
+                        for &(_, from_raw, from_count) in group_entries {
+                            if from_raw == on_raw {
+                                continue;
                             }
+                            interference += from_count as f64
+                                * row[tiles.sender_rank[from_raw as usize] as usize];
                         }
-                        None => {
-                            for &(_, from_raw, from_count) in group_entries {
-                                if from_raw == on_raw {
-                                    continue;
-                                }
-                                interference +=
-                                    from_count as f64 * cache.gain(LinkId(from_raw), on);
+                    }
+                    None => {
+                        for &(_, from_raw, from_count) in group_entries {
+                            if from_raw == on_raw {
+                                continue;
                             }
+                            interference += from_count as f64 * cache.gain(LinkId(from_raw), on);
                         }
                     }
                 }
             }
         }
-        interference
     }
+    interference
 }
 
 impl<P: PowerAssignment> Feasibility for TiledSinrFeasibility<P> {
@@ -591,7 +542,13 @@ impl<P: PowerAssignment> Feasibility for TiledSinrFeasibility<P> {
         if attempts.is_empty() {
             return;
         }
+        self.tiles.walk.slots.fetch_add(1, Ordering::Relaxed);
         let cache = self.tiles.cache();
+        if self.tiles.far_pairs() == 0 {
+            // Nothing to aggregate: the exact check, same bits.
+            exact_successes_into(cache, attempts, out);
+            return;
+        }
         let beta = cache.beta();
         let noise = cache.noise();
         TILED_SLOT_SCRATCH.with(|scratch| {
@@ -604,61 +561,33 @@ impl<P: PowerAssignment> Feasibility for TiledSinrFeasibility<P> {
                 plans,
                 stack,
                 receivers,
-                interference,
-                lanes,
             } = &mut *scratch.borrow_mut();
             dedup_attempts(attempts, active);
             self.group_active_by_tile(active, groups);
-            self.tiles.walk.slots.fetch_add(1, Ordering::Relaxed);
+            self.build_coarse(groups, coarse, pairs);
+            self.build_plans(active, groups, coarse, plans, stack, receivers);
+            let tiles: &TiledSinrCache = &self.tiles;
+            let judge = |on_raw: u32, count: u32| -> bool {
+                if count != 1 {
+                    // A shared transmitter collides regardless of SINR.
+                    return false;
+                }
+                let interference = interference_with_plans(tiles, on_raw, groups, coarse, plans);
+                cache.signal(LinkId(on_raw)) >= beta * (interference + noise)
+            };
             verdicts.clear();
-            if groups.touched.is_empty()
-                && cache.active_interference_into(active, interference, lanes)
-            {
-                // No far machinery and a dense gain table: the exact
-                // oracle's blocked kernel produced every receiver's
-                // accumulated interference, bit-for-bit in the scalar
-                // order; only the comparisons remain.
-                verdicts.extend(active.iter().zip(interference.iter()).map(
-                    |(&(on_raw, count), &interference)| {
-                        // A shared transmitter collides regardless of SINR.
-                        count == 1 && cache.signal(LinkId(on_raw)) >= beta * (interference + noise)
-                    },
-                ));
+            if self.threads <= 1 {
+                verdicts.extend(active.iter().map(|&(on_raw, count)| judge(on_raw, count)));
             } else {
-                if groups.touched.is_empty() {
-                    plans.clear();
-                } else {
-                    self.build_coarse(groups, coarse, pairs);
-                    self.build_plans(active, groups, coarse, plans, stack, receivers);
-                }
-                let tiles: &TiledSinrCache = &self.tiles;
-                let judge = |on_raw: u32, count: u32| -> bool {
-                    if count != 1 {
-                        // A shared transmitter collides regardless of SINR.
-                        return false;
-                    }
-                    let interference =
-                        interference_with_plans(tiles, on_raw, active, groups, coarse, plans);
-                    cache.signal(LinkId(on_raw)) >= beta * (interference + noise)
-                };
-                if self.threads <= 1 {
-                    verdicts.extend(active.iter().map(|&(on_raw, count)| judge(on_raw, count)));
-                } else {
-                    // Every receiver's accumulation is independent and
-                    // parallel_map returns verdicts in receiver order, so
-                    // this is bit-for-bit the single-threaded loop above.
-                    verdicts.extend(parallel_map(active.len(), self.threads, |at| {
-                        let (on_raw, count) = active[at];
-                        judge(on_raw, count)
-                    }));
-                }
+                // Every receiver's accumulation is independent and
+                // parallel_map returns verdicts in receiver order, so
+                // this is bit-for-bit the single-threaded loop above.
+                verdicts.extend(parallel_map(active.len(), self.threads, |at| {
+                    let (on_raw, count) = active[at];
+                    judge(on_raw, count)
+                }));
             }
-            out.extend(attempts.iter().map(|a| {
-                let slot = active
-                    .binary_search_by_key(&a.link.0, |&(link, _)| link)
-                    .expect("every attempted link is in the active list");
-                verdicts[slot]
-            }));
+            verdicts_per_attempt(attempts, active, verdicts, out);
         });
     }
 }
@@ -673,34 +602,26 @@ impl<P: PowerAssignment> Feasibility for TiledSinrFeasibility<P> {
 /// diagonal `1`, off-diagonal `a_p(from, on)` clamped into `[0, 1]`
 /// (affectance already lands there, `NaN`s included via the clamp).
 ///
-/// When built over a tiled index ([`TiledInterference::with_tiles`])
-/// the whole-matrix measure `‖W·R‖∞` routes through the index's
+/// The whole-matrix measure `‖W·R‖∞` routes through the tiled index's
 /// far-field aggregation (the `measure` submodule's tiled walk)
 /// whenever any tile pair is far-qualified — the trait default's
-/// `O(m²)` row walk is what
-/// made megacity-scale injection-rate normalization cost hours. With
-/// no far pairs (`ε = 0` included) the measure stays the trait
-/// default, bit-for-bit.
+/// `O(m²)` row walk is what made megacity-scale injection-rate
+/// normalization cost hours. With no far pairs (`ε = 0` included) the
+/// measure stays the trait default, bit-for-bit.
 #[derive(Clone, Debug)]
 pub struct TiledInterference {
     cache: Arc<SinrCache>,
-    tiles: Option<Arc<TiledSinrCache>>,
+    tiles: Arc<TiledSinrCache>,
 }
 
 impl TiledInterference {
-    /// Wraps a shared geometry cache as an on-demand interference
-    /// model (entry-exact, trait-default measure).
-    pub fn new(cache: Arc<SinrCache>) -> Self {
-        TiledInterference { cache, tiles: None }
-    }
-
     /// Wraps a shared tiled index: entries stay the exact on-demand
     /// affectances, the measure routes through the index's far-field
     /// aggregation under its `ε·margin` error contract.
     pub fn with_tiles(tiles: Arc<TiledSinrCache>) -> Self {
         TiledInterference {
             cache: tiles.shared_cache().clone(),
-            tiles: Some(tiles),
+            tiles,
         }
     }
 
@@ -724,11 +645,12 @@ impl InterferenceModel for TiledInterference {
     }
 
     fn measure(&self, load: &LinkLoad) -> f64 {
-        match &self.tiles {
-            Some(tiles) if tiles.far_pairs() > 0 => super::measure::measure_with_tiles(tiles, load),
-            // The trait default's exact row walk, so the un-tiled (and
-            // ε = 0) paths stay bit-for-bit with every other model.
-            _ => max_row_load(self, load),
+        if self.tiles.far_pairs() > 0 {
+            super::measure::measure_with_tiles(&self.tiles, load)
+        } else {
+            // The trait default's exact row walk, so the ε = 0 path
+            // stays bit-for-bit with every other model.
+            max_row_load(self, load)
         }
     }
 }

@@ -762,7 +762,8 @@ mod tests {
             let tiles = tiled(256, 400.0, 1e-3, levels);
             let load = LinkLoad::from_links(256, (0..256u32).map(LinkId));
             let fast = measure_with_tiles(&tiles, &load);
-            let model = TiledInterference::new(tiles.cache.clone());
+            // The trait default's row walk over the exact entries.
+            let model = TiledInterference::with_tiles(tiles);
             let exact = max_row_load(&model, &load);
             let tol = 0.05 * exact + 1e-9;
             assert!(

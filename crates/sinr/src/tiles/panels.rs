@@ -308,22 +308,30 @@ impl PanelStore {
             }
         }
     }
+}
 
-    /// Reads cell `index` of receiver row `row` if the pair is resident
-    /// and the row filled (no touch, no counter traffic) — the
-    /// single-gain probe behind [`super::TiledSinrCache::gain`].
-    pub(super) fn probe(&self, key: (u32, u32), row: usize, index: usize) -> Option<f64> {
+#[cfg(test)]
+impl PanelStore {
+    /// Calls `visit(key, data, filled)` for every resident panel, in
+    /// ascending tile-pair order: `data` starts at the panel's first
+    /// cell and `filled(row)` says whether receiver row `row` holds its
+    /// gains (always, for the fixed arena).
+    pub(super) fn for_each_resident(
+        &self,
+        mut visit: impl FnMut((u32, u32), &[f64], &dyn Fn(usize) -> bool),
+    ) {
         match self {
             PanelStore::Fixed { offsets, arena, .. } => {
-                offsets.get(&key).map(|&offset| arena[offset + index])
+                for (&key, &offset) in offsets {
+                    visit(key, &arena[offset..], &|_| true);
+                }
             }
-            PanelStore::Adaptive { state, .. } => state
-                .lock()
-                .expect("panel lock")
-                .resident
-                .get(&key)
-                .filter(|slot| slot.is_filled(row))
-                .map(|slot| slot.data[index]),
+            PanelStore::Adaptive { state, .. } => {
+                let state = state.lock().expect("panel lock");
+                for (&key, slot) in &state.resident {
+                    visit(key, &slot.data, &|row| slot.is_filled(row));
+                }
+            }
         }
     }
 }

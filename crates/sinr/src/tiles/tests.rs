@@ -11,6 +11,7 @@ use crate::power::{LinearPower, UniformPower};
 use dps_core::feasibility::{Attempt, Feasibility};
 use dps_core::ids::{LinkId, PacketId};
 use dps_core::interference::InterferenceModel;
+use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use std::sync::Arc;
@@ -230,7 +231,8 @@ fn panel_budget_boundary_controls_allocation_but_not_bits() {
     let net = random_instance(16, 40.0, 1.0, 2.0, params, &mut rng_geo);
     let power = UniformPower::unit();
     let cache = Arc::new(SinrCache::with_dense_limit(&net, &power, 0));
-    let full = TiledSinrCache::new(Arc::clone(&cache), 2, 0.0, usize::MAX);
+    let budget = |bytes: usize| TileOptions::new(2, 0.0).with_panel_budget(bytes);
+    let full = TiledSinrCache::with_options(Arc::clone(&cache), budget(usize::MAX));
     // Every non-empty (S, R) pair panelled under an unlimited
     // budget; total cells = m² when every tile pair is populated
     // with all members (here Σ|S|·Σ|R| over pairs = m·m).
@@ -238,27 +240,27 @@ fn panel_budget_boundary_controls_allocation_but_not_bits() {
     // One byte below the full requirement: allocation stops at the
     // first pair that no longer fits (build work is bounded by the
     // budget, not by the tile-pair count).
-    let trimmed = TiledSinrCache::new(Arc::clone(&cache), 2, 0.0, full.panel_bytes() - 1);
+    let trimmed = TiledSinrCache::with_options(Arc::clone(&cache), budget(full.panel_bytes() - 1));
     assert!(trimmed.panel_count() < full.panel_count());
     assert!(trimmed.panel_bytes() < full.panel_bytes());
     // Zero budget: no panels at all.
-    let none = TiledSinrCache::new(Arc::clone(&cache), 2, 0.0, 0);
+    let none = TiledSinrCache::with_options(Arc::clone(&cache), budget(0));
     assert_eq!(none.panel_count(), 0);
     assert_eq!(none.panel_bytes(), 0);
-    // Budget is a speed knob only: gains agree bitwise across all
-    // three, and with the flat cache expression.
+    // Budget is a speed knob only: every resident panel cell is
+    // bitwise the flat cache expression.
     let reference = SinrCache::new(&net, &power);
-    for from in 0..16u32 {
-        for on in 0..16u32 {
-            if from == on {
-                continue;
+    for (tiles, cells) in [
+        (&full, 16 * 16),
+        (&trimmed, trimmed.panel_bytes() / 8),
+        (&none, 0),
+    ] {
+        let visited = tiles.for_each_panel_gain(|from, on, gain| {
+            if from != on {
+                assert_eq!(gain.to_bits(), reference.gain(from, on).to_bits());
             }
-            let (f, o) = (LinkId(from), LinkId(on));
-            let expect = reference.gain(f, o).to_bits();
-            assert_eq!(full.gain(f, o).to_bits(), expect);
-            assert_eq!(trimmed.gain(f, o).to_bits(), expect);
-            assert_eq!(none.gain(f, o).to_bits(), expect);
-        }
+        });
+        assert_eq!(visited, cells);
     }
 }
 
@@ -465,7 +467,10 @@ fn with_tiles_rejects_mismatched_pairing() {
     // apart.
     let net = line_instance(3, 2.0, params);
     let cache = Arc::new(SinrCache::new(&net, &UniformPower::unit()));
-    let tiles = Arc::new(TiledSinrCache::new(cache, 2, 0.0, 0));
+    let tiles = Arc::new(TiledSinrCache::with_options(
+        cache,
+        TileOptions::new(2, 0.0).with_panel_budget(0),
+    ));
     let result = std::panic::catch_unwind(|| {
         TiledSinrFeasibility::with_tiles(net.clone(), LinearPower::new(params.alpha), tiles)
     });
@@ -479,7 +484,10 @@ fn tiled_interference_matches_fixed_power_matrix_bitwise() {
     let net = random_instance(10, 30.0, 1.0, 3.0, params, &mut rng_geo);
     let power = LinearPower::new(params.alpha);
     let cache = Arc::new(SinrCache::with_dense_limit(&net, &power, 0));
-    let lazy = TiledInterference::new(Arc::clone(&cache));
+    let lazy = TiledInterference::with_tiles(Arc::new(TiledSinrCache::with_options(
+        Arc::clone(&cache),
+        TileOptions::new(2, 0.0),
+    )));
     let dense = SinrInterference::fixed_power_with_cache(&net, &cache);
     dps_core::interference::validate(&lazy).unwrap();
     for on in 0..10u32 {
@@ -540,4 +548,54 @@ fn diagnostics_count_slots_and_walk_activity() {
     );
     assert!(diag.near_terms > 0, "own-cluster groups are near: {diag:?}");
     assert!(diag.panel_hits + diag.panel_misses > 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Slots with random active subsets fill adaptive panels one
+    /// receiver row at a time, under budgets of 32 or 128 cells or none.
+    /// Afterwards every filled cell of every resident panel is bitwise
+    /// the geometry cache's gain, and with no budget (nothing evicted)
+    /// the walk meets every cell ever filled.
+    #[test]
+    fn partial_panel_cells_are_the_gain_expression(
+        seed in 0u64..200,
+        grid in 2usize..9,
+        eps_sel in 0usize..2,
+        levels in 1usize..4,
+        budget_sel in 0usize..3,
+        masks in proptest::collection::vec(1u32..0x1_0000, 4..8),
+    ) {
+        let mut rng_geo = ChaCha12Rng::seed_from_u64(seed);
+        let params = SinrParams::default_noiseless();
+        let net = random_instance(16, 80.0, 0.8, 3.0, params, &mut rng_geo);
+        let cache = Arc::new(SinrCache::new(&net, &UniformPower::unit()));
+        let budget = [32 * 8, 128 * 8, usize::MAX][budget_sel];
+        let tiles = Arc::new(TiledSinrCache::with_options(
+            Arc::clone(&cache),
+            TileOptions::new(grid, [1e-6, 1e-2][eps_sel])
+                .with_levels(levels)
+                .with_panel_mode(PanelCacheMode::Adaptive)
+                .with_panel_budget(budget),
+        ));
+        let oracle = TiledSinrFeasibility::with_tiles(net, UniformPower::unit(), Arc::clone(&tiles));
+        for mask in &masks {
+            let attempts: Vec<Attempt> = (0..16u32)
+                .filter(|l| mask & (1 << l) != 0)
+                .map(|l| attempt(l, l as u64))
+                .collect();
+            oracle.successes(&attempts, &mut rng());
+        }
+        let visited = tiles.for_each_panel_gain(|from, on, gain| {
+            if from != on {
+                assert_eq!(gain.to_bits(), cache.gain(from, on).to_bits(), "{from} on {on}");
+            }
+        });
+        let filled = tiles.panel_cells_filled() as usize;
+        prop_assert!(visited <= filled);
+        if budget == usize::MAX {
+            prop_assert_eq!(visited, filled);
+        }
+    }
 }

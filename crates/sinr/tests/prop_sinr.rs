@@ -1,26 +1,59 @@
 //! Property-based tests tying the affectance abstraction to the exact
 //! SINR oracle.
 
+#[path = "support/referee.rs"]
+mod referee;
+
 use dps_core::feasibility::{Attempt, Feasibility};
 use dps_core::ids::{LinkId, PacketId};
 use dps_core::interference::{validate, InterferenceModel};
 use dps_core::load::LinkLoad;
 use dps_sinr::affectance::{affectance, total_affectance};
+use dps_sinr::cache::{SinrCache, DEFAULT_DENSE_GAIN_LIMIT};
 use dps_sinr::feasibility::SinrFeasibility;
 use dps_sinr::instances::random_instance;
 use dps_sinr::matrix::SinrInterference;
-use dps_sinr::network::SinrNetworkBuilder;
+use dps_sinr::network::{SinrNetwork, SinrNetworkBuilder};
 use dps_sinr::params::SinrParams;
-use dps_sinr::power::{is_monotone_sublinear, LinearPower, SquareRootPower, UniformPower};
+use dps_sinr::power::{
+    is_monotone_sublinear, LinearPower, PowerAssignment, SquareRootPower, UniformPower,
+};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
+use referee::successes_naive;
+use std::sync::Arc;
 
 fn attempt(link: LinkId, id: u64) -> Attempt {
     Attempt {
         link,
         packet: PacketId(id),
     }
+}
+
+/// The exact oracle over a cache that keeps a dense gain table only up
+/// to `dense_limit` links (`0`: always the on-the-fly fallback).
+fn with_dense_limit<P: PowerAssignment>(
+    net: &SinrNetwork,
+    power: P,
+    dense_limit: usize,
+) -> SinrFeasibility<P> {
+    let cache = Arc::new(SinrCache::with_dense_limit(net, &power, dense_limit));
+    SinrFeasibility::with_cache(net.clone(), power, cache)
+}
+
+/// One slot's verdicts from the exact oracle under `dense_limit`, and
+/// from the naive referee.
+fn fast_and_naive<P: PowerAssignment>(
+    net: &SinrNetwork,
+    power: P,
+    dense_limit: usize,
+    attempts: &[Attempt],
+) -> (Vec<bool>, Vec<bool>) {
+    let naive = successes_naive(net, &power, attempts);
+    let oracle = with_dense_limit(net, power, dense_limit);
+    let fast = oracle.successes(attempts, &mut ChaCha12Rng::seed_from_u64(1));
+    (fast, naive)
 }
 
 proptest! {
@@ -154,34 +187,16 @@ proptest! {
         if subset_bits & (1 << (dup_link % 8)) != 0 {
             attempts.push(attempt(LinkId(dup_link % 8), 99));
         }
-        let srng = ChaCha12Rng::seed_from_u64(1);
         for power_sel in 0..2 {
-            let run = |dense_limit: Option<usize>| -> (Vec<bool>, Vec<bool>) {
-                macro_rules! with_power {
-                    ($p:expr) => {{
-                        let oracle = match dense_limit {
-                            Some(limit) => SinrFeasibility::with_dense_limit(
-                                net.clone(), $p, limit),
-                            None => SinrFeasibility::new(net.clone(), $p),
-                        };
-                        (
-                            oracle.successes(&attempts, &mut srng.clone()),
-                            oracle.successes_naive(&attempts, &mut srng.clone()),
-                        )
-                    }};
-                }
-                if power_sel == 0 {
-                    with_power!(UniformPower::unit())
+            // Dense gain table, then the on-the-fly fallback.
+            for (path, limit) in [("dense", DEFAULT_DENSE_GAIN_LIMIT), ("fallback", 0)] {
+                let (fast, naive) = if power_sel == 0 {
+                    fast_and_naive(&net, UniformPower::unit(), limit, &attempts)
                 } else {
-                    with_power!(LinearPower::new(params.alpha))
-                }
-            };
-            // Dense gain table…
-            let (fast, naive) = run(None);
-            prop_assert_eq!(&fast, &naive, "dense path diverged (power {})", power_sel);
-            // …and the on-the-fly fallback.
-            let (fast, naive) = run(Some(0));
-            prop_assert_eq!(&fast, &naive, "fallback path diverged (power {})", power_sel);
+                    fast_and_naive(&net, LinearPower::new(params.alpha), limit, &attempts)
+                };
+                prop_assert_eq!(&fast, &naive, "{} path diverged (power {})", path, power_sel);
+            }
         }
     }
 
@@ -198,7 +213,7 @@ proptest! {
             .collect();
         let mut srng = ChaCha12Rng::seed_from_u64(3);
         let fast = oracle.successes(&attempts, &mut srng);
-        let naive = oracle.successes_naive(&attempts, &mut srng);
+        let naive = successes_naive(oracle.network(), oracle.power(), &attempts);
         prop_assert_eq!(fast, naive);
     }
 
@@ -207,7 +222,7 @@ proptest! {
     /// attempted links — with duplicate attempts sprinkled in — must
     /// produce bit-for-bit the naive verdicts, through the dense table
     /// (the blocked kernel), through the on-the-fly fallback (the scalar
-    /// path), and through an exactly-fitting memory budget.
+    /// path), and through a dense-table limit of exactly 24 links.
     #[test]
     fn blocked_kernel_matches_naive_at_multi_lane_widths(
         seed in 0u64..300,
@@ -233,17 +248,16 @@ proptest! {
         attempts.push(attempt(LinkId(dup_a), 100));
         attempts.push(attempt(LinkId(dup_b), 101));
         let power = LinearPower::new(params.alpha);
-        let budget = 24 * 24 * std::mem::size_of::<f64>();
         let oracles = [
             SinrFeasibility::new(net.clone(), power),
-            SinrFeasibility::with_dense_limit(net.clone(), power, 0),
-            SinrFeasibility::with_memory_budget(net.clone(), power, budget),
+            with_dense_limit(&net, power, 0),
+            with_dense_limit(&net, power, 24),
         ];
         prop_assert!(oracles[0].cache().is_dense());
         prop_assert!(!oracles[1].cache().is_dense());
         prop_assert!(oracles[2].cache().is_dense());
         let mut srng = ChaCha12Rng::seed_from_u64(5);
-        let naive = oracles[0].successes_naive(&attempts, &mut srng.clone());
+        let naive = successes_naive(&net, &power, &attempts);
         for (which, oracle) in oracles.iter().enumerate() {
             let fast = oracle.successes(&attempts, &mut srng);
             prop_assert_eq!(&fast, &naive, "oracle {} diverged", which);
@@ -268,7 +282,7 @@ proptest! {
         attempts.push(attempt(LinkId(dup % hops as u32), 99));
         let mut srng = ChaCha12Rng::seed_from_u64(3);
         let fast = oracle.successes(&attempts, &mut srng);
-        let naive = oracle.successes_naive(&attempts, &mut srng);
+        let naive = successes_naive(oracle.network(), oracle.power(), &attempts);
         prop_assert_eq!(fast, naive);
     }
 

@@ -3,9 +3,10 @@
 //!
 //! The contract under test ([`dps_sinr::tiles`]):
 //!
-//! * `epsilon = 0` — bit-for-bit: verdicts and per-receiver
-//!   interference sums identical to the exact oracle (and hence to
-//!   `successes_naive`).
+//! * `epsilon = 0`, or any index that far-qualifies no tile pair —
+//!   bit-for-bit: verdicts and per-receiver interference sums identical
+//!   to the exact oracle (and hence to the naive referee of
+//!   `support/referee.rs`), with and without a dense gain table.
 //! * `epsilon > 0` — bounded: per-receiver interference within
 //!   `epsilon · margin` of the exact sum (for positive margins; a
 //!   non-positive margin disqualifies its whole receiver tile from
@@ -16,19 +17,24 @@
 //!   at any epsilon: coincident points share a tile and tiles only
 //!   far-qualify at strictly positive centre separation.
 
+#[path = "support/referee.rs"]
+mod referee;
+
 use dps_core::feasibility::{Attempt, Feasibility};
 use dps_core::ids::{LinkId, PacketId};
-use dps_sinr::cache::SinrCache;
+use dps_sinr::cache::{SinrCache, DEFAULT_DENSE_GAIN_LIMIT};
 use dps_sinr::feasibility::SinrFeasibility;
 use dps_sinr::instances::{line_instance, random_instance};
 use dps_sinr::network::SinrNetwork;
 use dps_sinr::params::SinrParams;
 use dps_sinr::power::{LinearPower, PowerAssignment, UniformPower};
-use dps_sinr::tiles::{PanelCacheMode, TileOptions, TiledSinrFeasibility};
+use dps_sinr::tiles::{PanelCacheMode, TileOptions, TiledSinrCache, TiledSinrFeasibility};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
+use referee::successes_naive;
+use std::sync::Arc;
 
 fn attempt(link: u32, id: u64) -> Attempt {
     Attempt {
@@ -59,25 +65,30 @@ fn dedup(attempts: &[Attempt]) -> Vec<(u32, u32)> {
     out
 }
 
-/// Runs the full referee for one `(net, power, attempts, grid, eps)`
-/// cell at one hierarchy depth and kernel thread count:
+/// Runs the full referee for one `(net, power, attempts, options)` cell
+/// at one kernel thread count, over a geometry cache that keeps a dense
+/// gain table up to `dense_limit` links (`0`: the on-the-fly fallback):
 /// naive-vs-cached sanity, interference-sum pinning, and band-aware
-/// verdict comparison.
+/// verdict comparison. An index without far pairs must be bitwise
+/// exact at any epsilon.
 fn referee_at<P: PowerAssignment + Clone>(
     net: &SinrNetwork,
     power: P,
     attempts: &[Attempt],
-    grid: usize,
-    eps: f64,
-    levels: usize,
+    options: TileOptions,
     threads: usize,
+    dense_limit: usize,
 ) -> Result<(), TestCaseError> {
-    let exact = SinrFeasibility::new(net.clone(), power.clone());
-    let options = TileOptions::new(grid, eps).with_levels(levels);
+    let shared = Arc::new(SinrCache::with_dense_limit(net, &power, dense_limit));
+    let exact = SinrFeasibility::with_cache(net.clone(), power.clone(), Arc::clone(&shared));
+    let tiles = Arc::new(TiledSinrCache::with_options(shared, options));
     let tiled =
-        TiledSinrFeasibility::with_options(net.clone(), power, options).kernel_threads(threads);
+        TiledSinrFeasibility::with_tiles(net.clone(), power.clone(), tiles).kernel_threads(threads);
+    let eps = options.epsilon;
+    // Always true at ε = 0, which qualifies no pair.
+    let bitwise = tiled.tiles().far_pairs() == 0;
     let mut srng = ChaCha12Rng::seed_from_u64(7);
-    let naive = exact.successes_naive(attempts, &mut srng.clone());
+    let naive = successes_naive(net, &power, attempts);
     let fast = exact.successes(attempts, &mut srng.clone());
     prop_assert_eq!(&fast, &naive, "exact oracle self-check diverged");
     let tiled_verdicts = tiled.successes(attempts, &mut srng);
@@ -110,10 +121,10 @@ fn referee_at<P: PowerAssignment + Clone>(
         prop_assert_eq!(tiled_link, on);
         let exact_sum = exact_sums[slot];
         let margin = cache.margin(on);
-        if eps == 0.0 || margin <= 0.0 || margin.is_nan() {
-            // ε = 0 disables aggregation globally; a non-positive (or
-            // NaN) margin disqualifies the receiver's tile. Either way
-            // the sum must be the exact bits.
+        if bitwise || margin <= 0.0 || margin.is_nan() {
+            // An index without far pairs has nothing to aggregate, and a
+            // non-positive (or NaN) margin disqualifies the receiver's
+            // tile. Either way the sum must be the exact bits.
             prop_assert_eq!(
                 exact_sum.to_bits(),
                 tiled_sum.to_bits(),
@@ -146,8 +157,13 @@ fn referee_at<P: PowerAssignment + Clone>(
         }
     }
 
-    if eps == 0.0 {
-        prop_assert_eq!(&tiled_verdicts, &naive, "ε = 0 verdicts diverged");
+    if bitwise {
+        prop_assert_eq!(
+            &tiled_verdicts,
+            &naive,
+            "verdicts without far pairs diverged (ε {})",
+            eps
+        );
     } else {
         // Verdicts must agree whenever the exact comparison clears the
         // error band; inside the band either answer is within contract.
@@ -188,7 +204,8 @@ fn referee_at<P: PowerAssignment + Clone>(
     Ok(())
 }
 
-/// The flat single-threaded referee cell — the pre-hierarchy contract.
+/// The flat single-threaded referee cell — the pre-hierarchy contract —
+/// with and without the dense gain table.
 fn referee<P: PowerAssignment + Clone>(
     net: &SinrNetwork,
     power: P,
@@ -196,7 +213,11 @@ fn referee<P: PowerAssignment + Clone>(
     grid: usize,
     eps: f64,
 ) -> Result<(), TestCaseError> {
-    referee_at(net, power, attempts, grid, eps, 1, 1)
+    for dense_limit in [DEFAULT_DENSE_GAIN_LIMIT, 0] {
+        let options = TileOptions::new(grid, eps);
+        referee_at(net, power.clone(), attempts, options, 1, dense_limit)?;
+    }
+    Ok(())
 }
 
 proptest! {
@@ -204,7 +225,10 @@ proptest! {
 
     /// Random geometry across the epsilon lattice, subsets with
     /// duplicate attempts mixed in, uniform and linear powers, with and
-    /// without noise.
+    /// without noise, with and without the dense gain table. The one-tile
+    /// grid and every other index without far pairs must be bitwise
+    /// exact at ε > 0 too: the oracle hands those slots to the exact
+    /// check.
     #[test]
     fn tiled_oracle_respects_error_contract(
         seed in 0u64..500,
@@ -217,6 +241,7 @@ proptest! {
         power_sel in 0u32..2,
         levels in 1usize..5,
         threads_sel in 0usize..3,
+        dense in 0u32..2,
     ) {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let params = if noisy == 1 {
@@ -232,12 +257,14 @@ proptest! {
             .collect();
         attempts.push(attempt(dup_a, 100));
         attempts.push(attempt(dup_b, 101));
-        let eps = EPSILONS[eps_sel];
+        let options = TileOptions::new(grid, EPSILONS[eps_sel]).with_levels(levels);
         let threads = THREADS[threads_sel];
+        let dense_limit = if dense == 1 { DEFAULT_DENSE_GAIN_LIMIT } else { 0 };
         if power_sel == 0 {
-            referee_at(&net, UniformPower::unit(), &attempts, grid, eps, levels, threads)?;
+            referee_at(&net, UniformPower::unit(), &attempts, options, threads, dense_limit)?;
         } else {
-            referee_at(&net, LinearPower::new(params.alpha), &attempts, grid, eps, levels, threads)?;
+            let power = LinearPower::new(params.alpha);
+            referee_at(&net, power, &attempts, options, threads, dense_limit)?;
         }
     }
 
@@ -257,9 +284,10 @@ proptest! {
             .map(|l| attempt(l, l as u64))
             .collect();
         attempts.push(attempt(dup % hops as u32, 99));
+        let options = TileOptions::new(grid, EPSILONS[eps_sel]).with_levels(1 + (hops % 3));
         referee_at(
-            &net, UniformPower::unit(), &attempts, grid,
-            EPSILONS[eps_sel], 1 + (hops % 3), THREADS[hops % 3])?;
+            &net, UniformPower::unit(), &attempts, options, THREADS[hops % 3],
+            DEFAULT_DENSE_GAIN_LIMIT)?;
     }
 
     /// Hierarchical coarsening vs the flat grid vs the naive oracle:
@@ -286,8 +314,10 @@ proptest! {
         let flat_sums = flat.slot_interference(&attempts);
         for levels in [2usize, 4] {
             for threads in THREADS {
+                let options = TileOptions::new(grid, eps).with_levels(levels);
                 referee_at(
-                    &net, UniformPower::unit(), &attempts, grid, eps, levels, threads)?;
+                    &net, UniformPower::unit(), &attempts, options, threads,
+                    DEFAULT_DENSE_GAIN_LIMIT)?;
                 if eps == 0.0 {
                     let deep = TiledSinrFeasibility::with_options(
                         net.clone(),
@@ -358,9 +388,10 @@ proptest! {
     /// Slots with random active subsets hit resident adaptive panels
     /// again with receiver rows no earlier slot filled. Partially
     /// filled panels must read bitwise like the fixed store: verdicts
-    /// and interference sums every slot, and afterwards every single
-    /// gain against the geometry cache. Budgets hold one to three of
-    /// the largest possible panels, or are unbounded.
+    /// and interference sums every slot. Budgets hold one to three of
+    /// the largest possible panels, or are unbounded. (The unit test
+    /// `tiles::tests::partial_panel_cells_are_the_gain_expression`
+    /// compares every filled panel cell with the geometry cache.)
     #[test]
     fn partial_panels_are_bitwise_neutral(
         seed in 0u64..200,
@@ -397,7 +428,7 @@ proptest! {
             budget_panels * panel_bytes
         };
         let adaptive = TiledSinrFeasibility::with_options(
-            net.clone(),
+            net,
             UniformPower::unit(),
             TileOptions::new(grid, eps)
                 .with_levels(levels)
@@ -425,20 +456,6 @@ proptest! {
                 prop_assert_eq!(sum_a.to_bits(), sum_b.to_bits(), "slot {} at {}", slot, link_a);
             }
         }
-        let reference = SinrCache::new(&net, &UniformPower::unit());
-        for from in 0..16u32 {
-            for on in 0..16u32 {
-                if from == on {
-                    continue;
-                }
-                let (f, o) = (LinkId(from), LinkId(on));
-                prop_assert_eq!(
-                    adaptive.tiles().gain(f, o).to_bits(),
-                    reference.gain(f, o).to_bits(),
-                    "gain {} on {}", from, on
-                );
-            }
-        }
     }
 
     /// Tiny panel budgets must not change a single bit: panels are a
@@ -455,9 +472,12 @@ proptest! {
         let attempts: Vec<Attempt> = (0..12u32).map(|l| attempt(l, l as u64)).collect();
         let full = TiledSinrFeasibility::new(
             net.clone(), UniformPower::unit(), grid, 0.0);
-        let starved = TiledSinrFeasibility::with_budget(
-            net, UniformPower::unit(), grid, 0.0,
-            budget_cells * std::mem::size_of::<f64>());
+        let starved = TiledSinrFeasibility::with_options(
+            net,
+            UniformPower::unit(),
+            TileOptions::new(grid, 0.0)
+                .with_panel_budget(budget_cells * std::mem::size_of::<f64>()),
+        );
         let srng = ChaCha12Rng::seed_from_u64(11);
         prop_assert_eq!(
             full.successes(&attempts, &mut srng.clone()),
@@ -509,10 +529,9 @@ fn referee_at_m_256_across_levels_and_threads() {
                     &net,
                     LinearPower::new(params.alpha),
                     &attempts,
-                    16,
-                    eps,
-                    levels,
+                    TileOptions::new(16, eps).with_levels(levels),
                     threads,
+                    DEFAULT_DENSE_GAIN_LIMIT,
                 )
                 .unwrap_or_else(|e| panic!("levels {levels}, threads {threads}, eps {eps}: {e}"));
             }
