@@ -36,6 +36,18 @@
 //!   `k ≤ m` concurrent transmissions stays within `ε·margin`
 //!   regardless of which levels the charges land on (each transmission
 //!   is charged exactly once, at exactly one level).
+//!   Each level keeps its qualifications as a receiver-major bitset:
+//!   bit `(r, s)` sits in word `r·⌈T/64⌉ + s/64` of a `T`-tile level,
+//!   so a walk plan's probes for one receiver tile read one row (512
+//!   bytes at 64 tiles per side).
+//! * **One path-loss power.** The module's own `d^α` terms (far
+//!   qualification, far charges and the `‖W·R‖∞` measure's near field)
+//!   go through one helper, `pow_alpha`: `d·d·d` at `α = 3`, `powf`
+//!   otherwise. Qualification at `α = 3` falls back to `powf` for pairs
+//!   whose cube spread lies within a rounding-error window of the
+//!   budget, so every table is the `powf` build's, bit for bit. Far
+//!   charges through the cube differ from `powf` by rounding only, far
+//!   inside the `ε·margin` contract.
 //! * **Panels.** Near tile pairs store their pairwise gains as small
 //!   dense *panels* (one `|S|×|R|` block per leaf pair). Under
 //!   [`PanelCacheMode::Fixed`] panels are allocated once at build time
@@ -108,7 +120,7 @@ pub const DEFAULT_PANEL_BUDGET_BYTES: usize = 8 << 20;
 pub const MAX_TILES_PER_SIDE: usize = 1024;
 
 /// Coarsest side length at which a level still materializes its
-/// far-qualification table: `64⁴` bytes (16 MiB) is the largest table a
+/// far-qualification table: `64⁴` bits (2 MiB) is the largest table a
 /// single level may hold. Finer levels carry no table and never
 /// far-qualify — their tiles always descend (or fall to the near path),
 /// which is exactly the old flat behaviour for `g ≤ 64`.
@@ -121,6 +133,19 @@ pub const MAX_TILE_LEVELS: usize = 8;
 
 /// Most worker threads the slot kernel will fan receiver shards over.
 pub const MAX_KERNEL_THREADS: usize = 64;
+
+/// `d^α`, the one path-loss power of the tiled substrate's own terms
+/// (far qualification, far charges, the measure's near field). `CUBE`
+/// is set by callers exactly when `α = 3`; it selects `d·d·d` at
+/// compile time, and `powf` serves every other exponent.
+#[inline(always)]
+fn pow_alpha<const CUBE: bool>(d: f64, alpha: f64) -> f64 {
+    if CUBE {
+        d * d * d
+    } else {
+        d.powf(alpha)
+    }
+}
 
 /// Build options for [`TiledSinrCache::with_options`] /
 /// [`TiledSinrFeasibility::with_options`]: leaf resolution, hierarchy

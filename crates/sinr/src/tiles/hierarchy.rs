@@ -10,13 +10,13 @@
 //! index bit-for-bit.
 
 use super::grid::TileGrid;
-use super::MAX_FAR_TABLE_SIDE;
+use super::{pow_alpha, MAX_FAR_TABLE_SIDE};
 use crate::cache::SinrCache;
 use crate::geom::Point;
 
 /// One coarsening level: implicit geometry (origin + scaled tile size),
 /// per-tile membership statistics, and — at levels coarse enough to
-/// afford one — the far-qualification table.
+/// afford one — the far-qualification bitset.
 #[derive(Debug)]
 pub(super) struct TileLevel {
     /// Coarsening shift `ℓ`: one tile covers a `2^ℓ × 2^ℓ` leaf block.
@@ -38,21 +38,22 @@ pub(super) struct TileLevel {
     /// Min noise-adjusted margin among receivers in each tile
     /// (`+∞` empty).
     pub(super) tile_min_margin: Vec<f64>,
-    /// `far[s·T + r] != 0` iff sender tile `s` is far-qualified for
-    /// receiver tile `r` at this level. Empty when the level is too
-    /// fine for a table (`g_ℓ >` [`MAX_FAR_TABLE_SIDE`]) or `ε = 0` —
-    /// such levels never far-qualify and the walk always descends.
-    pub(super) far: Vec<u8>,
+    /// Receiver-major bitset: bit `s % 64` of word
+    /// `r·row_words + s/64` is set iff sender tile `s` is far-qualified
+    /// for receiver tile `r` at this level. A walk plan serves one
+    /// receiver tile, so all its probes read one row of `row_words`
+    /// words (512 bytes at `g_ℓ = 64`, a 2 MiB table). Empty when the
+    /// level is too fine for a table (`g_ℓ >` [`MAX_FAR_TABLE_SIDE`])
+    /// or `ε = 0` — such levels never far-qualify and the walk always
+    /// descends.
+    pub(super) far: Vec<u64>,
+    /// Words per receiver row of `far`: `⌈T/64⌉` (`0` without a table).
+    pub(super) row_words: usize,
     /// Number of far-qualified pairs at this level.
     pub(super) far_pairs: usize,
 }
 
 impl TileLevel {
-    /// Total tiles `g_ℓ²`.
-    pub(super) fn num_tiles(&self) -> usize {
-        self.tiles_per_side * self.tiles_per_side
-    }
-
     /// The tile of this level containing leaf tile `leaf` (of a leaf
     /// grid with `g0` tiles per side). At `shift = 0` this is the
     /// identity.
@@ -81,7 +82,8 @@ impl TileLevel {
     /// at this level (always false at levels without a far table).
     #[inline]
     pub(super) fn is_far(&self, s: u32, r: u32) -> bool {
-        !self.far.is_empty() && self.far[s as usize * self.num_tiles() + r as usize] != 0
+        let s = s as usize;
+        !self.far.is_empty() && self.far[r as usize * self.row_words + s / 64] >> (s % 64) & 1 != 0
     }
 }
 
@@ -118,6 +120,7 @@ pub(super) fn build_levels(
             tile_max_power: vec![0.0; t],
             tile_min_margin: vec![f64::INFINITY; t],
             far: Vec::new(),
+            row_words: 0,
             far_pairs: 0,
         };
         for (link, &leaf) in sender_tile.iter().enumerate() {
@@ -153,37 +156,82 @@ pub(super) fn build_levels(
         // tolerates no perturbation) never qualify. The bound uses this
         // level's own radii and margins, so a qualification here is
         // sound for every leaf descendant of the pair at once.
+        // `far_spread_fits` decides each pair. At α = 3 it evaluates
+        // the spread with cubes, not `powf`, and hands the pair to
+        // `powf` only when the cube spread lies within a window around
+        // the budget that bounds the two evaluations' difference; so
+        // every decision, and the table, is the `powf` build's. Rows
+        // are receiver tiles, so the loop fills one bitset row at a
+        // time.
         if epsilon > 0.0 && g <= MAX_FAR_TABLE_SIDE {
             let occ_s: Vec<usize> = (0..t).filter(|&i| level.sender_count[i] > 0).collect();
             let occ_r: Vec<usize> = (0..t).filter(|&i| level.receiver_count[i] > 0).collect();
-            let mut far = vec![0u8; t * t];
+            let row_words = t.div_ceil(64);
+            let mut far = vec![0u64; t * row_words];
             let mut far_pairs = 0usize;
-            for &s in &occ_s {
-                let rho_s = level.sender_radius[s];
-                let p_max = level.tile_max_power[s];
-                for &r in &occ_r {
-                    let margin = level.tile_min_margin[r];
-                    // NaN margins fail `is_finite`, so `<=` is safe here.
-                    if margin <= 0.0 || !margin.is_finite() {
-                        continue;
-                    }
-                    let d_min = level.center(s as u32).distance(&level.center(r as u32))
-                        - level.receiver_radius[r];
+            for &r in &occ_r {
+                let margin = level.tile_min_margin[r];
+                // NaN margins fail `is_finite`, so `<=` is safe here.
+                if margin <= 0.0 || !margin.is_finite() {
+                    continue;
+                }
+                let budget = epsilon * margin / m as f64;
+                let center_r = level.center(r as u32);
+                let row = &mut far[r * row_words..][..row_words];
+                for &s in &occ_s {
+                    let rho_s = level.sender_radius[s];
+                    let d_min =
+                        level.center(s as u32).distance(&center_r) - level.receiver_radius[r];
                     if d_min <= rho_s {
                         continue;
                     }
-                    let spread = p_max
-                        * (1.0 / (d_min - rho_s).powf(alpha) - 1.0 / (d_min + rho_s).powf(alpha));
-                    if spread <= epsilon * margin / m as f64 {
-                        far[s * t + r] = 1;
+                    let p_max = level.tile_max_power[s];
+                    if far_spread_fits(p_max, d_min - rho_s, d_min + rho_s, alpha, budget) {
+                        row[s / 64] |= 1 << (s % 64);
                         far_pairs += 1;
                     }
                 }
             }
             level.far = far;
+            level.row_words = row_words;
             level.far_pairs = far_pairs;
         }
         levels.push(level);
     }
     levels
+}
+
+/// Whether the centre-substitution spread `p·(1/a^α − 1/b^α)` of a
+/// sender tile with max power `p`, over cross distances `a ≤ b`, fits
+/// `budget` — decided bit for bit as `powf` decides it.
+///
+/// At `α = 3` the cube decides. Write `x = 1/a³`, `y = 1/b³`, and
+/// `u = 2⁻⁵³`. Each cube reciprocal is two multiplications and a
+/// division, relative error ≤ 3u; each `powf` reciprocal is a faithful
+/// `pow` (≤ 1 ulp, 2u) and a division, ≤ 3u. So the cube and `powf`
+/// values of `x − y` differ by at most 6u·(x + y), and the subtraction
+/// and the multiplication by `p` round each side by at most 2u·p·x.
+/// The two spreads then differ by at most about 10u·p·(x + y). (The
+/// spread is a difference of two close terms, so this is not small
+/// relative to the spread; it is bounded by the terms' sum.) Where the
+/// cube spread lies more than `window = 64u·p·(x + y)` from the budget,
+/// a safety factor of six, both spreads fall on the same side of it;
+/// otherwise `powf` decides. The bound needs every intermediate normal:
+/// `a³` normal and `y` normal make `a·a`, `b·b`, `b³` and `x` normal
+/// too, and a normal `window` keeps `p·(x − y)` finite and puts an
+/// underflowed product's absolute rounding error (at most `2⁻¹⁰⁷⁵`)
+/// under `u·window`. Outside that range `powf` decides as well, so the
+/// table is the `powf` table at any input. Other exponents use `powf`.
+fn far_spread_fits(p: f64, a: f64, b: f64, alpha: f64, budget: f64) -> bool {
+    if alpha == 3.0 {
+        let a3 = pow_alpha::<true>(a, alpha);
+        let (x, y) = (1.0 / a3, 1.0 / pow_alpha::<true>(b, alpha));
+        let spread = p * (x - y);
+        let window = 32.0 * f64::EPSILON * p * (x + y);
+        if a3.is_normal() && y.is_normal() && window.is_normal() && (spread - budget).abs() > window
+        {
+            return spread <= budget;
+        }
+    }
+    p * (1.0 / pow_alpha::<false>(a, alpha) - 1.0 / pow_alpha::<false>(b, alpha)) <= budget
 }

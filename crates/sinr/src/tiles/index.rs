@@ -324,8 +324,12 @@ impl TiledSinrCache {
 
     /// Whether sender tile `s` is far-qualified for receiver tile `r`
     /// at the leaf level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tile index is out of the leaf grid's range.
     pub fn is_far(&self, s: u32, r: u32) -> bool {
-        self.levels[0].is_far(s, r)
+        self.is_far_at(0, s, r)
     }
 
     /// Whether sender tile `s` is far-qualified for receiver tile `r`
@@ -336,7 +340,15 @@ impl TiledSinrCache {
     /// Panics if `level >= num_levels()` or a tile index is out of the
     /// level's range.
     pub fn is_far_at(&self, level: usize, s: u32, r: u32) -> bool {
-        self.levels[level].is_far(s, r)
+        let level = &self.levels[level];
+        let tiles = level.tiles_per_side * level.tiles_per_side;
+        // A bitset row is padded to whole words, so an out-of-range
+        // sender tile would otherwise read padding or the next row.
+        assert!(
+            (s as usize) < tiles && (r as usize) < tiles,
+            "tile pair ({s}, {r}) out of range for a level of {tiles} tiles"
+        );
+        level.is_far(s, r)
     }
 
     /// Far-qualified tile pairs summed across all levels (`0` iff the

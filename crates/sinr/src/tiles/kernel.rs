@@ -22,7 +22,7 @@ use dps_core::load::LinkLoad;
 use dps_core::parallel::parallel_map;
 use rand::RngCore;
 
-use super::{MAX_KERNEL_THREADS, MAX_TILE_LEVELS};
+use super::{pow_alpha, MAX_KERNEL_THREADS, MAX_TILE_LEVELS};
 
 /// The active set bucketed by sender leaf tile, rebuilt per slot:
 /// `entries` holds `(tile, link, count)` sorted by `(tile, link)`;
@@ -372,6 +372,11 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
         let top = levels.len() - 1;
         for run in receivers.chunk_by(|a, b| a.0 == b.0) {
             let r_leaf = run[0].0;
+            // The receiver tile at every level, once per plan.
+            let mut r_tile = [0u32; MAX_TILE_LEVELS];
+            for (tile, level) in r_tile.iter_mut().zip(levels) {
+                *tile = level.tile_of_leaf(r_leaf, g0);
+            }
             plans.keys.push(r_leaf);
             plans.term_start.push(plans.terms.len() as u32);
             stack.clear();
@@ -401,8 +406,7 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
                 } else {
                     let occ = &coarse[l_us - 1];
                     let s = occ.tiles[j as usize];
-                    let r = levels[l_us].tile_of_leaf(r_leaf, g0);
-                    if levels[l_us].is_far(s, r) {
+                    if levels[l_us].is_far(s, r_tile[l_us]) {
                         far_terms[l_us] += 1;
                         plans.terms.push(PlanTerm::Far { level: l, idx: j });
                     } else {
@@ -438,13 +442,32 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
 /// `W / d(center, r)^α` (with `on`'s own power removed when its sender
 /// tile lies under the charged subtree), a near term streams its leaf
 /// group's active senders through the tile-pair panel row (contiguous
-/// reads) or on-the-fly gains when the pair is un-panelled.
+/// reads) or on-the-fly gains when the pair is un-panelled. At `α = 3`
+/// far charges take `d³` as `d·d·d`, which moves far sums from the
+/// `powf` ones by rounding only, well inside the `ε·margin` contract.
 ///
 /// A free function over the (fully `Sync`) tiled index rather than a
 /// method, so the parallel verdict closure never captures the oracle's
 /// power-assignment type parameter.
 #[inline]
 fn interference_with_plans(
+    tiles: &TiledSinrCache,
+    on_raw: u32,
+    groups: &TileGroups,
+    coarse: &[SlotCoarse],
+    plans: &SlotPlans,
+) -> f64 {
+    if tiles.cache.alpha() == 3.0 {
+        accumulate::<true>(tiles, on_raw, groups, coarse, plans)
+    } else {
+        accumulate::<false>(tiles, on_raw, groups, coarse, plans)
+    }
+}
+
+/// [`interference_with_plans`] with far charges `W / d^α` through
+/// `pow_alpha::<CUBE>`.
+#[inline(always)]
+fn accumulate<const CUBE: bool>(
     tiles: &TiledSinrCache,
     on_raw: u32,
     groups: &TileGroups,
@@ -464,7 +487,12 @@ fn interference_with_plans(
     let terms = &plans.terms[plans.term_start[plan] as usize..plans.term_start[plan + 1] as usize];
     let alpha = cache.alpha();
     let receiver = cache.receiver_positions()[on_raw as usize];
+    // `on`'s own sender tile at every level.
     let own_leaf = tiles.sender_tile[on_raw as usize];
+    let mut own_tile = [0u32; MAX_TILE_LEVELS];
+    for (tile, level) in own_tile.iter_mut().zip(&tiles.levels) {
+        *tile = level.tile_of_leaf(own_leaf, g0);
+    }
     for term in terms {
         match term {
             PlanTerm::Far { level, idx } => {
@@ -478,7 +506,7 @@ fn interference_with_plans(
                 } else {
                     (coarse[l - 1].tiles[idx], coarse[l - 1].weight[idx])
                 };
-                if tiles.levels[l].tile_of_leaf(own_leaf, g0) == s_tile {
+                if own_tile[l] == s_tile {
                     // The exact sum excludes `on`'s own
                     // transmission; remove it from the aggregate.
                     // Receivers sharing a slot with their own
@@ -488,7 +516,7 @@ fn interference_with_plans(
                     weight -= cache.tx_powers()[on_raw as usize];
                 }
                 let d = tiles.levels[l].center(s_tile).distance(&receiver);
-                interference += weight / d.powf(alpha);
+                interference += weight / pow_alpha::<CUBE>(d, alpha);
             }
             PlanTerm::Near { group, panel } => {
                 let i = *group as usize;

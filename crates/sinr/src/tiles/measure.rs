@@ -24,6 +24,8 @@
 //!   one caller, injection-rate normalization;
 //! * near-field gains use an `α = 3` specialised power
 //!   (`d³ = d·d·d`) instead of `powf` on the measure's dominant loop.
+//!   The helper is the tiles module's `pow_alpha`, which far
+//!   qualification and the slot kernel's far charges share.
 //!
 //! **Layout.** Once per call the loaded senders (rate `> 0`) are
 //! gathered into structure-of-arrays columns (`x`, `y`, power, rate,
@@ -39,8 +41,8 @@
 //! buffer, in a loop without branches that the compiler vectorises
 //! across senders, and then the lanes add their buffers in sender
 //! order, [`LANES`] independent sums side by side. The far field loads
-//! each term once and charges every lane. `α = 3` is a const generic,
-//! so the hot instantiation has no `powf` branch. A row's own sender is
+//! each term once and charges every lane. `α = 3` is `pow_alpha`'s
+//! const generic, so the hot instantiation has no `powf` branch. A row's own sender is
 //! masked by adding `+0.0` in place of its term, and its own tile at
 //! each level is looked up once per row.
 //!
@@ -63,7 +65,7 @@
 //! [`InterferenceModel::measure`]: dps_core::interference::InterferenceModel::measure
 
 use super::index::TiledSinrCache;
-use super::MAX_TILE_LEVELS;
+use super::{pow_alpha, MAX_TILE_LEVELS};
 use dps_core::load::LinkLoad;
 use std::ops::Range;
 
@@ -73,16 +75,6 @@ const LANES: usize = 4;
 /// Senders per block: each lane writes a block's near terms, then the
 /// lanes add them up.
 const BLOCK: usize = 128;
-
-/// `d^α`, with `α = 3` specialised at compile time to `d·d·d`.
-#[inline(always)]
-fn pow_alpha<const CUBE: bool>(d: f64, alpha: f64) -> f64 {
-    if CUBE {
-        d * d * d
-    } else {
-        d.powf(alpha)
-    }
-}
 
 /// One hierarchy level's occupied tiles under the load (the load-vector
 /// analogue of the slot kernel's `SlotCoarse`): `tiles` ascending,

@@ -1,3 +1,4 @@
+use super::hierarchy::TileLevel;
 use super::panels::PanelRef;
 use super::*;
 use crate::cache::SinrCache;
@@ -175,6 +176,12 @@ fn hierarchy_halves_tiles_per_side_and_stops_at_one() {
         );
         assert_eq!(tiles.levels[3].tile_of_leaf(leaf, 8), 0);
     }
+    // Tile indices past a level's range panic rather than read a
+    // bitset row's padding (level 1: 16 tiles in one 64-bit word).
+    for (s, r) in [(16, 0), (0, 16)] {
+        let probe = std::panic::AssertUnwindSafe(|| tiles.is_far_at(1, s, r));
+        assert!(std::panic::catch_unwind(probe).is_err(), "({s}, {r})");
+    }
     // Level centres at shift 0 are bit-for-bit the leaf grid's.
     for tile in 0..64u32 {
         let a = tiles.levels[0].center(tile);
@@ -222,6 +229,129 @@ fn hierarchical_far_aggregation_matches_exact_verdicts() {
         diag.far_terms_per_level[1..].iter().sum::<u64>() > 0,
         "far charges should land above the leaf: {diag:?}"
     );
+}
+
+/// The spread `p·(1/a^α − 1/b^α)` of level pair `(s, r)` by `powf`
+/// (or, with `cube`, by `d·d·d`), with the receiver tile's margin;
+/// `None` where the pair cannot qualify at any ε.
+fn pair_spread(
+    level: &TileLevel,
+    (s, r): (usize, usize),
+    cube: bool,
+    alpha: f64,
+) -> Option<(f64, f64)> {
+    let margin = level.tile_min_margin[r];
+    if level.sender_count[s] == 0
+        || level.receiver_count[r] == 0
+        || margin <= 0.0
+        || !margin.is_finite()
+    {
+        return None;
+    }
+    let d_min = level.center(s as u32).distance(&level.center(r as u32)) - level.receiver_radius[r];
+    let rho_s = level.sender_radius[s];
+    if d_min <= rho_s {
+        return None;
+    }
+    let pow = |d: f64| if cube { d * d * d } else { d.powf(alpha) };
+    let spread = level.tile_max_power[s] * (1.0 / pow(d_min - rho_s) - 1.0 / pow(d_min + rho_s));
+    Some((spread, margin))
+}
+
+/// The far-qualification rule decided by `powf` alone, one byte per
+/// pair, sender-major (`table[s·T + r]`): the referee of the bitsets
+/// `build_levels` stores. Returns the table and its pair count.
+fn powf_far_table(level: &TileLevel, alpha: f64, epsilon: f64, m: usize) -> (Vec<u8>, usize) {
+    let t = level.tiles_per_side * level.tiles_per_side;
+    let mut table = vec![0u8; t * t];
+    let mut pairs = 0;
+    if epsilon > 0.0 && level.tiles_per_side <= MAX_FAR_TABLE_SIDE {
+        for s in 0..t {
+            for r in 0..t {
+                let Some((spread, margin)) = pair_spread(level, (s, r), false, alpha) else {
+                    continue;
+                };
+                if spread <= epsilon * margin / m as f64 {
+                    table[s * t + r] = 1;
+                    pairs += 1;
+                }
+            }
+        }
+    }
+    (table, pairs)
+}
+
+/// Every level's far bitset against the `powf` byte table: the same
+/// pairs and counts, stored at bit `s % 64` of word `r·⌈T/64⌉ + s/64`.
+fn assert_far_tables_match(tiles: &TiledSinrCache) -> Result<(), TestCaseError> {
+    let (alpha, m, eps) = (tiles.cache().alpha(), tiles.num_links(), tiles.epsilon());
+    for (l, level) in tiles.levels.iter().enumerate() {
+        let t = level.tiles_per_side * level.tiles_per_side;
+        let (table, pairs) = powf_far_table(level, alpha, eps, m);
+        prop_assert_eq!(level.far_pairs, pairs, "level {}", l);
+        if level.far.is_empty() {
+            prop_assert_eq!(pairs, 0, "level {} has far pairs but no table", l);
+            continue;
+        }
+        let words = t.div_ceil(64);
+        prop_assert_eq!(level.far.len(), t * words, "level {}", l);
+        for s in 0..t {
+            for r in 0..t {
+                let bit = level.far[r * words + s / 64] >> (s % 64) & 1;
+                let want = table[s * t + r];
+                prop_assert_eq!(bit, want as u64, "level {} pair ({}, {})", l, s, r);
+                prop_assert_eq!(tiles.is_far_at(l, s as u32, r as u32), want != 0);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Pairs whose `powf` spread lies within a few ulps of the budget: for
+/// pairs where the cube and `powf` spreads differ in their last bits,
+/// `ε` is stepped ulp by ulp across the value that puts the budget on
+/// the `powf` spread. Somewhere in each sweep the cube alone would
+/// decide a pair the other way; the tables must still be the `powf`
+/// tables.
+#[test]
+fn far_tables_hold_at_the_budget_boundary() {
+    let mut rng_geo = ChaCha12Rng::seed_from_u64(41);
+    let params = SinrParams::with_noise(1e-4);
+    let net = random_instance(64, 400.0, 0.8, 3.0, params, &mut rng_geo);
+    let cache = Arc::new(SinrCache::new(&net, &LinearPower::new(params.alpha)));
+    let options = |eps: f64| TileOptions::new(16, eps).with_levels(3);
+    let stats = TiledSinrCache::with_options(Arc::clone(&cache), options(1e-2));
+    let mut candidates = Vec::new();
+    for (l, level) in stats.levels.iter().enumerate() {
+        let t = level.tiles_per_side * level.tiles_per_side;
+        for pair in (0..t).flat_map(|s| (0..t).map(move |r| (s, r))) {
+            let spreads = [true, false].map(|cube| pair_spread(level, pair, cube, 3.0));
+            if let [Some((cube, _)), Some((powf, margin))] = spreads {
+                if cube != powf && powf > 0.0 {
+                    candidates.push((l, pair, cube, powf, margin));
+                }
+            }
+        }
+    }
+    assert!(
+        candidates.len() >= 8,
+        "the instance must offer pairs whose cube and powf spreads differ"
+    );
+    let mut cube_would_flip = 0;
+    for &(l, pair, cube, powf, margin) in candidates.iter().step_by(candidates.len() / 8) {
+        let eps0 = powf * 64.0 / margin;
+        for k in -12i64..=12 {
+            let eps = f64::from_bits(eps0.to_bits().wrapping_add_signed(k));
+            let budget = eps * margin / 64.0;
+            if (cube <= budget) != (powf <= budget) {
+                cube_would_flip += 1;
+            }
+            let tiles = TiledSinrCache::with_options(Arc::clone(&cache), options(eps));
+            assert_far_tables_match(&tiles)
+                .unwrap_or_else(|e| panic!("level {l} pair {pair:?}, eps {eps:e}: {e}"));
+        }
+    }
+    assert!(cube_would_flip > 0, "no sweep crossed the cube-powf gap");
 }
 
 #[test]
@@ -552,6 +682,37 @@ fn diagnostics_count_slots_and_walk_activity() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Far bitsets against the `powf` byte table on random instances:
+    /// `α = 3` (cube with fallback) and `α = 2.5` (`powf`), 1–3 levels,
+    /// three ε, uniform and linear powers, grids from 2 to 20 per side
+    /// (one to seven words per bitset row).
+    #[test]
+    fn far_bitsets_are_the_powf_tables(
+        seed in 0u64..10_000,
+        m in 16usize..96,
+        grid in 2usize..21,
+        levels in 1usize..4,
+        eps_sel in 0usize..3,
+        alpha_sel in 0usize..2,
+        linear in 0u32..2,
+    ) {
+        let alpha = [3.0, 2.5][alpha_sel];
+        let eps = [1e-6, 1e-3, 1e-2][eps_sel];
+        let mut rng_geo = ChaCha12Rng::seed_from_u64(seed);
+        let params = SinrParams::new(alpha, 2.0, 1e-4);
+        let net = random_instance(m, 30.0 * grid as f64, 0.8, 3.0, params, &mut rng_geo);
+        let cache = if linear == 1 {
+            SinrCache::new(&net, &LinearPower::new(alpha))
+        } else {
+            SinrCache::new(&net, &UniformPower::unit())
+        };
+        let tiles = TiledSinrCache::with_options(
+            Arc::new(cache),
+            TileOptions::new(grid, eps).with_levels(levels),
+        );
+        assert_far_tables_match(&tiles)?;
+    }
 
     /// Slots with random active subsets fill adaptive panels one
     /// receiver row at a time, under budgets of 32 or 128 cells or none.

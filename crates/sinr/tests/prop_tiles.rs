@@ -25,13 +25,13 @@ use dps_core::ids::{LinkId, PacketId};
 use dps_sinr::cache::{SinrCache, DEFAULT_DENSE_GAIN_LIMIT};
 use dps_sinr::feasibility::SinrFeasibility;
 use dps_sinr::instances::{line_instance, random_instance};
-use dps_sinr::network::SinrNetwork;
+use dps_sinr::network::{SinrNetwork, SinrNetworkBuilder};
 use dps_sinr::params::SinrParams;
 use dps_sinr::power::{LinearPower, PowerAssignment, UniformPower};
 use dps_sinr::tiles::{PanelCacheMode, TileOptions, TiledSinrCache, TiledSinrFeasibility};
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use referee::successes_naive;
 use std::sync::Arc;
@@ -225,10 +225,11 @@ proptest! {
 
     /// Random geometry across the epsilon lattice, subsets with
     /// duplicate attempts mixed in, uniform and linear powers, with and
-    /// without noise, with and without the dense gain table. The one-tile
-    /// grid and every other index without far pairs must be bitwise
-    /// exact at ε > 0 too: the oracle hands those slots to the exact
-    /// check.
+    /// without noise, with and without the dense gain table, at
+    /// `α = 3` (far charges through `d·d·d`) and at `α = 2.5` and `4`
+    /// (through `powf`). The one-tile grid and every other index
+    /// without far pairs must be bitwise exact at ε > 0 too: the oracle
+    /// hands those slots to the exact check.
     #[test]
     fn tiled_oracle_respects_error_contract(
         seed in 0u64..500,
@@ -242,13 +243,12 @@ proptest! {
         levels in 1usize..5,
         threads_sel in 0usize..3,
         dense in 0u32..2,
+        alpha_sel in 0usize..3,
     ) {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
-        let params = if noisy == 1 {
-            SinrParams::with_noise(1e-3)
-        } else {
-            SinrParams::default_noiseless()
-        };
+        let alpha = [3.0, 2.5, 4.0][alpha_sel];
+        let noise = if noisy == 1 { 1e-3 } else { 0.0 };
+        let params = SinrParams::new(alpha, 2.0, noise);
         let net = random_instance(24, 120.0, 0.8, 3.0, params, &mut rng);
         let mut attempts: Vec<Attempt> = (0..24u32)
             .filter(|i| subset_bits & (1 << i) != 0)
@@ -263,7 +263,7 @@ proptest! {
         if power_sel == 0 {
             referee_at(&net, UniformPower::unit(), &attempts, options, threads, dense_limit)?;
         } else {
-            let power = LinearPower::new(params.alpha);
+            let power = LinearPower::new(alpha);
             referee_at(&net, power, &attempts, options, threads, dense_limit)?;
         }
     }
@@ -459,23 +459,42 @@ proptest! {
     }
 
     /// Tiny panel budgets must not change a single bit: panels are a
-    /// speed layer, not a semantic one.
+    /// speed layer, not a semantic one. The geometry always far-qualifies
+    /// some pair, so every slot goes through the tiled kernel, which
+    /// reads the panels: one corner-to-corner link pins the grid to
+    /// `[0, side]²`, and every other sender sits on its leaf tile's
+    /// centre, its receiver a short hop away. A tile without the corner
+    /// sender then has radius 0, so it is far from every receiver tile
+    /// it does not overlap.
     #[test]
     fn panel_budget_is_bitwise_neutral(
         seed in 0u64..200,
         budget_cells in 0usize..80,
-        grid in 1usize..5,
+        grid in 2usize..5,
+        eps_sel in 0usize..2,
     ) {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
-        let params = SinrParams::default_noiseless();
-        let net = random_instance(12, 60.0, 1.0, 3.0, params, &mut rng);
+        let side = 60.0 * grid as f64;
+        let mut b = SinrNetworkBuilder::new(SinrParams::default_noiseless());
+        b.add_isolated_link((0.0, 0.0), (side, side));
+        for _ in 1..12 {
+            let col = rng.gen_range(0..grid) as f64;
+            let row = rng.gen_range(0..grid) as f64;
+            let (sx, sy) = ((col + 0.5) * 60.0, (row + 0.5) * 60.0);
+            let angle = rng.gen::<f64>() * std::f64::consts::TAU;
+            let len = 0.8 + rng.gen::<f64>() * 2.0;
+            b.add_isolated_link((sx, sy), (sx + len * angle.cos(), sy + len * angle.sin()));
+        }
+        let net = b.build();
+        let eps = [1e-3, 1e-2][eps_sel];
         let attempts: Vec<Attempt> = (0..12u32).map(|l| attempt(l, l as u64)).collect();
         let full = TiledSinrFeasibility::new(
-            net.clone(), UniformPower::unit(), grid, 0.0);
+            net.clone(), UniformPower::unit(), grid, eps);
+        prop_assert!(full.tiles().far_pairs() > 0, "the geometry must far-qualify a pair");
         let starved = TiledSinrFeasibility::with_options(
             net,
             UniformPower::unit(),
-            TileOptions::new(grid, 0.0)
+            TileOptions::new(grid, eps)
                 .with_panel_budget(budget_cells * std::mem::size_of::<f64>()),
         );
         let srng = ChaCha12Rng::seed_from_u64(11);
