@@ -256,7 +256,8 @@ fn bench_tiled_slot(c: &mut Criterion) {
         // ε = 0 is bit-for-bit exact at every depth and thread count.
         // The assert drives a m/16 attempt subset: the exact oracle is
         // O(k²) powf at this size, and the full-k contract is already
-        // referee-tested across (levels, threads) in `prop_tiles`.
+        // referee-tested across (levels, threads) in the tiled
+        // contract unit tests (`dps_sinr::tiles::tests::contract`).
         {
             let assert_attempts: Vec<Attempt> = attempts.iter().step_by(4).copied().collect();
             let exact = SinrFeasibility::new(net.clone(), LinearPower::new(alpha));

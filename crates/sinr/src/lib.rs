@@ -41,6 +41,11 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
+// Lets the unit tests include `tests/support/referee.rs`, which names
+// this crate as the integration tests see it.
+#[cfg(test)]
+extern crate self as dps_sinr;
+
 pub mod affectance;
 pub mod cache;
 pub mod diversity;

@@ -51,7 +51,10 @@
 //! * **Panels.** Near tile pairs store their pairwise gains as small
 //!   dense *panels* (one `|S|×|R|` block per leaf pair). Under
 //!   [`PanelCacheMode::Fixed`] panels are allocated once at build time
-//!   in deterministic row-major tile order within a byte budget; under
+//!   in deterministic row-major tile order within a byte budget and
+//!   indexed receiver-major, like the far bitsets: each receiver tile
+//!   holds its panels' sender tiles ascending, which a walk plan
+//!   fetches once and searches per near term; under
 //!   [`PanelCacheMode::Adaptive`] they live in a touch-count LRU cache
 //!   that evicts the stalest pairs when the budget overflows, so the
 //!   resident set tracks the *active* tiles of a long run. There the
@@ -77,7 +80,7 @@
 //! qualifies) has nothing for the tiled kernel to do, so the oracle
 //! hands each slot to the exact check the flat oracle runs, and the
 //! verdicts are bit-for-bit identical — property-tested in
-//! `tests/prop_tiles.rs` across level and thread counts, with and
+//! `tiles::tests::contract` across level and thread counts, with and
 //! without a dense gain table. `epsilon > 0` trades a bounded verdict
 //! perturbation for `O(active tiles at the coarsest qualifying level)`
 //! far-field work.

@@ -2,13 +2,12 @@
 //! assignments and CSR member lists at the leaf, the hierarchy of
 //! coarsening levels, the panel store, and the far-walk diagnostics.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use super::grid::TileGrid;
 use super::hierarchy::{build_levels, TileLevel};
-use super::panels::{PanelRef, PanelStore};
+use super::panels::{AdaptivePanels, FixedPanels, PanelRef, PanelStore};
 use super::{PanelCacheMode, TileOptions, MAX_TILE_LEVELS};
 use crate::cache::{raw_gain, SinrCache};
 use dps_core::ids::LinkId;
@@ -188,8 +187,9 @@ impl TiledSinrCache {
         // Panel store. Fixed mode fills panels for near leaf pairs in
         // row-major (S, R) order over the *occupied* tile lists,
         // stopping at the first panel that no longer fits the budget
-        // (so build work is bounded by the budget, not by g⁴). Adaptive
-        // mode starts empty and fills on demand.
+        // (so build work is bounded by the budget, not by g⁴), and
+        // indexes them receiver-major. Adaptive mode starts empty and
+        // fills on demand.
         let panels = match panel_mode {
             PanelCacheMode::Adaptive => PanelStore::adaptive(panel_budget_bytes),
             PanelCacheMode::Fixed => {
@@ -199,7 +199,7 @@ impl TiledSinrCache {
                 };
                 let occ_s = occupied(&senders_start);
                 let occ_r = occupied(&receivers_start);
-                let mut offsets = BTreeMap::new();
+                let mut placed = Vec::new();
                 let mut arena = Vec::new();
                 'alloc: for &s in &occ_s {
                     let s_links =
@@ -215,7 +215,7 @@ impl TiledSinrCache {
                             break 'alloc;
                         }
                         let offset = arena.len();
-                        offsets.insert((s as u32, r as u32), offset);
+                        placed.push((s as u32, r as u32, offset));
                         arena.resize(offset + cells, 0.0);
                         for (&on, row) in r_links
                             .iter()
@@ -225,7 +225,7 @@ impl TiledSinrCache {
                         }
                     }
                 }
-                PanelStore::fixed(offsets, arena)
+                PanelStore::Fixed(FixedPanels::new(t, &placed, arena))
             }
         };
 
@@ -411,12 +411,14 @@ impl TiledSinrCache {
         }
     }
 
-    /// Resolves the panel of leaf tile pair `(s, r)` for the current
-    /// slot. `rows` are the ranks, within `r`'s receiver list, of the
-    /// receivers the slot judges; an adaptive store fills those of them
-    /// it has not filled yet from the exact gain expression.
-    pub(super) fn resolve_panel(
+    /// Resolves the adaptive store's panel of leaf tile pair `(s, r)`
+    /// for the current slot. `rows` are the ranks, within `r`'s
+    /// receiver list, of the receivers the slot judges; the store fills
+    /// those of them it has not filled yet from the exact gain
+    /// expression.
+    pub(super) fn resolve_adaptive(
         &self,
+        adaptive: &AdaptivePanels,
         s: u32,
         r: u32,
         rows: impl IntoIterator<Item = u32>,
@@ -425,10 +427,9 @@ impl TiledSinrCache {
             [self.senders_start[s as usize] as usize..self.senders_start[s as usize + 1] as usize];
         let r_links = &self.receivers_links[self.receivers_start[r as usize] as usize
             ..self.receivers_start[r as usize + 1] as usize];
-        self.panels
-            .resolve((s, r), s_links.len(), r_links.len(), rows, |row, out| {
-                fill_panel_row(&self.cache, s_links, r_links[row], out)
-            })
+        adaptive.resolve((s, r), s_links.len(), r_links.len(), rows, |row, out| {
+            fill_panel_row(&self.cache, s_links, r_links[row], out)
+        })
     }
 }
 

@@ -1,18 +1,35 @@
 //! The tiled slot kernel: per-slot active grouping, coarse-level
 //! aggregation, per-receiver-tile walk plans, and the (optionally
 //! multi-threaded) verdict loop.
+//!
+//! A slot runs in three phases on the calling thread, then judges:
+//!
+//! 1. **Grouping.** The active links are bucketed by sender leaf tile
+//!    ([`TileGroups`]) and aggregated up the hierarchy
+//!    ([`SlotCoarse`]): occupied tiles ascending, subtree weights, and
+//!    each tile's centre, so a far charge reads its centre instead of
+//!    recomputing it.
+//! 2. **Walk plans.** One DFS per distinct receiver leaf tile
+//!    ([`SlotPlans`]) emits packed 4-byte [`PlanTerm`]s in DFS order.
+//!    Near terms resolve their panels here, before any fan-out: the
+//!    fixed store's receiver row is fetched once per plan and searched
+//!    per near term, and its hits and misses are counted in locals and
+//!    added to the shared counters once per slot; the adaptive store
+//!    resolves (and counts) under its lock.
+//! 3. **Verdicts.** Each receiver replays its tile's plan, optionally
+//!    split over [`parallel_map`] workers.
 
 use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::index::TiledSinrCache;
-use super::panels::PanelRef;
+use super::panels::{PanelRef, PlanPanels};
 use crate::cache::SinrCache;
 use crate::feasibility::{
-    assert_cache_pairing, dedup_attempts, exact_interference, exact_successes_into,
-    verdicts_per_attempt,
+    assert_cache_pairing, dedup_attempts, exact_successes_into, verdicts_per_attempt,
 };
+use crate::geom::Point;
 use crate::network::SinrNetwork;
 use crate::power::PowerAssignment;
 use dps_core::feasibility::{Attempt, Feasibility};
@@ -22,44 +39,51 @@ use dps_core::load::LinkLoad;
 use dps_core::parallel::parallel_map;
 use rand::RngCore;
 
-use super::{pow_alpha, MAX_KERNEL_THREADS, MAX_TILE_LEVELS};
+use super::{pow_alpha, MAX_KERNEL_THREADS, MAX_TILES_PER_SIDE, MAX_TILE_LEVELS};
 
 /// The active set bucketed by sender leaf tile, rebuilt per slot:
 /// `entries` holds `(tile, link, count)` sorted by `(tile, link)`;
 /// `touched[i]` is the `i`-th occupied leaf tile (ascending) whose
-/// entries span `entries[start[i]..start[i + 1]]` and whose summed
-/// transmission weight `Σ count·p` is `weight[i]`.
+/// entries span `entries[start[i]..start[i + 1]]`, whose summed
+/// transmission weight `Σ count·p` is `weight[i]` and whose centre is
+/// `center[i]`.
 #[derive(Default)]
 pub(super) struct TileGroups {
     pub(super) entries: Vec<(u32, u32, u32)>,
     pub(super) touched: Vec<u32>,
     pub(super) start: Vec<u32>,
     pub(super) weight: Vec<f64>,
+    pub(super) center: Vec<Point>,
 }
 
 /// One coarse hierarchy level's occupied tiles this slot, aggregated
 /// from the level below: `tiles` ascending, `weight[i]` the summed
-/// transmission weight of the subtree, `children[child_start[i]..
-/// child_start[i+1]]` the indices into the level below's occupied list
-/// (leaf `touched` for the first coarse level).
+/// transmission weight of the subtree, `center[i]` the tile's centre,
+/// `children[child_start[i]..child_start[i+1]]` the indices into the
+/// level below's occupied list (leaf `touched` for the first coarse
+/// level).
 #[derive(Default)]
 pub(super) struct SlotCoarse {
     tiles: Vec<u32>,
     weight: Vec<f64>,
+    center: Vec<Point>,
     child_start: Vec<u32>,
     children: Vec<u32>,
 }
 
 /// One slot's walk plans, flattened: `keys` holds the distinct receiver
 /// leaf tiles (ascending), plan `i`'s terms span
-/// `terms[term_start[i]..term_start[i+1]]`. Every receiver in the same
-/// leaf tile shares one plan — the far walk runs once per occupied
-/// receiver tile, not once per receiver.
+/// `terms[term_start[i]..term_start[i+1]]` and the panels of its near
+/// terms, in term order, span `panels[panel_start[i]..panel_start[i+1]]`.
+/// Every receiver in the same leaf tile shares one plan — the far walk
+/// runs once per occupied receiver tile, not once per receiver.
 #[derive(Default)]
 pub(super) struct SlotPlans {
     keys: Vec<u32>,
     term_start: Vec<u32>,
     terms: Vec<PlanTerm>,
+    panel_start: Vec<u32>,
+    panels: Vec<PanelRef>,
 }
 
 impl SlotPlans {
@@ -67,18 +91,54 @@ impl SlotPlans {
         self.keys.clear();
         self.term_start.clear();
         self.terms.clear();
+        self.panel_start.clear();
+        self.panels.clear();
     }
 }
 
-/// One term of a walk plan, in DFS (ascending tile) emission order.
-enum PlanTerm {
-    /// Charge the aggregated subtree weight of occupied entry `idx` at
-    /// hierarchy `level` from that tile's centre.
-    Far { level: u8, idx: u32 },
-    /// Accumulate leaf group `group` exactly, through `panel` when one
-    /// is resident.
-    Near { group: u32, panel: PanelRef },
+/// One term of a walk plan, in DFS (ascending tile) emission order,
+/// packed into 4 bytes: bit 31 is the near flag, bits 28–30 the
+/// hierarchy level and bits 0–27 an index into that level's occupied
+/// list this slot. A far term charges the aggregated subtree weight of
+/// occupied entry `idx` at `level` from that tile's centre. A near term
+/// (always level 0) accumulates leaf group `idx` exactly, through the
+/// plan's next panel.
+#[derive(Clone, Copy)]
+struct PlanTerm(u32);
+
+impl PlanTerm {
+    const NEAR: u32 = 1 << 31;
+    const LEVEL_SHIFT: u32 = 28;
+    const IDX_MASK: u32 = (1 << Self::LEVEL_SHIFT) - 1;
+
+    fn far(level: u8, idx: u32) -> Self {
+        PlanTerm(u32::from(level) << Self::LEVEL_SHIFT | idx)
+    }
+
+    fn near(group: u32) -> Self {
+        PlanTerm(Self::NEAR | group)
+    }
+
+    #[inline(always)]
+    fn is_near(self) -> bool {
+        self.0 & Self::NEAR != 0
+    }
+
+    #[inline(always)]
+    fn level(self) -> usize {
+        (self.0 >> Self::LEVEL_SHIFT & 0b111) as usize
+    }
+
+    #[inline(always)]
+    fn idx(self) -> usize {
+        (self.0 & Self::IDX_MASK) as usize
+    }
 }
+
+// An occupied index is below its level's tile count, at most
+// `MAX_TILES_PER_SIDE²`, and a level fits the three level bits.
+const _: () = assert!(MAX_TILES_PER_SIDE * MAX_TILES_PER_SIDE <= PlanTerm::IDX_MASK as usize + 1);
+const _: () = assert!(MAX_TILE_LEVELS <= 8);
 
 /// Per-thread slot scratch for the tiled far-field path: distinct links
 /// with multiplicity, per-distinct-link verdicts, the per-slot tile
@@ -117,7 +177,7 @@ thread_local! {
 /// `epsilon = 0`) has nothing to aggregate: the oracle then hands every
 /// slot to the exact check [`SinrFeasibility`] runs, dense blocked
 /// kernel included, so its verdicts are that oracle's bits
-/// (property-tested in `tests/prop_tiles.rs`).
+/// (property-tested in the `tiles::tests::contract` unit tests).
 ///
 /// [`SinrFeasibility`]: crate::feasibility::SinrFeasibility
 #[derive(Clone, Debug)]
@@ -211,43 +271,6 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
         &self.tiles
     }
 
-    /// The accumulated tiled interference each *distinct* attempted
-    /// link sees this slot, in ascending link order — the exact value
-    /// the kernel compares against `β·(I + ν)`. Diagnostic/referee
-    /// surface: `tests/prop_tiles.rs` pins `|I_tiled − I_exact| ≤
-    /// ε·margin` against the naive oracle's sums.
-    pub fn slot_interference(&self, attempts: &[Attempt]) -> Vec<(LinkId, f64)> {
-        let TiledSlotScratch {
-            active,
-            groups,
-            coarse,
-            pairs,
-            plans,
-            stack,
-            receivers,
-            ..
-        } = &mut TiledSlotScratch::default();
-        dedup_attempts(attempts, active);
-        let far = self.tiles.far_pairs() > 0;
-        if far {
-            self.group_active_by_tile(active, groups);
-            self.build_coarse(groups, coarse, pairs);
-            self.build_plans(active, groups, coarse, plans, stack, receivers);
-        }
-        let cache = self.tiles.cache();
-        active
-            .iter()
-            .map(|&(on_raw, _)| {
-                let sum = if far {
-                    interference_with_plans(&self.tiles, on_raw, groups, coarse, plans)
-                } else {
-                    exact_interference(cache, active, on_raw)
-                };
-                (LinkId(on_raw), sum)
-            })
-            .collect()
-    }
-
     /// Buckets the active list by sender leaf tile: entries sorted by
     /// `(tile, link)`, touched tiles ascending with group extents and
     /// summed transmission weights `W_S = Σ count·p`.
@@ -256,6 +279,7 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
         groups.touched.clear();
         groups.start.clear();
         groups.weight.clear();
+        groups.center.clear();
         groups.entries.extend(
             active
                 .iter()
@@ -265,11 +289,13 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
             .entries
             .sort_unstable_by_key(|&(tile, link, _)| (tile, link));
         let tx_power = self.tiles.cache.tx_powers();
+        let leaf = &self.tiles.levels[0];
         for (i, &(tile, from, count)) in groups.entries.iter().enumerate() {
             if groups.touched.last() != Some(&tile) {
                 groups.touched.push(tile);
                 groups.start.push(i as u32);
                 groups.weight.push(0.0);
+                groups.center.push(leaf.center(tile));
             }
             *groups.weight.last_mut().expect("group opened above") +=
                 count as f64 * tx_power[from as usize];
@@ -317,6 +343,7 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
             let up = &mut rest[0];
             up.tiles.clear();
             up.weight.clear();
+            up.center.clear();
             up.child_start.clear();
             up.children.clear();
             for &(parent, child) in pairs.iter() {
@@ -324,6 +351,7 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
                     up.tiles.push(parent);
                     up.child_start.push(up.children.len() as u32);
                     up.weight.push(0.0);
+                    up.center.push(levels[l].center(parent));
                 }
                 up.children.push(child);
                 *up.weight.last_mut().expect("group opened above") += below_weight[child as usize];
@@ -339,10 +367,12 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
     /// their panel here — on the calling thread, before any fan-out —
     /// so the adaptive panel cache's evict/refill order is
     /// deterministic and the parallel verdict loop reads panels
-    /// lock-free. Each resolution names the receiver rows the slot
-    /// reads: `receivers` is rebuilt from the active links'
-    /// `(receiver tile, receiver rank)`, sorted, so each plan's rows are
-    /// one run of it.
+    /// lock-free. A fixed store's row for the plan's receiver tile is
+    /// fetched once and searched per near term; its hits and misses are
+    /// counted here and added to the shared counters once per slot.
+    /// Each adaptive resolution names the receiver rows the slot reads:
+    /// `receivers` is rebuilt from the active links' `(receiver tile,
+    /// receiver rank)`, sorted, so each plan's rows are one run of it.
     fn build_plans(
         &self,
         active: &[(u32, u32)],
@@ -369,6 +399,7 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
         let mut visited = [0u64; MAX_TILE_LEVELS];
         let mut far_terms = [0u64; MAX_TILE_LEVELS];
         let mut near_terms = 0u64;
+        let (mut hits, mut misses) = (0u64, 0u64);
         let top = levels.len() - 1;
         for run in receivers.chunk_by(|a, b| a.0 == b.0) {
             let r_leaf = run[0].0;
@@ -377,8 +408,10 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
             for (tile, level) in r_tile.iter_mut().zip(levels) {
                 *tile = level.tile_of_leaf(r_leaf, g0);
             }
+            let panels = tiles.panels.for_receiver(r_leaf);
             plans.keys.push(r_leaf);
             plans.term_start.push(plans.terms.len() as u32);
+            plans.panel_start.push(plans.panels.len() as u32);
             stack.clear();
             if top == 0 {
                 for j in (0..groups.touched.len()).rev() {
@@ -396,19 +429,34 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
                     let s = groups.touched[j as usize];
                     if levels[0].is_far(s, r_leaf) {
                         far_terms[0] += 1;
-                        plans.terms.push(PlanTerm::Far { level: 0, idx: j });
+                        plans.terms.push(PlanTerm::far(0, j));
                     } else {
                         near_terms += 1;
-                        let rows = run.iter().map(|&(_, rank)| rank);
-                        let panel = tiles.resolve_panel(s, r_leaf, rows);
-                        plans.terms.push(PlanTerm::Near { group: j, panel });
+                        let panel = match &panels {
+                            PlanPanels::Fixed(row) => match row.find(s) {
+                                Some(offset) => {
+                                    hits += 1;
+                                    PanelRef::Arena(offset)
+                                }
+                                None => {
+                                    misses += 1;
+                                    PanelRef::None
+                                }
+                            },
+                            PlanPanels::Adaptive(store) => {
+                                let rows = run.iter().map(|&(_, rank)| rank);
+                                tiles.resolve_adaptive(store, s, r_leaf, rows)
+                            }
+                        };
+                        plans.terms.push(PlanTerm::near(j));
+                        plans.panels.push(panel);
                     }
                 } else {
                     let occ = &coarse[l_us - 1];
                     let s = occ.tiles[j as usize];
                     if levels[l_us].is_far(s, r_tile[l_us]) {
                         far_terms[l_us] += 1;
-                        plans.terms.push(PlanTerm::Far { level: l, idx: j });
+                        plans.terms.push(PlanTerm::far(l, j));
                     } else {
                         let span = occ.child_start[j as usize] as usize
                             ..occ.child_start[j as usize + 1] as usize;
@@ -420,6 +468,7 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
             }
         }
         plans.term_start.push(plans.terms.len() as u32);
+        plans.panel_start.push(plans.panels.len() as u32);
 
         for (counter, n) in tiles.walk.visited.iter().zip(&visited) {
             counter.fetch_add(*n, Ordering::Relaxed);
@@ -431,6 +480,9 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
             .walk
             .near_terms
             .fetch_add(near_terms, Ordering::Relaxed);
+        let counters = tiles.panels.counters();
+        counters.hits.fetch_add(hits, Ordering::Relaxed);
+        counters.misses.fetch_add(misses, Ordering::Relaxed);
     }
 }
 
@@ -485,6 +537,9 @@ fn accumulate<const CUBE: bool>(
         .binary_search(&r_leaf)
         .expect("every active receiver tile has a plan");
     let terms = &plans.terms[plans.term_start[plan] as usize..plans.term_start[plan + 1] as usize];
+    let mut panels =
+        plans.panels[plans.panel_start[plan] as usize..plans.panel_start[plan + 1] as usize].iter();
+    let arena = tiles.panels.arena();
     let alpha = cache.alpha();
     let receiver = cache.receiver_positions()[on_raw as usize];
     // `on`'s own sender tile at every level.
@@ -493,70 +548,55 @@ fn accumulate<const CUBE: bool>(
     for (tile, level) in own_tile.iter_mut().zip(&tiles.levels) {
         *tile = level.tile_of_leaf(own_leaf, g0);
     }
-    for term in terms {
-        match term {
-            PlanTerm::Far { level, idx } => {
-                // Far tiles are geometrically incapable of zero
-                // cross distances, so aggregating them never hides
-                // a NaN.
-                let l = *level as usize;
-                let idx = *idx as usize;
-                let (s_tile, mut weight) = if l == 0 {
-                    (groups.touched[idx], groups.weight[idx])
-                } else {
-                    (coarse[l - 1].tiles[idx], coarse[l - 1].weight[idx])
-                };
-                if own_tile[l] == s_tile {
-                    // The exact sum excludes `on`'s own
-                    // transmission; remove it from the aggregate.
-                    // Receivers sharing a slot with their own
-                    // multiplicity > 1 are judged failed before
-                    // interference is evaluated, so one
-                    // transmission is exact here.
-                    weight -= cache.tx_powers()[on_raw as usize];
-                }
-                let d = tiles.levels[l].center(s_tile).distance(&receiver);
-                interference += weight / pow_alpha::<CUBE>(d, alpha);
+    for &term in terms {
+        let idx = term.idx();
+        if !term.is_near() {
+            // Far tiles are geometrically incapable of zero cross
+            // distances, so aggregating them never hides a NaN.
+            let l = term.level();
+            let (s_tile, mut weight, center) = if l == 0 {
+                (groups.touched[idx], groups.weight[idx], groups.center[idx])
+            } else {
+                let occ = &coarse[l - 1];
+                (occ.tiles[idx], occ.weight[idx], occ.center[idx])
+            };
+            if own_tile[l] == s_tile {
+                // The exact sum excludes `on`'s own transmission;
+                // remove it from the aggregate. Receivers sharing a
+                // slot with their own multiplicity > 1 are judged
+                // failed before interference is evaluated, so one
+                // transmission is exact here.
+                weight -= cache.tx_powers()[on_raw as usize];
             }
-            PlanTerm::Near { group, panel } => {
-                let i = *group as usize;
-                let group_entries =
-                    &groups.entries[groups.start[i] as usize..groups.start[i + 1] as usize];
-                let s = groups.touched[i] as usize;
-                let row: Option<&[f64]> = match panel {
-                    PanelRef::Arena(offset) => {
-                        let super::panels::PanelStore::Fixed { arena, .. } = &tiles.panels else {
-                            unreachable!("arena refs only come from fixed stores")
-                        };
-                        let s_count =
-                            (tiles.senders_start[s + 1] - tiles.senders_start[s]) as usize;
-                        Some(&arena[offset + r_rank * s_count..][..s_count])
+            let d = center.distance(&receiver);
+            interference += weight / pow_alpha::<CUBE>(d, alpha);
+            continue;
+        }
+        let group_entries =
+            &groups.entries[groups.start[idx] as usize..groups.start[idx + 1] as usize];
+        let s = groups.touched[idx] as usize;
+        let s_count = (tiles.senders_start[s + 1] - tiles.senders_start[s]) as usize;
+        let row: Option<&[f64]> = match panels.next().expect("one panel per near term") {
+            PanelRef::Arena(offset) => Some(&arena[offset + r_rank * s_count..][..s_count]),
+            PanelRef::Owned(data) => Some(&data[r_rank * s_count..][..s_count]),
+            PanelRef::None => None,
+        };
+        match row {
+            Some(row) => {
+                for &(_, from_raw, from_count) in group_entries {
+                    if from_raw == on_raw {
+                        continue;
                     }
-                    PanelRef::Owned(data) => {
-                        let s_count =
-                            (tiles.senders_start[s + 1] - tiles.senders_start[s]) as usize;
-                        Some(&data[r_rank * s_count..][..s_count])
+                    interference +=
+                        from_count as f64 * row[tiles.sender_rank[from_raw as usize] as usize];
+                }
+            }
+            None => {
+                for &(_, from_raw, from_count) in group_entries {
+                    if from_raw == on_raw {
+                        continue;
                     }
-                    PanelRef::None => None,
-                };
-                match row {
-                    Some(row) => {
-                        for &(_, from_raw, from_count) in group_entries {
-                            if from_raw == on_raw {
-                                continue;
-                            }
-                            interference += from_count as f64
-                                * row[tiles.sender_rank[from_raw as usize] as usize];
-                        }
-                    }
-                    None => {
-                        for &(_, from_raw, from_count) in group_entries {
-                            if from_raw == on_raw {
-                                continue;
-                            }
-                            interference += from_count as f64 * cache.gain(LinkId(from_raw), on);
-                        }
-                    }
+                    interference += from_count as f64 * cache.gain(LinkId(from_raw), on);
                 }
             }
         }
@@ -617,6 +657,46 @@ impl<P: PowerAssignment> Feasibility for TiledSinrFeasibility<P> {
             }
             verdicts_per_attempt(attempts, active, verdicts, out);
         });
+    }
+}
+
+#[cfg(test)]
+impl<P: PowerAssignment> TiledSinrFeasibility<P> {
+    /// The accumulated tiled interference each *distinct* attempted
+    /// link sees this slot, in ascending link order — the exact value
+    /// the kernel compares against `β·(I + ν)`. The referee tests pin
+    /// it bit for bit against a plain recursive walk and within
+    /// `ε·margin` of the exact sums.
+    pub(crate) fn slot_interference(&self, attempts: &[Attempt]) -> Vec<(LinkId, f64)> {
+        let TiledSlotScratch {
+            active,
+            groups,
+            coarse,
+            pairs,
+            plans,
+            stack,
+            receivers,
+            ..
+        } = &mut TiledSlotScratch::default();
+        dedup_attempts(attempts, active);
+        let far = self.tiles.far_pairs() > 0;
+        if far {
+            self.group_active_by_tile(active, groups);
+            self.build_coarse(groups, coarse, pairs);
+            self.build_plans(active, groups, coarse, plans, stack, receivers);
+        }
+        let cache = self.tiles.cache();
+        active
+            .iter()
+            .map(|&(on_raw, _)| {
+                let sum = if far {
+                    interference_with_plans(&self.tiles, on_raw, groups, coarse, plans)
+                } else {
+                    crate::feasibility::exact_interference(cache, active, on_raw)
+                };
+                (LinkId(on_raw), sum)
+            })
+            .collect()
     }
 }
 

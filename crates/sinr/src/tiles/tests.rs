@@ -1,5 +1,5 @@
 use super::hierarchy::TileLevel;
-use super::panels::PanelRef;
+use super::panels::{PanelRef, PanelStore};
 use super::*;
 use crate::cache::SinrCache;
 use crate::feasibility::SinrFeasibility;
@@ -13,9 +13,12 @@ use dps_core::feasibility::{Attempt, Feasibility};
 use dps_core::ids::{LinkId, PacketId};
 use dps_core::interference::InterferenceModel;
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+mod contract;
 
 fn attempt(link: u32, packet: u64) -> Attempt {
     Attempt {
@@ -476,11 +479,14 @@ fn adaptive_row_fill_is_copy_on_write() {
     let bits = |data: &[f64], row: usize| -> Vec<u64> {
         data[row * 4..][..4].iter().map(|g| g.to_bits()).collect()
     };
-    let PanelRef::Owned(first) = tiles.resolve_panel(s, r, [0]) else {
+    let PanelStore::Adaptive(store) = &tiles.panels else {
+        panic!("an adaptive index has an adaptive store")
+    };
+    let PanelRef::Owned(first) = tiles.resolve_adaptive(store, s, r, [0]) else {
         panic!("an unbounded adaptive store admits every pair")
     };
     assert_eq!(bits(&first, 0), expected(0));
-    let PanelRef::Owned(second) = tiles.resolve_panel(s, r, [1]) else {
+    let PanelRef::Owned(second) = tiles.resolve_adaptive(store, s, r, [1]) else {
         panic!("the pair stays resident")
     };
     assert!(
@@ -757,6 +763,340 @@ proptest! {
         prop_assert!(visited <= filled);
         if budget == usize::MAX {
             prop_assert_eq!(visited, filled);
+        }
+    }
+}
+
+/// A lattice instance on a `grid × grid` leaf grid of 60-wide tiles at
+/// path-loss exponent `alpha`. One corner-to-corner link pins the grid
+/// to `[0, 60·grid]²`. Every other link's sender sits on the centre of
+/// one of `groups` random leaf tiles, one to three links per tile, with
+/// its receiver 0.8–2.8 away: some receivers share a leaf tile and some
+/// are alone in one. A leaf tile without the corner sender has sender
+/// radius 0, so it far-qualifies for every receiver tile it does not
+/// overlap, at any `α`.
+fn lattice_instance(rng: &mut ChaCha12Rng, grid: usize, groups: usize, alpha: f64) -> SinrNetwork {
+    let side = 60.0 * grid as f64;
+    let mut b = SinrNetworkBuilder::new(SinrParams::new(alpha, 2.0, 1e-6));
+    b.add_isolated_link((0.0, 0.0), (side, side));
+    for _ in 0..groups {
+        let col = rng.gen_range(0..grid) as f64;
+        let row = rng.gen_range(0..grid) as f64;
+        let (sx, sy) = ((col + 0.5) * 60.0, (row + 0.5) * 60.0);
+        for _ in 0..rng.gen_range(1..4) {
+            let angle = rng.gen::<f64>() * std::f64::consts::TAU;
+            let len = 0.8 + rng.gen::<f64>() * 2.0;
+            b.add_isolated_link((sx, sy), (sx + len * angle.cos(), sy + len * angle.sin()));
+        }
+    }
+    b.build()
+}
+
+/// One term of the referee walk.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum WalkTerm {
+    /// Charge the subtree under `tile` of hierarchy `level`.
+    Far { level: usize, tile: u32 },
+    /// Sum leaf tile `tile`'s senders exactly.
+    Near { tile: u32 },
+}
+
+/// The plain recursive walk for receiver leaf tile `r_leaf` over the
+/// sender leaf tiles in `occupied`. Every coarsest-level tile above an
+/// occupied leaf is visited in ascending order; a tile that its level's
+/// table marks far for the receiver's tile at that level is one far
+/// term, otherwise its 2×2 children are visited in ascending tile
+/// order, and a leaf that is not far is a near group.
+fn referee_walk(tiles: &TiledSinrCache, occupied: &BTreeSet<u32>, r_leaf: u32) -> Vec<WalkTerm> {
+    fn visit(
+        tiles: &TiledSinrCache,
+        occupied: &BTreeSet<u32>,
+        r_leaf: u32,
+        (level, tile): (usize, u32),
+        out: &mut Vec<WalkTerm>,
+    ) {
+        let g0 = tiles.grid().tiles_per_side();
+        let this = &tiles.levels[level];
+        if !occupied
+            .iter()
+            .any(|&leaf| this.tile_of_leaf(leaf, g0) == tile)
+        {
+            return;
+        }
+        if this.is_far(tile, this.tile_of_leaf(r_leaf, g0)) {
+            out.push(WalkTerm::Far { level, tile });
+        } else if level == 0 {
+            out.push(WalkTerm::Near { tile });
+        } else {
+            let (side, below) = (
+                this.tiles_per_side as u32,
+                tiles.levels[level - 1].tiles_per_side as u32,
+            );
+            let (row, col) = (tile / side, tile % side);
+            for r in [2 * row, 2 * row + 1].into_iter().filter(|&r| r < below) {
+                for c in [2 * col, 2 * col + 1].into_iter().filter(|&c| c < below) {
+                    visit(tiles, occupied, r_leaf, (level - 1, r * below + c), out);
+                }
+            }
+        }
+    }
+    let top = tiles.levels.len() - 1;
+    let side = tiles.levels[top].tiles_per_side as u32;
+    let mut out = Vec::new();
+    for tile in 0..side * side {
+        visit(tiles, occupied, r_leaf, (top, tile), &mut out);
+    }
+    out
+}
+
+/// The summed transmission weight `Σ count·p` under `tile` of
+/// hierarchy `level`: a leaf adds its active senders in ascending link
+/// order, a coarse tile its occupied children's weights in ascending
+/// tile order.
+fn subtree_weight(tiles: &TiledSinrCache, active: &[(u32, u32)], level: usize, tile: u32) -> f64 {
+    let g0 = tiles.grid().tiles_per_side();
+    let p = tiles.cache().tx_powers();
+    if level == 0 {
+        return active
+            .iter()
+            .filter(|&&(link, _)| tiles.sender_tile_of(LinkId(link)) == tile)
+            .fold(0.0, |w, &(link, count)| w + count as f64 * p[link as usize]);
+    }
+    let below = &tiles.levels[level - 1];
+    let children: BTreeSet<u32> = active
+        .iter()
+        .map(|&(link, _)| tiles.sender_tile_of(LinkId(link)))
+        .filter(|&leaf| tiles.levels[level].tile_of_leaf(leaf, g0) == tile)
+        .map(|leaf| below.tile_of_leaf(leaf, g0))
+        .collect();
+    children.into_iter().fold(0.0, |w, child| {
+        w + subtree_weight(tiles, active, level - 1, child)
+    })
+}
+
+/// The interference at active link `on` from the referee walk: a far
+/// term charges its subtree weight (less `on`'s own power when `on`'s
+/// sender lies under it) as `W / d(centre, receiver)^α` through
+/// `pow_alpha`; a near term adds `count · gain` over its leaf's active
+/// senders other than `on`, in ascending link order.
+fn referee_sum(tiles: &TiledSinrCache, active: &[(u32, u32)], on: u32) -> f64 {
+    let cache = tiles.cache();
+    let alpha = cache.alpha();
+    let g0 = tiles.grid().tiles_per_side();
+    let occupied: BTreeSet<u32> = active
+        .iter()
+        .map(|&(link, _)| tiles.sender_tile_of(LinkId(link)))
+        .collect();
+    let receiver = cache.receiver_positions()[on as usize];
+    let own_leaf = tiles.sender_tile_of(LinkId(on));
+    let mut sum = 0.0;
+    for term in referee_walk(tiles, &occupied, tiles.receiver_tile_of(LinkId(on))) {
+        match term {
+            WalkTerm::Far { level, tile } => {
+                let this = &tiles.levels[level];
+                let mut weight = subtree_weight(tiles, active, level, tile);
+                if this.tile_of_leaf(own_leaf, g0) == tile {
+                    weight -= cache.tx_powers()[on as usize];
+                }
+                let d = this.center(tile).distance(&receiver);
+                let path_loss = if alpha == 3.0 {
+                    pow_alpha::<true>(d, alpha)
+                } else {
+                    pow_alpha::<false>(d, alpha)
+                };
+                sum += weight / path_loss;
+            }
+            WalkTerm::Near { tile } => {
+                for &(from, count) in active {
+                    if from != on && tiles.sender_tile_of(LinkId(from)) == tile {
+                        sum += count as f64 * cache.gain(LinkId(from), LinkId(on));
+                    }
+                }
+            }
+        }
+    }
+    sum
+}
+
+/// The fixed store's placements as the build makes them, recomputed
+/// here: near leaf pairs in row-major `(S, R)` order over the occupied
+/// tiles, each `|S|·|R|` cells at the next arena offset, stopping at
+/// the first that no longer fits `budget_cells`. Returns
+/// `((s, r), offset, cells)` in build order.
+fn fixed_placements(
+    tiles: &TiledSinrCache,
+    budget_cells: usize,
+) -> Vec<((u32, u32), usize, usize)> {
+    let t = tiles.num_tiles();
+    let count = |start: &[u32], tile: usize| (start[tile + 1] - start[tile]) as usize;
+    let mut placed = Vec::new();
+    let mut used = 0;
+    for s in (0..t).filter(|&s| count(&tiles.senders_start, s) > 0) {
+        for r in (0..t).filter(|&r| count(&tiles.receivers_start, r) > 0) {
+            if tiles.is_far(s as u32, r as u32) {
+                continue;
+            }
+            let cells = count(&tiles.senders_start, s) * count(&tiles.receivers_start, r);
+            if used + cells > budget_cells {
+                return placed;
+            }
+            placed.push(((s as u32, r as u32), used, cells));
+            used += cells;
+        }
+    }
+    placed
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The kernel's per-receiver sums against the plain recursive
+    /// walk, bit for bit, over a sequence of slots: α ∈ {3, 2.5}, 1–3
+    /// levels, fixed panels under ample, one-panel-ish and zero
+    /// budgets, adaptive panels under zero, small and ample budgets.
+    /// The lattice geometry far-qualifies pairs at every α, so every
+    /// slot runs the tiled kernel.
+    #[test]
+    fn kernel_sums_are_the_recursive_walk_bitwise(
+        seed in 0u64..10_000,
+        grid in 2usize..9,
+        levels in 1usize..4,
+        alpha_sel in 0usize..2,
+        eps_sel in 0usize..2,
+        panels_sel in 0usize..6,
+        masks in proptest::collection::vec(0u64..u64::MAX, 3..6),
+    ) {
+        let mut rng_geo = ChaCha12Rng::seed_from_u64(seed);
+        let alpha = [3.0, 2.5][alpha_sel];
+        let net = lattice_instance(&mut rng_geo, grid, 4 + grid * grid / 2, alpha);
+        let m = net.num_links() as u32;
+        let (mode, budget) = [
+            (PanelCacheMode::Fixed, usize::MAX),
+            (PanelCacheMode::Fixed, 64 * 8),
+            (PanelCacheMode::Fixed, 0),
+            (PanelCacheMode::Adaptive, usize::MAX),
+            (PanelCacheMode::Adaptive, 64 * 8),
+            (PanelCacheMode::Adaptive, 0),
+        ][panels_sel];
+        let options = TileOptions::new(grid, [1e-3, 1e-2][eps_sel])
+            .with_levels(levels)
+            .with_panel_mode(mode)
+            .with_panel_budget(budget);
+        let power = LinearPower::new(alpha);
+        let oracle = TiledSinrFeasibility::with_options(net, power, options);
+        let tiles = oracle.tiles();
+        prop_assert!(tiles.far_pairs() > 0, "the lattice must far-qualify a pair");
+        for (slot, &mask) in masks.iter().enumerate() {
+            let mut attempts: Vec<Attempt> = (0..m)
+                .filter(|&l| l == 0 || mask >> (l % 64) & 1 == 1)
+                .map(|l| attempt(l, l as u64))
+                .collect();
+            attempts.push(attempt((mask % m as u64) as u32, 1_000));
+            let active = contract::dedup(&attempts);
+            let sums = oracle.slot_interference(&attempts);
+            prop_assert_eq!(sums.len(), active.len());
+            for (&(link, sum), &(on, _)) in sums.iter().zip(&active) {
+                prop_assert_eq!(link, LinkId(on));
+                let want = referee_sum(tiles, &active, on);
+                prop_assert_eq!(
+                    sum.to_bits(), want.to_bits(),
+                    "slot {} link {}: kernel {} vs walk {}", slot, on, sum, want
+                );
+            }
+        }
+    }
+
+    /// The fixed store's receiver-major CSR against the build order,
+    /// under budgets of zero, one panel, a cut in the middle of a
+    /// sender row, and ample: for every tile pair the lookup returns
+    /// exactly the arena offset the build wrote, or no panel. Driven
+    /// slots then add exactly the hits and misses that the recursive
+    /// walk's near groups count against those placements.
+    #[test]
+    fn fixed_panel_lookup_is_the_build_order(
+        seed in 0u64..10_000,
+        grid in 2usize..9,
+        levels in 1usize..4,
+        budget_sel in 0usize..4,
+        masks in proptest::collection::vec(0u64..u64::MAX, 3..6),
+    ) {
+        let mut rng_geo = ChaCha12Rng::seed_from_u64(seed);
+        let net = lattice_instance(&mut rng_geo, grid, 4 + grid * grid / 2, 3.0);
+        let m = net.num_links() as u32;
+        let options = TileOptions::new(grid, 1e-2).with_levels(levels);
+        let power = LinearPower::new(3.0);
+        let cache = Arc::new(SinrCache::new(&net, &power));
+        let full = TiledSinrCache::with_options(Arc::clone(&cache), options.with_panel_budget(usize::MAX));
+        let all = fixed_placements(&full, usize::MAX);
+        // Each cut stops the build at panel `k`, with slack just short
+        // of its cells: a build that skipped it and went on would place
+        // a smaller later panel. One panel: `k = 1`. A cut in the middle
+        // of a row: a `k` whose sender row already placed a panel.
+        let mid_row: Vec<usize> = (1..all.len()).filter(|&k| all[k - 1].0 .0 == all[k].0 .0).collect();
+        let cut = match budget_sel {
+            1 if all.len() > 1 => Some(1),
+            2 => mid_row.get(mid_row.len() / 2).copied(),
+            _ => None,
+        };
+        let budget_cells = match (budget_sel, cut) {
+            (0, _) => 0,
+            (1 | 2, Some(k)) => all[k].1 + all[k].2 - 1,
+            _ => usize::MAX,
+        };
+        let budget = budget_cells.saturating_mul(std::mem::size_of::<f64>());
+        let tiles = Arc::new(TiledSinrCache::with_options(cache, options.with_panel_budget(budget)));
+        let placed = fixed_placements(&tiles, budget_cells);
+        if let Some(k) = cut {
+            prop_assert_eq!(placed.len(), k);
+            prop_assert_eq!(&placed[..], &all[..k]);
+        }
+        let offsets: BTreeMap<(u32, u32), usize> = placed.iter().map(|&(key, at, _)| (key, at)).collect();
+        prop_assert_eq!(tiles.panel_count(), offsets.len());
+        let PanelStore::Fixed(fixed) = &tiles.panels else {
+            panic!("a fixed index has a fixed store")
+        };
+        let t = tiles.num_tiles() as u32;
+        for r in 0..t {
+            let row = fixed.row(r);
+            for s in 0..t {
+                prop_assert_eq!(row.find(s), offsets.get(&(s, r)).copied(), "pair ({}, {})", s, r);
+            }
+        }
+
+        let oracle = TiledSinrFeasibility::with_tiles(net, power, Arc::clone(&tiles));
+        prop_assert!(tiles.far_pairs() > 0, "the lattice must far-qualify a pair");
+        for &mask in &masks {
+            let attempts: Vec<Attempt> = (0..m)
+                .filter(|&l| l == 0 || mask >> (l % 64) & 1 == 1)
+                .map(|l| attempt(l, l as u64))
+                .collect();
+            let active = contract::dedup(&attempts);
+            let occupied: BTreeSet<u32> = active
+                .iter()
+                .map(|&(link, _)| tiles.sender_tile_of(LinkId(link)))
+                .collect();
+            let r_tiles: BTreeSet<u32> = active
+                .iter()
+                .map(|&(link, _)| tiles.receiver_tile_of(LinkId(link)))
+                .collect();
+            let (mut hits, mut misses) = (0, 0);
+            for &r in &r_tiles {
+                for term in referee_walk(&tiles, &occupied, r) {
+                    if let WalkTerm::Near { tile } = term {
+                        if offsets.contains_key(&(tile, r)) {
+                            hits += 1;
+                        } else {
+                            misses += 1;
+                        }
+                    }
+                }
+            }
+            let before = tiles.diagnostics();
+            oracle.successes(&attempts, &mut rng());
+            let after = tiles.diagnostics();
+            prop_assert_eq!(after.panel_hits - before.panel_hits, hits);
+            prop_assert_eq!(after.panel_misses - before.panel_misses, misses);
+            prop_assert_eq!(after.near_terms - before.near_terms, hits + misses);
         }
     }
 }

@@ -1,12 +1,13 @@
 //! Referee suite for the spatially-tiled SINR substrate: the tiled
-//! oracle vs the exact one.
+//! oracle vs the exact one. It reads the kernel's per-receiver sums
+//! through the test-only `slot_interference`, so it runs as unit tests.
 //!
-//! The contract under test ([`dps_sinr::tiles`]):
+//! The contract under test ([`crate::tiles`]):
 //!
 //! * `epsilon = 0`, or any index that far-qualifies no tile pair —
 //!   bit-for-bit: verdicts and per-receiver interference sums identical
 //!   to the exact oracle (and hence to the naive referee of
-//!   `support/referee.rs`), with and without a dense gain table.
+//!   `tests/support/referee.rs`), with and without a dense gain table.
 //! * `epsilon > 0` — bounded: per-receiver interference within
 //!   `epsilon · margin` of the exact sum (for positive margins; a
 //!   non-positive margin disqualifies its whole receiver tile from
@@ -17,18 +18,18 @@
 //!   at any epsilon: coincident points share a tile and tiles only
 //!   far-qualify at strictly positive centre separation.
 
-#[path = "support/referee.rs"]
+#[path = "../../../tests/support/referee.rs"]
 mod referee;
 
+use crate::cache::{SinrCache, DEFAULT_DENSE_GAIN_LIMIT};
+use crate::feasibility::SinrFeasibility;
+use crate::instances::{line_instance, random_instance};
+use crate::network::{SinrNetwork, SinrNetworkBuilder};
+use crate::params::SinrParams;
+use crate::power::{LinearPower, PowerAssignment, UniformPower};
+use crate::tiles::{PanelCacheMode, TileOptions, TiledSinrCache, TiledSinrFeasibility};
 use dps_core::feasibility::{Attempt, Feasibility};
 use dps_core::ids::{LinkId, PacketId};
-use dps_sinr::cache::{SinrCache, DEFAULT_DENSE_GAIN_LIMIT};
-use dps_sinr::feasibility::SinrFeasibility;
-use dps_sinr::instances::{line_instance, random_instance};
-use dps_sinr::network::{SinrNetwork, SinrNetworkBuilder};
-use dps_sinr::params::SinrParams;
-use dps_sinr::power::{LinearPower, PowerAssignment, UniformPower};
-use dps_sinr::tiles::{PanelCacheMode, TileOptions, TiledSinrCache, TiledSinrFeasibility};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use rand::{Rng, SeedableRng};
@@ -43,7 +44,7 @@ fn attempt(link: u32, id: u64) -> Attempt {
     }
 }
 
-/// The epsilon lattice the ISSUE pins: exact, tight, loose.
+/// The epsilon lattice the referee pins: exact, tight, loose.
 const EPSILONS: [f64; 3] = [0.0, 1e-6, 1e-2];
 
 /// Kernel thread counts the referee exercises; verdicts must be
@@ -52,7 +53,7 @@ const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Distinct attempted links with multiplicities, ascending — the shared
 /// preamble of both kernels, reproduced independently here.
-fn dedup(attempts: &[Attempt]) -> Vec<(u32, u32)> {
+pub(super) fn dedup(attempts: &[Attempt]) -> Vec<(u32, u32)> {
     let mut active: Vec<(u32, u32)> = attempts.iter().map(|a| (a.link.0, 1)).collect();
     active.sort_unstable_by_key(|&(link, _)| link);
     let mut out: Vec<(u32, u32)> = Vec::new();
@@ -511,7 +512,7 @@ proptest! {
     }
 }
 
-/// The ISSUE's upper referee size: one deterministic m = 256 instance
+/// The largest referee size: one deterministic m = 256 instance
 /// across the full epsilon lattice, everything transmitting plus
 /// duplicates.
 #[test]

@@ -2,9 +2,11 @@
 //! term from scratch and scans all `m` links per attempt.
 //!
 //! It is the ground truth the cached and tiled oracles are held to
-//! bit for bit (`prop_sinr`, `prop_tiles`) and the pre-optimization
-//! baseline that `bench_sinr` times. Those three include this one file
-//! with `#[path]`, so the referee lives in no library's production code.
+//! bit for bit (`prop_sinr` and the `tiles::tests::contract` unit
+//! tests) and the pre-optimization baseline that `bench_sinr` times.
+//! Those three include this one file with `#[path]`, so the referee
+//! lives in no library's production code. (The unit tests see this
+//! crate as `dps_sinr` through a test-only `extern crate self`.)
 //!
 //! Interference contributions accumulate as `count · (p/d^α)` — the same
 //! association as the cached path — in link-index order. (The pre-cache
