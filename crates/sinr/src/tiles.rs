@@ -21,10 +21,17 @@
 //!   powers and margins, and the slot kernel charges each far region at
 //!   the *coarsest* level that qualifies — so the far-field walk visits
 //!   `O(occupied tiles at the coarsest qualifying level)` instead of
-//!   `O(occupied leaf tiles)`. This is what lifts the old
-//!   `tiles_per_side ≤ 64` cap (the flat walk forced it) to
-//!   [`MAX_TILES_PER_SIDE`]`= 1024`: fine leaf grids keep panels small
-//!   while coarse levels keep the walk short.
+//!   `O(occupied leaf tiles)`, and leaf grids up to
+//!   [`MAX_TILES_PER_SIDE`]` = 1024` per side stay cheap to walk: fine
+//!   leaf grids keep panels small while coarse levels keep the walk
+//!   short.
+//! * **One walk.** The slot kernel and the `‖W·R‖∞` measure share one
+//!   occupied-tile pyramid (the `pyramid` submodule): the caller lists
+//!   its occupied leaf tiles with their weights (`Σ count·p` per slot,
+//!   `Σ rate·p` per load), one coarsening aggregates them up the
+//!   hierarchy, and one depth-first walk per receiver leaf tile reports
+//!   each far charge and near leaf in ascending tile order. Only the
+//!   kernel adds the walk's counts to [`TileDiagnostics`].
 //! * **Far-field aggregation.** A tile pair `(S, R)` at any level is
 //!   *far* when replacing every sender `s ∈ S` by the tile centre `c_S`
 //!   perturbs the interference any receiver in `R` sees by at most
@@ -97,6 +104,7 @@ mod index;
 mod kernel;
 mod measure;
 mod panels;
+mod pyramid;
 
 #[cfg(test)]
 mod tests;
@@ -118,15 +126,14 @@ pub const DEFAULT_PANEL_BUDGET_BYTES: usize = 8 << 20;
 /// Largest supported leaf grid resolution (tiles per side). The
 /// hierarchical far walk only ever consults far tables at levels coarse
 /// enough for one ([`MAX_FAR_TABLE_SIDE`]), so the leaf grid is bounded
-/// by per-tile bookkeeping memory (`O(g²)` summary floats), not by the
-/// `g⁴` far table the old flat walk required.
+/// by per-tile bookkeeping memory (`O(g²)` summary floats), not by a
+/// far table's `g⁴` bits.
 pub const MAX_TILES_PER_SIDE: usize = 1024;
 
 /// Coarsest side length at which a level still materializes its
 /// far-qualification table: `64⁴` bits (2 MiB) is the largest table a
 /// single level may hold. Finer levels carry no table and never
-/// far-qualify — their tiles always descend (or fall to the near path),
-/// which is exactly the old flat behaviour for `g ≤ 64`.
+/// far-qualify — their tiles always descend (or fall to the near path).
 pub const MAX_FAR_TABLE_SIDE: usize = 64;
 
 /// Most coarsening levels a tiled index may stack (including the leaf

@@ -6,8 +6,7 @@
 //! from the *coarse* centre, max power, min margin — are computed
 //! directly from the member links, so a far qualification at level `ℓ`
 //! is sound for every leaf descendant simultaneously. Level `0` *is*
-//! the leaf grid; its statistics and far table reproduce the flat
-//! index bit-for-bit.
+//! the leaf grid, centres included ([`TileLevel::center`]).
 
 use super::grid::TileGrid;
 use super::{pow_alpha, MAX_FAR_TABLE_SIDE};

@@ -1,21 +1,20 @@
-//! The tiled slot kernel: per-slot active grouping, coarse-level
-//! aggregation, per-receiver-tile walk plans, and the (optionally
-//! multi-threaded) verdict loop.
+//! The tiled slot kernel: per-slot active grouping, per-receiver-tile
+//! walk plans over the shared occupied-tile pyramid, and the
+//! (optionally multi-threaded) verdict loop.
 //!
 //! A slot runs in three phases on the calling thread, then judges:
 //!
 //! 1. **Grouping.** The active links are bucketed by sender leaf tile
-//!    ([`TileGroups`]) and aggregated up the hierarchy
-//!    ([`SlotCoarse`]): occupied tiles ascending, subtree weights, and
-//!    each tile's centre, so a far charge reads its centre instead of
-//!    recomputing it.
-//! 2. **Walk plans.** One DFS per distinct receiver leaf tile
-//!    ([`SlotPlans`]) emits packed 4-byte [`PlanTerm`]s in DFS order.
-//!    Near terms resolve their panels here, before any fan-out: the
-//!    fixed store's receiver row is fetched once per plan and searched
-//!    per near term, and its hits and misses are counted in locals and
-//!    added to the shared counters once per slot; the adaptive store
-//!    resolves (and counts) under its lock.
+//!    ([`TileGroups`]), and the groups' weights fill the leaf of the
+//!    shared occupied-tile [`Pyramid`], which aggregates them up the
+//!    hierarchy.
+//! 2. **Walk plans.** The pyramid's walk, once per distinct receiver
+//!    leaf tile ([`SlotPlans`]), emits packed 4-byte [`PlanTerm`]s in
+//!    DFS order. Near terms resolve their panels here, before any
+//!    fan-out: the fixed store's receiver row is fetched once per plan
+//!    and searched per near term, and its hits and misses are counted
+//!    in locals and added to the shared counters once per slot; the
+//!    adaptive store resolves (and counts) under its lock.
 //! 3. **Verdicts.** Each receiver replays its tile's plan, optionally
 //!    split over [`parallel_map`] workers.
 
@@ -25,11 +24,11 @@ use std::sync::Arc;
 
 use super::index::TiledSinrCache;
 use super::panels::{PanelRef, PlanPanels};
+use super::pyramid::{leaf_ancestors, Pyramid, Visit};
 use crate::cache::SinrCache;
 use crate::feasibility::{
     assert_cache_pairing, dedup_attempts, exact_successes_into, verdicts_per_attempt,
 };
-use crate::geom::Point;
 use crate::network::SinrNetwork;
 use crate::power::PowerAssignment;
 use dps_core::feasibility::{Attempt, Feasibility};
@@ -42,33 +41,13 @@ use rand::RngCore;
 use super::{pow_alpha, MAX_KERNEL_THREADS, MAX_TILES_PER_SIDE, MAX_TILE_LEVELS};
 
 /// The active set bucketed by sender leaf tile, rebuilt per slot:
-/// `entries` holds `(tile, link, count)` sorted by `(tile, link)`;
-/// `touched[i]` is the `i`-th occupied leaf tile (ascending) whose
-/// entries span `entries[start[i]..start[i + 1]]`, whose summed
-/// transmission weight `Σ count·p` is `weight[i]` and whose centre is
-/// `center[i]`.
+/// `entries` holds `(tile, link, count)` sorted by `(tile, link)`, and
+/// the `i`-th occupied leaf tile (ascending, entry `i` of the
+/// pyramid's leaf) owns `entries[start[i]..start[i + 1]]`.
 #[derive(Default)]
-pub(super) struct TileGroups {
-    pub(super) entries: Vec<(u32, u32, u32)>,
-    pub(super) touched: Vec<u32>,
-    pub(super) start: Vec<u32>,
-    pub(super) weight: Vec<f64>,
-    pub(super) center: Vec<Point>,
-}
-
-/// One coarse hierarchy level's occupied tiles this slot, aggregated
-/// from the level below: `tiles` ascending, `weight[i]` the summed
-/// transmission weight of the subtree, `center[i]` the tile's centre,
-/// `children[child_start[i]..child_start[i+1]]` the indices into the
-/// level below's occupied list (leaf `touched` for the first coarse
-/// level).
-#[derive(Default)]
-pub(super) struct SlotCoarse {
-    tiles: Vec<u32>,
-    weight: Vec<f64>,
-    center: Vec<Point>,
-    child_start: Vec<u32>,
-    children: Vec<u32>,
+struct TileGroups {
+    entries: Vec<(u32, u32, u32)>,
+    start: Vec<u32>,
 }
 
 /// One slot's walk plans, flattened: `keys` holds the distinct receiver
@@ -149,8 +128,7 @@ struct TiledSlotScratch {
     active: Vec<(u32, u32)>,
     verdicts: Vec<bool>,
     groups: TileGroups,
-    coarse: Vec<SlotCoarse>,
-    pairs: Vec<(u32, u32)>,
+    pyramid: Pyramid,
     plans: SlotPlans,
     stack: Vec<(u8, u32)>,
     receivers: Vec<(u32, u32)>,
@@ -271,120 +249,61 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
         &self.tiles
     }
 
-    /// Buckets the active list by sender leaf tile: entries sorted by
-    /// `(tile, link)`, touched tiles ascending with group extents and
-    /// summed transmission weights `W_S = Σ count·p`.
-    fn group_active_by_tile(&self, active: &[(u32, u32)], groups: &mut TileGroups) {
-        groups.entries.clear();
-        groups.touched.clear();
-        groups.start.clear();
-        groups.weight.clear();
-        groups.center.clear();
-        groups.entries.extend(
+    /// Buckets the active list by sender leaf tile (entries sorted by
+    /// `(tile, link)`) and builds the slot's pyramid from the occupied
+    /// leaf tiles' summed transmission weights `W_S = Σ count·p` —
+    /// deterministic regardless of thread count, since this runs before
+    /// the fan-out.
+    fn group_active_by_tile(
+        &self,
+        active: &[(u32, u32)],
+        groups: &mut TileGroups,
+        pyramid: &mut Pyramid,
+    ) {
+        let TileGroups { entries, start } = groups;
+        entries.clear();
+        start.clear();
+        start.push(0);
+        entries.extend(
             active
                 .iter()
                 .map(|&(from, count)| (self.tiles.sender_tile[from as usize], from, count)),
         );
-        groups
-            .entries
-            .sort_unstable_by_key(|&(tile, link, _)| (tile, link));
+        entries.sort_unstable_by_key(|&(tile, link, _)| (tile, link));
         let tx_power = self.tiles.cache.tx_powers();
-        let leaf = &self.tiles.levels[0];
-        for (i, &(tile, from, count)) in groups.entries.iter().enumerate() {
-            if groups.touched.last() != Some(&tile) {
-                groups.touched.push(tile);
-                groups.start.push(i as u32);
-                groups.weight.push(0.0);
-                groups.center.push(leaf.center(tile));
-            }
-            *groups.weight.last_mut().expect("group opened above") +=
-                count as f64 * tx_power[from as usize];
-        }
-        groups.start.push(groups.entries.len() as u32);
-    }
-
-    /// Aggregates the slot's occupied leaf groups up the hierarchy:
-    /// coarse level `ℓ` (stored at `coarse[ℓ-1]`) maps the occupied
-    /// entries of the level below to their parents, sorted and deduped,
-    /// with subtree weights summed in child order — deterministic
-    /// regardless of thread count, since this runs before the fan-out.
-    fn build_coarse(
-        &self,
-        groups: &TileGroups,
-        coarse: &mut Vec<SlotCoarse>,
-        pairs: &mut Vec<(u32, u32)>,
-    ) {
-        let levels = &self.tiles.levels;
-        coarse.resize_with(levels.len().saturating_sub(1), SlotCoarse::default);
-        for l in 1..levels.len() {
-            let (done, rest) = coarse.split_at_mut(l - 1);
-            let (below_tiles, below_weight, below_side): (&[u32], &[f64], usize) = if l == 1 {
-                (
-                    &groups.touched,
-                    &groups.weight,
-                    self.tiles.grid.tiles_per_side(),
-                )
-            } else {
-                let below = &done[l - 2];
-                (&below.tiles, &below.weight, levels[l - 1].tiles_per_side)
-            };
-            let this_side = levels[l].tiles_per_side;
-            pairs.clear();
-            pairs.extend(below_tiles.iter().enumerate().map(|(i, &tile)| {
-                let row = tile as usize / below_side;
-                let col = tile as usize % below_side;
-                let parent = ((row >> 1) * this_side + (col >> 1)) as u32;
-                (parent, i as u32)
-            }));
-            // Parent indices are not monotone in the child's row-major
-            // order (a row of children alternates between two parent
-            // rows), so sorting is what restores ascending tile order.
-            pairs.sort_unstable();
-            let up = &mut rest[0];
-            up.tiles.clear();
-            up.weight.clear();
-            up.center.clear();
-            up.child_start.clear();
-            up.children.clear();
-            for &(parent, child) in pairs.iter() {
-                if up.tiles.last() != Some(&parent) {
-                    up.tiles.push(parent);
-                    up.child_start.push(up.children.len() as u32);
-                    up.weight.push(0.0);
-                    up.center.push(levels[l].center(parent));
-                }
-                up.children.push(child);
-                *up.weight.last_mut().expect("group opened above") += below_weight[child as usize];
-            }
-            up.child_start.push(up.children.len() as u32);
-        }
+        // `build` consumes the groups in order; each closes its span.
+        let leaf = entries.chunk_by(|a, b| a.0 == b.0).map(|group| {
+            start.push(start[start.len() - 1] + group.len() as u32);
+            let weight = group.iter().fold(0.0, |w, &(_, from, count)| {
+                w + count as f64 * tx_power[from as usize]
+            });
+            (group[0].0, weight)
+        });
+        pyramid.build(&self.tiles.levels, leaf);
     }
 
     /// Builds one walk plan per distinct receiver leaf tile of the
-    /// active set: a DFS from the coarsest level that charges each far
+    /// active set from the pyramid's walk, which charges each far
     /// subtree at the coarsest qualifying level and descends otherwise,
-    /// emitting terms in ascending-tile DFS order. Near terms resolve
-    /// their panel here — on the calling thread, before any fan-out —
-    /// so the adaptive panel cache's evict/refill order is
-    /// deterministic and the parallel verdict loop reads panels
-    /// lock-free. A fixed store's row for the plan's receiver tile is
-    /// fetched once and searched per near term; its hits and misses are
-    /// counted here and added to the shared counters once per slot.
-    /// Each adaptive resolution names the receiver rows the slot reads:
+    /// in ascending-tile DFS order. Near terms resolve their panel
+    /// here — on the calling thread, before any fan-out — so the
+    /// adaptive panel cache's evict/refill order is deterministic and
+    /// the parallel verdict loop reads panels lock-free. A fixed
+    /// store's row for the plan's receiver tile is fetched once and
+    /// searched per near term; its hits and misses are counted here and
+    /// added to the shared counters once per slot. Each adaptive
+    /// resolution names the receiver rows the slot reads:
     /// `receivers` is rebuilt from the active links' `(receiver tile,
     /// receiver rank)`, sorted, so each plan's rows are one run of it.
     fn build_plans(
         &self,
         active: &[(u32, u32)],
-        groups: &TileGroups,
-        coarse: &[SlotCoarse],
+        pyramid: &Pyramid,
         plans: &mut SlotPlans,
         stack: &mut Vec<(u8, u32)>,
         receivers: &mut Vec<(u32, u32)>,
     ) {
         let tiles = &*self.tiles;
-        let levels = &tiles.levels;
-        let g0 = tiles.grid.tiles_per_side();
         tiles.panels.tick();
         plans.clear();
         receivers.clear();
@@ -400,71 +319,44 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
         let mut far_terms = [0u64; MAX_TILE_LEVELS];
         let mut near_terms = 0u64;
         let (mut hits, mut misses) = (0u64, 0u64);
-        let top = levels.len() - 1;
+        let leaf = &pyramid.levels[0];
         for run in receivers.chunk_by(|a, b| a.0 == b.0) {
             let r_leaf = run[0].0;
-            // The receiver tile at every level, once per plan.
-            let mut r_tile = [0u32; MAX_TILE_LEVELS];
-            for (tile, level) in r_tile.iter_mut().zip(levels) {
-                *tile = level.tile_of_leaf(r_leaf, g0);
-            }
-            let panels = tiles.panels.for_receiver(r_leaf);
+            let first = plans.terms.len();
             plans.keys.push(r_leaf);
-            plans.term_start.push(plans.terms.len() as u32);
+            plans.term_start.push(first as u32);
             plans.panel_start.push(plans.panels.len() as u32);
-            stack.clear();
-            if top == 0 {
-                for j in (0..groups.touched.len()).rev() {
-                    stack.push((0, j as u32));
-                }
-            } else {
-                for j in (0..coarse[top - 1].tiles.len()).rev() {
-                    stack.push((top as u8, j as u32));
-                }
-            }
-            while let Some((l, j)) = stack.pop() {
-                let l_us = l as usize;
-                visited[l_us] += 1;
-                if l == 0 {
-                    let s = groups.touched[j as usize];
-                    if levels[0].is_far(s, r_leaf) {
-                        far_terms[0] += 1;
-                        plans.terms.push(PlanTerm::far(0, j));
-                    } else {
-                        near_terms += 1;
-                        let panel = match &panels {
-                            PlanPanels::Fixed(row) => match row.find(s) {
-                                Some(offset) => {
-                                    hits += 1;
-                                    PanelRef::Arena(offset)
-                                }
-                                None => {
-                                    misses += 1;
-                                    PanelRef::None
-                                }
-                            },
-                            PlanPanels::Adaptive(store) => {
-                                let rows = run.iter().map(|&(_, rank)| rank);
-                                tiles.resolve_adaptive(store, s, r_leaf, rows)
-                            }
-                        };
-                        plans.terms.push(PlanTerm::near(j));
-                        plans.panels.push(panel);
+            pyramid.walk(&tiles.levels, r_leaf, stack, &mut visited, |visit| {
+                plans.terms.push(match visit {
+                    Visit::Far(l, j) => {
+                        far_terms[l as usize] += 1;
+                        PlanTerm::far(l, j)
                     }
-                } else {
-                    let occ = &coarse[l_us - 1];
-                    let s = occ.tiles[j as usize];
-                    if levels[l_us].is_far(s, r_tile[l_us]) {
-                        far_terms[l_us] += 1;
-                        plans.terms.push(PlanTerm::far(l, j));
-                    } else {
-                        let span = occ.child_start[j as usize] as usize
-                            ..occ.child_start[j as usize + 1] as usize;
-                        for k in span.rev() {
-                            stack.push((l - 1, occ.children[k]));
+                    Visit::Near(j) => PlanTerm::near(j),
+                })
+            });
+            // Then the plan's near terms resolve their panels, in term
+            // order.
+            let panels = tiles.panels.for_receiver(r_leaf);
+            for term in plans.terms[first..].iter().filter(|term| term.is_near()) {
+                near_terms += 1;
+                let s = leaf.tiles[term.idx()];
+                plans.panels.push(match &panels {
+                    PlanPanels::Fixed(row) => match row.find(s) {
+                        Some(offset) => {
+                            hits += 1;
+                            PanelRef::Arena(offset)
                         }
+                        None => {
+                            misses += 1;
+                            PanelRef::None
+                        }
+                    },
+                    PlanPanels::Adaptive(store) => {
+                        let rows = run.iter().map(|&(_, rank)| rank);
+                        tiles.resolve_adaptive(store, s, r_leaf, rows)
                     }
-                }
+                });
             }
         }
         plans.term_start.push(plans.terms.len() as u32);
@@ -506,13 +398,13 @@ fn interference_with_plans(
     tiles: &TiledSinrCache,
     on_raw: u32,
     groups: &TileGroups,
-    coarse: &[SlotCoarse],
+    pyramid: &Pyramid,
     plans: &SlotPlans,
 ) -> f64 {
     if tiles.cache.alpha() == 3.0 {
-        accumulate::<true>(tiles, on_raw, groups, coarse, plans)
+        accumulate::<true>(tiles, on_raw, groups, pyramid, plans)
     } else {
-        accumulate::<false>(tiles, on_raw, groups, coarse, plans)
+        accumulate::<false>(tiles, on_raw, groups, pyramid, plans)
     }
 }
 
@@ -523,13 +415,12 @@ fn accumulate<const CUBE: bool>(
     tiles: &TiledSinrCache,
     on_raw: u32,
     groups: &TileGroups,
-    coarse: &[SlotCoarse],
+    pyramid: &Pyramid,
     plans: &SlotPlans,
 ) -> f64 {
     let cache = &*tiles.cache;
     let on = LinkId(on_raw);
     let mut interference = 0.0;
-    let g0 = tiles.grid.tiles_per_side();
     let r_leaf = tiles.receiver_tile[on_raw as usize];
     let r_rank = tiles.receiver_rank[on_raw as usize] as usize;
     let plan = plans
@@ -542,24 +433,15 @@ fn accumulate<const CUBE: bool>(
     let arena = tiles.panels.arena();
     let alpha = cache.alpha();
     let receiver = cache.receiver_positions()[on_raw as usize];
-    // `on`'s own sender tile at every level.
-    let own_leaf = tiles.sender_tile[on_raw as usize];
-    let mut own_tile = [0u32; MAX_TILE_LEVELS];
-    for (tile, level) in own_tile.iter_mut().zip(&tiles.levels) {
-        *tile = level.tile_of_leaf(own_leaf, g0);
-    }
+    let own_tile = leaf_ancestors(&tiles.levels, tiles.sender_tile[on_raw as usize]);
     for &term in terms {
         let idx = term.idx();
         if !term.is_near() {
             // Far tiles are geometrically incapable of zero cross
             // distances, so aggregating them never hides a NaN.
             let l = term.level();
-            let (s_tile, mut weight, center) = if l == 0 {
-                (groups.touched[idx], groups.weight[idx], groups.center[idx])
-            } else {
-                let occ = &coarse[l - 1];
-                (occ.tiles[idx], occ.weight[idx], occ.center[idx])
-            };
+            let occ = &pyramid.levels[l];
+            let (s_tile, mut weight) = (occ.tiles[idx], occ.weight[idx]);
             if own_tile[l] == s_tile {
                 // The exact sum excludes `on`'s own transmission;
                 // remove it from the aggregate. Receivers sharing a
@@ -568,13 +450,13 @@ fn accumulate<const CUBE: bool>(
                 // transmission is exact here.
                 weight -= cache.tx_powers()[on_raw as usize];
             }
-            let d = center.distance(&receiver);
+            let d = occ.center[idx].distance(&receiver);
             interference += weight / pow_alpha::<CUBE>(d, alpha);
             continue;
         }
         let group_entries =
             &groups.entries[groups.start[idx] as usize..groups.start[idx + 1] as usize];
-        let s = groups.touched[idx] as usize;
+        let s = pyramid.levels[0].tiles[idx] as usize;
         let s_count = (tiles.senders_start[s + 1] - tiles.senders_start[s]) as usize;
         let row: Option<&[f64]> = match panels.next().expect("one panel per near term") {
             PanelRef::Arena(offset) => Some(&arena[offset + r_rank * s_count..][..s_count]),
@@ -624,23 +506,21 @@ impl<P: PowerAssignment> Feasibility for TiledSinrFeasibility<P> {
                 active,
                 verdicts,
                 groups,
-                coarse,
-                pairs,
+                pyramid,
                 plans,
                 stack,
                 receivers,
             } = &mut *scratch.borrow_mut();
             dedup_attempts(attempts, active);
-            self.group_active_by_tile(active, groups);
-            self.build_coarse(groups, coarse, pairs);
-            self.build_plans(active, groups, coarse, plans, stack, receivers);
+            self.group_active_by_tile(active, groups, pyramid);
+            self.build_plans(active, pyramid, plans, stack, receivers);
             let tiles: &TiledSinrCache = &self.tiles;
             let judge = |on_raw: u32, count: u32| -> bool {
                 if count != 1 {
                     // A shared transmitter collides regardless of SINR.
                     return false;
                 }
-                let interference = interference_with_plans(tiles, on_raw, groups, coarse, plans);
+                let interference = interference_with_plans(tiles, on_raw, groups, pyramid, plans);
                 cache.signal(LinkId(on_raw)) >= beta * (interference + noise)
             };
             verdicts.clear();
@@ -671,8 +551,7 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
         let TiledSlotScratch {
             active,
             groups,
-            coarse,
-            pairs,
+            pyramid,
             plans,
             stack,
             receivers,
@@ -681,16 +560,15 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
         dedup_attempts(attempts, active);
         let far = self.tiles.far_pairs() > 0;
         if far {
-            self.group_active_by_tile(active, groups);
-            self.build_coarse(groups, coarse, pairs);
-            self.build_plans(active, groups, coarse, plans, stack, receivers);
+            self.group_active_by_tile(active, groups, pyramid);
+            self.build_plans(active, pyramid, plans, stack, receivers);
         }
         let cache = self.tiles.cache();
         active
             .iter()
             .map(|&(on_raw, _)| {
                 let sum = if far {
-                    interference_with_plans(&self.tiles, on_raw, groups, coarse, plans)
+                    interference_with_plans(&self.tiles, on_raw, groups, pyramid, plans)
                 } else {
                     crate::feasibility::exact_interference(cache, active, on_raw)
                 };

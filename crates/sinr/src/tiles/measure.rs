@@ -7,13 +7,14 @@
 //! it feeds. The tiled measure reuses the far-field machinery of
 //! [`TiledSinrCache`]: per-tile *rate-weighted* power aggregates
 //! (`Σ rate·p`, the load-vector analogue of the slot kernel's active
-//! `Σ count·p` sums) are coarsened up the hierarchy once, and each
-//! receiver row charges far subtrees as one centre-substituted term at
-//! the coarsest qualifying level — the slot kernel's walk, under the
-//! same per-transmission `ε·margin/m` error contract, so a row of
-//! total rate `R` is perturbed by at most `ε·β·R·max(rate)` relative
-//! to centre-exact far charges. Near-field affectances are evaluated
-//! per link with the exact clamp `min(1, β·g/margin)`.
+//! `Σ count·p` sums) build the occupied-tile pyramid the slot kernel
+//! builds per slot, and each receiver row charges far subtrees as one
+//! centre-substituted term at the coarsest qualifying level — the
+//! pyramid's one walk, under the same per-transmission `ε·margin/m`
+//! error contract, so a row of total rate `R` is perturbed by at most
+//! `ε·β·R·max(rate)` relative to centre-exact far charges. Near-field
+//! affectances are evaluated per link with the exact clamp
+//! `min(1, β·g/margin)`.
 //!
 //! Two further deviations from the trait default, both confined to the
 //! far-qualified regime this function is gated on:
@@ -30,10 +31,11 @@
 //! **Layout.** Once per call the loaded senders (rate `> 0`) are
 //! gathered into structure-of-arrays columns (`x`, `y`, power, rate,
 //! link), leaf tile by leaf tile in `senders_links` order, so a near
-//! tile is one contiguous span. Per receiver tile the walk's near plan
-//! becomes a list of such spans (adjacent spans merged), and its far
-//! plan is flattened once into columns of (centre `x`, centre `y`,
-//! weight, level, tile).
+//! tile is one contiguous span, and the occupied leaf tiles with their
+//! weights build the shared pyramid (the `pyramid` submodule). Per
+//! receiver tile the pyramid's walk reports near leaves, kept as a list
+//! of such spans (adjacent spans merged), and far charges, flattened
+//! once into columns of (centre `x`, centre `y`, weight, level, tile).
 //!
 //! **Lanes.** The tile's member rows are evaluated [`LANES`] at a time,
 //! the rows left over one at a time. The near field goes in blocks of
@@ -42,15 +44,16 @@
 //! across senders, and then the lanes add their buffers in sender
 //! order, [`LANES`] independent sums side by side. The far field loads
 //! each term once and charges every lane. `α = 3` is `pow_alpha`'s
-//! const generic, so the hot instantiation has no `powf` branch. A row's own sender is
-//! masked by adding `+0.0` in place of its term, and its own tile at
-//! each level is looked up once per row.
+//! const generic, so the hot instantiation has no `powf` branch. A
+//! row's own sender is masked by adding `+0.0` in place of its term,
+//! and its own tile at each level is looked up once per row.
 //!
 //! **Summation order, and so the bits.** Every row still adds its terms
-//! in the scalar walk's order: near tiles in plan (DFS) order, senders
-//! within a tile in CSR order, then far terms in plan order, and the
-//! rows fold into the max in member order. Each term is the scalar
-//! walk's expression, operation for operation (Rust neither fuses nor
+//! in the scalar walk's order: near tiles in the order the pyramid's
+//! walk reports them (ascending-tile DFS), senders within a tile in
+//! CSR order, then far terms in the walk's order, and the rows fold
+//! into the max in member order. Each term is the scalar walk's
+//! expression, operation for operation (Rust neither fuses nor
 //! reassociates floating-point arithmetic, vectorised or not). Adding
 //! `+0.0` to a sum that starts at `+0.0` and only grows leaves it
 //! unchanged, and the lanes never mix, so every row, and with them the
@@ -65,6 +68,7 @@
 //! [`InterferenceModel::measure`]: dps_core::interference::InterferenceModel::measure
 
 use super::index::TiledSinrCache;
+use super::pyramid::{leaf_ancestors, Pyramid, Visit};
 use super::{pow_alpha, MAX_TILE_LEVELS};
 use dps_core::load::LinkLoad;
 use std::ops::Range;
@@ -75,17 +79,6 @@ const LANES: usize = 4;
 /// Senders per block: each lane writes a block's near terms, then the
 /// lanes add them up.
 const BLOCK: usize = 128;
-
-/// One hierarchy level's occupied tiles under the load (the load-vector
-/// analogue of the slot kernel's `SlotCoarse`): `tiles` ascending,
-/// `weight[i] = Σ rate·p` over the subtree, `children` spans indexing
-/// the level below's occupied list.
-struct LoadCoarse {
-    tiles: Vec<u32>,
-    weight: Vec<f64>,
-    child_start: Vec<u32>,
-    children: Vec<u32>,
-}
 
 /// The loaded senders (rate `> 0`) as columns, leaf tile by leaf tile
 /// in `senders_links` order: leaf tile `t` owns `start[t]..start[t+1]`.
@@ -173,7 +166,6 @@ impl Rows<'_> {
         let tiles = self.tiles;
         let cache = &*tiles.cache;
         let (beta, alpha) = (self.beta, self.alpha);
-        let g0 = tiles.grid.tiles_per_side();
         let on: [u32; N] = std::array::from_fn(|k| on[k]);
         let receiver: [(f64, f64); N] = std::array::from_fn(|k| {
             let p = cache.receiver_positions()[on[k] as usize];
@@ -183,12 +175,11 @@ impl Rows<'_> {
         let own_mass: [f64; N] =
             std::array::from_fn(|k| self.rate[on[k] as usize] * cache.tx_powers()[on[k] as usize]);
         // `own_tile[l][k]`: the level-`l` tile holding lane `k`'s sender.
-        let mut own_tile = [[0u32; N]; MAX_TILE_LEVELS];
-        for (l, level) in tiles.levels.iter().enumerate() {
-            for k in 0..N {
-                own_tile[l][k] = level.tile_of_leaf(tiles.sender_tile[on[k] as usize], g0);
-            }
-        }
+        let own_leaf: [[u32; MAX_TILE_LEVELS]; N] = std::array::from_fn(|k| {
+            leaf_ancestors(&tiles.levels, tiles.sender_tile[on[k] as usize])
+        });
+        let own_tile: [[u32; N]; MAX_TILE_LEVELS] =
+            std::array::from_fn(|l| std::array::from_fn(|k| own_leaf[k][l]));
         // Lane `k`'s own sender in the loaded columns, if it carries rate.
         let loaded = self.loaded;
         let own_at: [usize; N] = std::array::from_fn(|k| {
@@ -315,8 +306,7 @@ fn visit_rows(tiles: &TiledSinrCache, load: &LinkLoad, mut visit: impl FnMut(u32
     let num_leaves = tiles.grid.num_tiles();
     let mut loaded = LoadedSenders::default();
     loaded.start.push(0);
-    let mut leaf_tiles: Vec<u32> = Vec::new();
-    let mut leaf_weight: Vec<f64> = Vec::new();
+    let mut leaf: Vec<(u32, f64)> = Vec::new();
     for t in 0..num_leaves {
         let span = tiles.senders_start[t] as usize..tiles.senders_start[t + 1] as usize;
         let mut w = 0.0;
@@ -333,56 +323,13 @@ fn visit_rows(tiles: &TiledSinrCache, load: &LinkLoad, mut visit: impl FnMut(u32
             }
         }
         if loaded.link.len() > *loaded.start.last().expect("start holds 0") as usize {
-            leaf_tiles.push(t as u32);
-            leaf_weight.push(w);
+            leaf.push((t as u32, w));
         }
         loaded.start.push(loaded.link.len() as u32);
     }
-
-    // Coarsen the occupied list level by level — the slot kernel's
-    // `build_coarse`, with rates folded into the weights.
-    let g0 = tiles.grid.tiles_per_side();
     let levels = &tiles.levels;
-    let mut coarse: Vec<LoadCoarse> = Vec::with_capacity(levels.len().saturating_sub(1));
-    for l in 1..levels.len() {
-        let (below_tiles, below_weight, below_side): (&[u32], &[f64], usize) = if l == 1 {
-            (&leaf_tiles, &leaf_weight, g0)
-        } else {
-            let below = &coarse[l - 2];
-            (&below.tiles, &below.weight, levels[l - 1].tiles_per_side)
-        };
-        let this_side = levels[l].tiles_per_side;
-        // Parent indices are not monotone in the child's row-major
-        // order (a row of children alternates between two parent rows),
-        // so sorting restores ascending tile order.
-        let mut pairs: Vec<(u32, u32)> = below_tiles
-            .iter()
-            .enumerate()
-            .map(|(i, &tile)| {
-                let row = tile as usize / below_side;
-                let col = tile as usize % below_side;
-                (((row >> 1) * this_side + (col >> 1)) as u32, i as u32)
-            })
-            .collect();
-        pairs.sort_unstable();
-        let mut up = LoadCoarse {
-            tiles: Vec::new(),
-            weight: Vec::new(),
-            child_start: Vec::new(),
-            children: Vec::with_capacity(pairs.len()),
-        };
-        for &(parent, child) in &pairs {
-            if up.tiles.last() != Some(&parent) {
-                up.tiles.push(parent);
-                up.child_start.push(up.children.len() as u32);
-                up.weight.push(0.0);
-            }
-            up.children.push(child);
-            *up.weight.last_mut().expect("group opened above") += below_weight[child as usize];
-        }
-        up.child_start.push(up.children.len() as u32);
-        coarse.push(up);
-    }
+    let mut pyramid = Pyramid::default();
+    pyramid.build(levels, leaf);
 
     // Walk every receiver tile with members once (rows in tiles without
     // loaded senders are still charged by every loaded sender, and the
@@ -396,9 +343,11 @@ fn visit_rows(tiles: &TiledSinrCache, load: &LinkLoad, mut visit: impl FnMut(u32
         loaded: &loaded,
     };
     let cube = cache.alpha() == 3.0;
-    let top = levels.len() - 1;
     let mut plan = Plan::default();
     let mut stack: Vec<(u8, u32)> = Vec::new();
+    // The measure keeps its walk's visit counts to itself: the
+    // diagnostics count slot work only.
+    let mut visited = [0u64; MAX_TILE_LEVELS];
     for rt in 0..num_leaves {
         let members = &tiles.receivers_links
             [tiles.receivers_start[rt] as usize..tiles.receivers_start[rt + 1] as usize];
@@ -406,42 +355,27 @@ fn visit_rows(tiles: &TiledSinrCache, load: &LinkLoad, mut visit: impl FnMut(u32
             continue;
         }
         plan.clear();
-        stack.clear();
-        if top == 0 {
-            for j in (0..leaf_tiles.len()).rev() {
-                stack.push((0, j as u32));
-            }
-        } else {
-            for j in (0..coarse[top - 1].tiles.len()).rev() {
-                stack.push((top as u8, j as u32));
-            }
-        }
-        while let Some((l, j)) = stack.pop() {
-            let l_us = l as usize;
-            let (s, weight) = if l == 0 {
-                (leaf_tiles[j as usize], leaf_weight[j as usize])
-            } else {
-                let occ = &coarse[l_us - 1];
-                (occ.tiles[j as usize], occ.weight[j as usize])
-            };
-            if levels[l_us].is_far(s, levels[l_us].tile_of_leaf(rt as u32, g0)) {
-                let center = levels[l_us].center(s);
-                plan.far_x.push(center.x);
-                plan.far_y.push(center.y);
-                plan.far_weight.push(weight);
-                plan.far_level.push(l);
-                plan.far_tile.push(s);
-            } else if l == 0 {
-                plan.push_near(loaded.start[s as usize], loaded.start[s as usize + 1]);
-            } else {
-                let occ = &coarse[l_us - 1];
-                let span =
-                    occ.child_start[j as usize] as usize..occ.child_start[j as usize + 1] as usize;
-                for k in span.rev() {
-                    stack.push((l - 1, occ.children[k]));
+        pyramid.walk(
+            levels,
+            rt as u32,
+            &mut stack,
+            &mut visited,
+            |visit| match visit {
+                Visit::Far(l, j) => {
+                    let occ = &pyramid.levels[l as usize];
+                    let center = occ.center[j as usize];
+                    plan.far_x.push(center.x);
+                    plan.far_y.push(center.y);
+                    plan.far_weight.push(occ.weight[j as usize]);
+                    plan.far_level.push(l);
+                    plan.far_tile.push(occ.tiles[j as usize]);
                 }
-            }
-        }
+                Visit::Near(j) => {
+                    let s = pyramid.levels[0].tiles[j as usize] as usize;
+                    plan.push_near(loaded.start[s], loaded.start[s + 1]);
+                }
+            },
+        );
 
         if cube {
             rows.visit_tile::<true>(&plan, members, &mut visit);
@@ -466,6 +400,17 @@ mod tests {
     use proptest::prelude::*;
     use rand::Rng;
     use std::sync::Arc;
+
+    /// One hierarchy level's occupied tiles under the load, as the
+    /// referee coarsens them: `tiles` ascending, `weight[i] = Σ rate·p`
+    /// over the subtree, `children` spans indexing the level below's
+    /// occupied list.
+    struct LoadCoarse {
+        tiles: Vec<u32>,
+        weight: Vec<f64>,
+        child_start: Vec<u32>,
+        children: Vec<u32>,
+    }
 
     /// `d^α` with the `α = 3` case specialised to multiplications.
     fn referee_pow(d: f64, alpha: f64) -> f64 {
@@ -522,8 +467,8 @@ mod tests {
             }
         }
 
-        // Coarsen the occupied list level by level — the slot kernel's
-        // `build_coarse`, with rates folded into the weights.
+        // Coarsen the occupied list level by level, with rates folded
+        // into the weights.
         let g0 = tiles.grid.tiles_per_side();
         let levels = &tiles.levels;
         let mut coarse: Vec<LoadCoarse> = Vec::with_capacity(levels.len().saturating_sub(1));

@@ -12,6 +12,7 @@ use crate::power::{LinearPower, UniformPower};
 use dps_core::feasibility::{Attempt, Feasibility};
 use dps_core::ids::{LinkId, PacketId};
 use dps_core::interference::InterferenceModel;
+use dps_core::load::LinkLoad;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -686,6 +687,37 @@ fn diagnostics_count_slots_and_walk_activity() {
     assert!(diag.panel_hits + diag.panel_misses > 0);
 }
 
+/// The rate measure walks the same pyramid as the slot kernel, but
+/// its walk is set-up work, not slot work: measuring loads on a
+/// far-qualifying index leaves every kernel diagnostic where the slots
+/// put it.
+#[test]
+fn rate_measure_leaves_the_kernel_diagnostics_alone() {
+    let tiled = TiledSinrFeasibility::with_options(
+        cluster_instance(10_000.0),
+        UniformPower::unit(),
+        TileOptions::new(8, 1e-2).with_levels(2),
+    );
+    let tiles = tiled.shared_tiles();
+    assert!(tiles.far_pairs() > 0, "the clusters must far-qualify");
+    let attempts: Vec<Attempt> = (0..8).map(|i| attempt(i, i as u64)).collect();
+    let _ = tiled.successes(&attempts, &mut rng());
+    let model = TiledInterference::with_tiles(Arc::clone(tiles));
+    let before = tiles.diagnostics();
+    assert!(before.tiles_visited_per_level.iter().sum::<u64>() > 0);
+    let mut sparse = LinkLoad::new(8);
+    sparse.set(LinkId(1), 0.5);
+    sparse.set(LinkId(6), 2.0);
+    for load in [
+        LinkLoad::from_links(8, (0..8u32).map(LinkId)),
+        LinkLoad::from_links(8, (0..8u32).step_by(2).map(LinkId)),
+        sparse,
+    ] {
+        assert!(model.measure(&load) > 0.0);
+        assert_eq!(tiles.diagnostics(), before);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -918,6 +950,54 @@ fn referee_sum(tiles: &TiledSinrCache, active: &[(u32, u32)], on: u32) -> f64 {
     sum
 }
 
+/// The walk counters one slot adds, from the referee walk of each
+/// distinct receiver leaf tile of `active`: per level, the tiles
+/// examined and the far terms, then the near terms. A walk examines an
+/// occupied tile exactly when none of its strict ancestors is one of
+/// the walk's far terms (it examines every occupied coarsest tile and
+/// descends from every examined tile that is not far).
+fn referee_counts(tiles: &TiledSinrCache, active: &[(u32, u32)]) -> (Vec<u64>, Vec<u64>, u64) {
+    let g0 = tiles.grid().tiles_per_side();
+    let depth = tiles.num_levels();
+    let occupied: BTreeSet<u32> = active
+        .iter()
+        .map(|&(link, _)| tiles.sender_tile_of(LinkId(link)))
+        .collect();
+    let r_tiles: BTreeSet<u32> = active
+        .iter()
+        .map(|&(link, _)| tiles.receiver_tile_of(LinkId(link)))
+        .collect();
+    let (mut visited, mut far, mut near) = (vec![0; depth], vec![0; depth], 0);
+    for &r in &r_tiles {
+        let mut far_terms = BTreeSet::new();
+        for term in referee_walk(tiles, &occupied, r) {
+            match term {
+                WalkTerm::Far { level, tile } => {
+                    far[level] += 1;
+                    far_terms.insert((level, tile));
+                }
+                WalkTerm::Near { .. } => near += 1,
+            }
+        }
+        for (level, count) in visited.iter_mut().enumerate() {
+            // One occupied leaf under each occupied tile of `level`.
+            let under: BTreeMap<u32, u32> = occupied
+                .iter()
+                .map(|&leaf| (tiles.levels[level].tile_of_leaf(leaf, g0), leaf))
+                .collect();
+            *count += under
+                .values()
+                .filter(|&&leaf| {
+                    (level + 1..depth).all(|up| {
+                        !far_terms.contains(&(up, tiles.levels[up].tile_of_leaf(leaf, g0)))
+                    })
+                })
+                .count() as u64;
+        }
+    }
+    (visited, far, near)
+}
+
 /// The fixed store's placements as the build makes them, recomputed
 /// here: near leaf pairs in row-major `(S, R)` order over the occupied
 /// tiles, each `|S|·|R|` cells at the next arena offset, stopping at
@@ -955,7 +1035,9 @@ proptest! {
     /// levels, fixed panels under ample, one-panel-ish and zero
     /// budgets, adaptive panels under zero, small and ample budgets.
     /// The lattice geometry far-qualifies pairs at every α, so every
-    /// slot runs the tiled kernel.
+    /// slot runs the tiled kernel. Each slot also adds exactly the
+    /// walk's tiles examined and far terms per level, and its near
+    /// terms, to the diagnostics.
     #[test]
     fn kernel_sums_are_the_recursive_walk_bitwise(
         seed in 0u64..10_000,
@@ -993,7 +1075,17 @@ proptest! {
                 .collect();
             attempts.push(attempt((mask % m as u64) as u32, 1_000));
             let active = contract::dedup(&attempts);
+            let before = tiles.diagnostics();
             let sums = oracle.slot_interference(&attempts);
+            let after = tiles.diagnostics();
+            let delta = |a: &[u64], b: &[u64]| a.iter().zip(b).map(|(a, b)| a - b).collect::<Vec<u64>>();
+            let (visited, far, near) = referee_counts(tiles, &active);
+            prop_assert_eq!(
+                delta(&after.tiles_visited_per_level, &before.tiles_visited_per_level),
+                visited
+            );
+            prop_assert_eq!(delta(&after.far_terms_per_level, &before.far_terms_per_level), far);
+            prop_assert_eq!(after.near_terms - before.near_terms, near);
             prop_assert_eq!(sums.len(), active.len());
             for (&(link, sum), &(on, _)) in sums.iter().zip(&active) {
                 prop_assert_eq!(link, LinkId(on));
