@@ -62,7 +62,7 @@ fn bench_sinr_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("matrix_build", m), &m, |b, _| {
             b.iter(|| SinrInterference::fixed_power(&net, &power))
         });
-        let oracle = SinrFeasibility::new(net.clone(), power);
+        let oracle = SinrFeasibility::new(&net, &power);
         let attempts = slot_attempts(m);
         group.bench_with_input(BenchmarkId::new("feasibility_slot", m), &m, |b, _| {
             b.iter(|| {
@@ -119,7 +119,7 @@ fn bench_slot_throughput(c: &mut Criterion) {
     for &m in &THROUGHPUT_SIZES {
         let net = instance(m);
         let power = LinearPower::new(net.params().alpha);
-        let oracle = SinrFeasibility::new(net, power);
+        let oracle = SinrFeasibility::new(&net, &power);
         let attempts = slot_attempts(m);
         let mut out = Vec::new();
 
@@ -130,7 +130,7 @@ fn bench_slot_throughput(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("naive", m), &m, |b, _| {
-            b.iter(|| successes_naive(oracle.network(), oracle.power(), &attempts))
+            b.iter(|| successes_naive(&net, &power, &attempts))
         });
 
         // Paired measurement for the JSON baseline.
@@ -143,7 +143,7 @@ fn bench_slot_throughput(c: &mut Criterion) {
         );
         let naive = measure_slot(
             || {
-                std::hint::black_box(successes_naive(oracle.network(), oracle.power(), &attempts));
+                std::hint::black_box(successes_naive(&net, &power, &attempts));
             },
             budget,
         );

@@ -117,11 +117,11 @@ fn bench_tiled_slot(c: &mut Criterion) {
         let grid = grid_for(m);
         // Above DEFAULT_DENSE_GAIN_LIMIT (1024) the exact oracle runs on
         // the on-the-fly powf fallback — the path the tiles replace.
-        let exact = SinrFeasibility::new(net.clone(), LinearPower::new(alpha));
+        let exact = SinrFeasibility::new(&net, &LinearPower::new(alpha));
         let tiled = |epsilon| {
             TiledSinrFeasibility::with_options(
-                net.clone(),
-                LinearPower::new(alpha),
+                &net,
+                &LinearPower::new(alpha),
                 TileOptions::new(grid, epsilon).with_panel_budget(PANEL_BUDGET),
             )
         };
@@ -243,8 +243,8 @@ fn bench_tiled_slot(c: &mut Criterion) {
         let attempts = slot_attempts(HIER_M);
         let make = |eps: f64, levels: usize, threads: usize| {
             TiledSinrFeasibility::with_options(
-                net.clone(),
-                LinearPower::new(alpha),
+                &net,
+                &LinearPower::new(alpha),
                 TileOptions::new(grid, eps)
                     .with_levels(levels)
                     .with_panel_budget(PANEL_BUDGET)
@@ -260,7 +260,7 @@ fn bench_tiled_slot(c: &mut Criterion) {
         // contract unit tests (`dps_sinr::tiles::tests::contract`).
         {
             let assert_attempts: Vec<Attempt> = attempts.iter().step_by(4).copied().collect();
-            let exact = SinrFeasibility::new(net.clone(), LinearPower::new(alpha));
+            let exact = SinrFeasibility::new(&net, &LinearPower::new(alpha));
             let rng = split_stream(10, HIER_M as u64);
             let reference = exact.successes(&assert_attempts, &mut rng.clone());
             for (levels, threads) in [(1usize, 1usize), (HIER_LEVELS, 1), (HIER_LEVELS, 2)] {

@@ -51,7 +51,7 @@ fn run_protocol<P: Protocol>(
     seed: u64,
     stream: u64,
 ) -> StarRun {
-    let oracle = SinrFeasibility::new(star.net.clone(), UniformPower::unit());
+    let oracle = SinrFeasibility::new(&star.net, &UniformPower::unit());
     // Rate λ *per link*: identity model ⇒ per-link expected load is λ.
     let model = IdentityInterference::new(star.net.num_links());
     let mut injector = injector_at_rate(star_routes(star), &model, lambda).expect("feasible rate");

@@ -130,7 +130,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         // Corollary 12: linear powers, two-stage scheduler.
         let linear = LinearPower::new(alpha);
         let model = SinrInterference::fixed_power(&net, &linear);
-        let phy = SinrFeasibility::new(net.clone(), linear);
+        let phy = SinrFeasibility::new(&net, &linear);
         let r = probe(
             TwoStageDecayScheduler::new(m),
             &model,
@@ -154,7 +154,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         // transformed uniform-rate scheduler (f = Θ(log m)).
         let sqrt_power = SquareRootPower::new(alpha);
         let model = SinrInterference::monotone_power(&net, &sqrt_power);
-        let phy = SinrFeasibility::new(net.clone(), sqrt_power);
+        let phy = SinrFeasibility::new(&net, &sqrt_power);
         let r = probe(
             DenseTransform::new(UniformRateScheduler::new(), m).with_chi(8.0),
             &model,
@@ -177,7 +177,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         // Corollary 14: power control — §6.2 matrix, centralized first-fit,
         // square-root powers as the concrete assignment (see DESIGN.md).
         let model = SinrInterference::power_control(&net);
-        let phy = SinrFeasibility::new(net.clone(), SquareRootPower::new(alpha));
+        let phy = SinrFeasibility::new(&net, &SquareRootPower::new(alpha));
         let r = probe(
             PowerControlScheduler::new(&net),
             &model,
@@ -228,7 +228,7 @@ mod tests {
         let alpha = net.params().alpha;
         let linear = LinearPower::new(alpha);
         let model = SinrInterference::fixed_power(&net, &linear);
-        let phy = SinrFeasibility::new(net.clone(), linear);
+        let phy = SinrFeasibility::new(&net, &linear);
         let r = probe(
             TwoStageDecayScheduler::new(m),
             &model,

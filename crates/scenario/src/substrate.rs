@@ -23,7 +23,7 @@ use dps_sinr::instances::random_instance;
 use dps_sinr::matrix::SinrInterference;
 use dps_sinr::network::SinrNetwork;
 use dps_sinr::params::SinrParams;
-use dps_sinr::power::{LinearPower, PowerAssignment, SquareRootPower, UniformPower};
+use dps_sinr::power::{LinearPower, SquareRootPower, UniformPower};
 use dps_sinr::tiles::{TileOptions, TiledInterference, TiledSinrCache, TiledSinrFeasibility};
 use std::fmt;
 use std::sync::Arc;
@@ -181,27 +181,15 @@ impl SubstrateSpec for SubstrateConfig {
                 // build and the exact oracle read the same precomputed
                 // signals, margins and gains — the `O(m²)` `powf` work
                 // happens exactly once per substrate.
-                let (model, feasibility, cache): (
-                    Arc<dyn InterferenceModel + Send + Sync>,
-                    Arc<dyn Feasibility + Send + Sync>,
-                    Arc<SinrCache>,
-                ) = match power {
-                    PowerConfig::Uniform => sinr_parts(
-                        &net,
-                        UniformPower::unit(),
-                        SinrInterference::fixed_power_with_cache,
-                    ),
-                    PowerConfig::Linear => sinr_parts(
-                        &net,
-                        LinearPower::new(params.alpha),
-                        SinrInterference::fixed_power_with_cache,
-                    ),
-                    PowerConfig::SquareRoot => sinr_parts(
-                        &net,
-                        SquareRootPower::new(params.alpha),
-                        SinrInterference::monotone_power_with_cache,
-                    ),
+                let cache = power_cache(&net, power, params.alpha);
+                let matrix = match power {
+                    PowerConfig::Uniform | PowerConfig::Linear => {
+                        SinrInterference::fixed_power_with_cache
+                    }
+                    PowerConfig::SquareRoot => SinrInterference::monotone_power_with_cache,
                 };
+                let model = Arc::new(matrix(&net, &cache));
+                let feasibility = Arc::new(SinrFeasibility::from_cache(cache.clone()));
                 Ok(Substrate {
                     label,
                     num_links: links,
@@ -237,17 +225,20 @@ impl SubstrateSpec for SubstrateConfig {
                     .with_levels(levels)
                     .with_panel_budget(panel_budget)
                     .with_panel_mode(panel_cache);
-                let (model, feasibility, cache, tiles) = match power {
-                    PowerConfig::Uniform => {
-                        tiled_parts(&net, UniformPower::unit(), options, threads)
-                    }
-                    PowerConfig::Linear => {
-                        tiled_parts(&net, LinearPower::new(params.alpha), options, threads)
-                    }
-                    PowerConfig::SquareRoot => {
-                        tiled_parts(&net, SquareRootPower::new(params.alpha), options, threads)
-                    }
-                };
+                // The dense gain table stays under the default cap, so
+                // metro-scale instances are `O(m)`: panels and far-field
+                // aggregation stand in beyond it.
+                let cache = power_cache(&net, power, params.alpha);
+                let tiles = Arc::new(TiledSinrCache::with_options(cache.clone(), options));
+                // Tiles-backed model: entries stay exact, but the
+                // whole-matrix measure (injection-rate normalization)
+                // routes through the index's far-field aggregation — at
+                // m = 2²⁰ the trait-default O(m²) row walk costs hours,
+                // the tiled walk seconds.
+                let model = Arc::new(TiledInterference::with_tiles(tiles.clone()));
+                let feasibility = Arc::new(
+                    TiledSinrFeasibility::from_tiles(tiles.clone()).kernel_threads(threads),
+                );
                 Ok(Substrate {
                     label,
                     num_links: links,
@@ -302,57 +293,15 @@ impl SubstrateSpec for SubstrateConfig {
     }
 }
 
-/// Builds the matrix + oracle pair of a SINR substrate from one shared
-/// [`SinrCache`]; `matrix` picks the §6 construction matching the power
-/// assignment family.
-fn sinr_parts<P: PowerAssignment + Clone + Send + Sync + 'static>(
-    net: &SinrNetwork,
-    power: P,
-    matrix: fn(&SinrNetwork, &SinrCache) -> SinrInterference,
-) -> (
-    Arc<dyn InterferenceModel + Send + Sync>,
-    Arc<dyn Feasibility + Send + Sync>,
-    Arc<SinrCache>,
-) {
-    let cache = Arc::new(SinrCache::new(net, &power));
-    let model = Arc::new(matrix(net, &cache));
-    let feasibility = Arc::new(SinrFeasibility::with_cache(
-        net.clone(),
-        power,
-        cache.clone(),
-    ));
-    (model, feasibility, cache)
-}
-
-/// Builds the on-demand model + tiled oracle of a tiled SINR substrate
-/// from one shared [`SinrCache`] (the dense gain table stays under the
-/// default cap, so metro-scale instances are `O(m)` — panels and
-/// far-field aggregation stand in beyond it) and one shared
-/// [`TiledSinrCache`].
-type TiledParts = (
-    Arc<dyn InterferenceModel + Send + Sync>,
-    Arc<dyn Feasibility + Send + Sync>,
-    Arc<SinrCache>,
-    Arc<TiledSinrCache>,
-);
-
-fn tiled_parts<P: PowerAssignment + Clone + Send + Sync + 'static>(
-    net: &SinrNetwork,
-    power: P,
-    options: TileOptions,
-    threads: usize,
-) -> TiledParts {
-    let cache = Arc::new(SinrCache::new(net, &power));
-    let tiles = Arc::new(TiledSinrCache::with_options(cache.clone(), options));
-    // Tiles-backed model: entries stay exact, but the whole-matrix
-    // measure (injection-rate normalization) routes through the index's
-    // far-field aggregation — at m = 2²⁰ the trait-default O(m²) row
-    // walk costs hours, the tiled walk seconds.
-    let model = Arc::new(TiledInterference::with_tiles(tiles.clone()));
-    let feasibility = Arc::new(
-        TiledSinrFeasibility::with_tiles(net.clone(), power, tiles.clone()).kernel_threads(threads),
-    );
-    (model, feasibility, cache, tiles)
+/// The geometry cache of `net` under the configured power assignment:
+/// the one [`SinrCache`] a SINR substrate's matrix, oracle and tile index
+/// share.
+fn power_cache(net: &SinrNetwork, power: PowerConfig, alpha: f64) -> Arc<SinrCache> {
+    Arc::new(match power {
+        PowerConfig::Uniform => SinrCache::new(net, &UniformPower::unit()),
+        PowerConfig::Linear => SinrCache::new(net, &LinearPower::new(alpha)),
+        PowerConfig::SquareRoot => SinrCache::new(net, &SquareRootPower::new(alpha)),
+    })
 }
 
 fn routing_substrate(label: String, setup: RoutingSetup) -> Result<Substrate, ScenarioError> {
@@ -478,6 +427,97 @@ mod tests {
             exact.feasibility.successes(&attempts, &mut rng.clone()),
             tiled.feasibility.successes(&attempts, &mut rng.clone()),
         );
+    }
+
+    /// Both SINR substrates, under every power assignment, hold one
+    /// geometry cache that their oracle judges from, and that oracle
+    /// decides like an exact oracle built directly from the spec's
+    /// geometry and power.
+    #[test]
+    fn sinr_substrates_share_one_cache_per_power_assignment() {
+        use dps_core::feasibility::Attempt;
+        use dps_core::ids::PacketId;
+        let (links, side, min_len, max_len, seed) = (24, 40.0, 1.0, 3.0, 13);
+        let params = SinrParams::default_noiseless();
+        let net = random_instance(
+            links,
+            side,
+            min_len,
+            max_len,
+            params,
+            &mut split_stream(seed, 0),
+        );
+        let slots: Vec<Vec<Attempt>> = [1, 2, 3]
+            .map(|step| {
+                (0..links as u32)
+                    .step_by(step)
+                    .map(|l| Attempt {
+                        link: LinkId(l),
+                        packet: PacketId(l as u64),
+                    })
+                    .collect()
+            })
+            .into();
+        for power in [
+            PowerConfig::Uniform,
+            PowerConfig::Linear,
+            PowerConfig::SquareRoot,
+        ] {
+            let exact = match power {
+                PowerConfig::Uniform => SinrFeasibility::new(&net, &UniformPower::unit()),
+                PowerConfig::Linear => SinrFeasibility::new(&net, &LinearPower::new(params.alpha)),
+                PowerConfig::SquareRoot => {
+                    SinrFeasibility::new(&net, &SquareRootPower::new(params.alpha))
+                }
+            };
+            let random = SubstrateConfig::SinrRandom {
+                links,
+                side,
+                min_len,
+                max_len,
+                power,
+                seed,
+            };
+            let tiled = SubstrateConfig::SinrTiled {
+                links,
+                side,
+                min_len,
+                max_len,
+                power,
+                seed,
+                grid: 4,
+                epsilon: 0.0,
+                panel_budget: 1 << 16,
+                levels: 2,
+                panel_cache: dps_sinr::tiles::PanelCacheMode::Fixed,
+                threads: 1,
+            };
+            for config in [random, tiled] {
+                let substrate = config.build().unwrap();
+                let cache = substrate.sinr_cache.as_ref().expect("a SINR substrate");
+                match &substrate.sinr_tiles {
+                    Some(tiles) => assert!(Arc::ptr_eq(cache, tiles.shared_cache())),
+                    // The substrate's handle and the oracle's.
+                    None => assert_eq!(Arc::strong_count(cache), 2, "{config:?}"),
+                }
+                for link in (0..links as u32).map(LinkId) {
+                    let (got, want) = (cache.tx_power(link), exact.cache().tx_power(link));
+                    assert_eq!(got.to_bits(), want.to_bits(), "{config:?}, {link}");
+                }
+                for attempts in &slots {
+                    let rng = split_stream(5, 0);
+                    let want = exact.successes(attempts, &mut rng.clone());
+                    assert!(want.contains(&true), "{config:?}");
+                    assert_eq!(
+                        substrate.feasibility.successes(attempts, &mut rng.clone()),
+                        want,
+                        "{config:?}"
+                    );
+                }
+                let all = exact.successes(&slots[0], &mut split_stream(5, 0));
+                assert!(all.contains(&false), "{config:?}");
+            }
+        }
     }
 
     #[test]

@@ -274,7 +274,7 @@ mod tests {
             })
             .collect();
         let scheduler = DiversityScheduler::new(UniformRateScheduler::new(), &net);
-        let oracle = SinrFeasibility::new(net.clone(), UniformPower::unit());
+        let oracle = SinrFeasibility::new(&net, &UniformPower::unit());
         let mut rng = ChaCha12Rng::seed_from_u64(4);
         let budget = scheduler.slots_needed(12.0, requests.len());
         let result = run_static(&scheduler, &requests, 12.0, &oracle, budget, &mut rng);

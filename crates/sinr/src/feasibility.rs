@@ -28,52 +28,30 @@ use std::sync::Arc;
 
 /// The accumulative SINR oracle under a fixed power assignment.
 ///
-/// The geometry cache is held behind an [`Arc`], so one
-/// [`SinrCache`] built for a network can be shared between the oracle,
-/// the matrix constructions of [`crate::matrix`] and any other consumer
-/// without re-deriving the `O(m²)` gain table — see
-/// [`SinrFeasibility::with_cache`].
+/// An instance is its geometry plus a power assignment, and a
+/// [`SinrCache`] holds exactly that, so the oracle is a handle to one:
+/// the cache sits behind an [`Arc`] and can be shared between the
+/// oracle, the matrix constructions of [`crate::matrix`] and any other
+/// consumer without re-deriving the `O(m²)` gain table — see
+/// [`SinrFeasibility::from_cache`].
 #[derive(Clone, Debug)]
-pub struct SinrFeasibility<P> {
-    net: SinrNetwork,
-    power: P,
+pub struct SinrFeasibility {
     cache: Arc<SinrCache>,
 }
 
-impl<P: PowerAssignment> SinrFeasibility<P> {
+impl SinrFeasibility {
     /// Creates the oracle, precomputing the geometry cache (dense gain
     /// table within [`crate::cache::DEFAULT_DENSE_GAIN_BUDGET_BYTES`]).
-    pub fn new(net: SinrNetwork, power: P) -> Self {
-        let cache = Arc::new(SinrCache::new(&net, &power));
-        SinrFeasibility { net, power, cache }
+    pub fn new<P: PowerAssignment + ?Sized>(net: &SinrNetwork, power: &P) -> Self {
+        Self::from_cache(Arc::new(SinrCache::new(net, power)))
     }
 
     /// Creates the oracle around an already-built shared cache, instead
     /// of deriving its own — the substrate-sharing path: one
     /// [`SinrCache`] per topology serves this oracle and the
     /// interference-matrix builds alike.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache was not built for this `(network, power)`
-    /// pair: the link count must match and every link's cached
-    /// transmission power and signal strength must be bit-for-bit what
-    /// `power` produces on `net` (an `O(m)` check — cheap next to the
-    /// `O(m²)` construction it replaces, and exact because a matching
-    /// cache stores these very expressions).
-    pub fn with_cache(net: SinrNetwork, power: P, cache: Arc<SinrCache>) -> Self {
-        assert_cache_pairing("SinrCache", &cache, &net, &power);
-        SinrFeasibility { net, power, cache }
-    }
-
-    /// The network the oracle judges.
-    pub fn network(&self) -> &SinrNetwork {
-        &self.net
-    }
-
-    /// The power assignment the oracle judges under.
-    pub fn power(&self) -> &P {
-        &self.power
+    pub fn from_cache(cache: Arc<SinrCache>) -> Self {
+        SinrFeasibility { cache }
     }
 
     /// The precomputed geometry cache the fast path judges from.
@@ -101,39 +79,6 @@ impl<P: PowerAssignment> SinrFeasibility<P> {
             .collect();
         let mut rng = rand::rngs::mock::StepRng::new(0, 1);
         self.successes(&attempts, &mut rng).into_iter().all(|ok| ok)
-    }
-}
-
-/// Asserts that `cache` was built for the `(net, power)` pair: same link
-/// count, bit-equal SINR parameters, and every link's cached
-/// transmission power and signal bit-for-bit what `power` produces on
-/// `net`. `what` names the shared structure in the panic messages.
-pub(crate) fn assert_cache_pairing<P: PowerAssignment>(
-    what: &str,
-    cache: &SinrCache,
-    net: &SinrNetwork,
-    power: &P,
-) {
-    assert_eq!(
-        cache.num_links(),
-        net.num_links(),
-        "shared {what} must cover the oracle's network"
-    );
-    assert!(
-        cache.beta().to_bits() == net.params().beta.to_bits()
-            && cache.noise().to_bits() == net.params().noise.to_bits(),
-        "shared {what} was built under different SINR parameters"
-    );
-    let alpha = net.params().alpha;
-    for (index, &len) in net.lengths().iter().enumerate() {
-        let link = LinkId(index as u32);
-        let p = power.power(len);
-        assert!(
-            cache.tx_power(link).to_bits() == p.to_bits()
-                && cache.signal(link).to_bits() == (p / len.powf(alpha)).to_bits(),
-            "shared {what} was built for a different (network, power) pair \
-             (mismatch at link {index})"
-        );
     }
 }
 
@@ -255,7 +200,7 @@ pub(crate) fn verdicts_per_attempt(
     }));
 }
 
-impl<P: PowerAssignment> Feasibility for SinrFeasibility<P> {
+impl Feasibility for SinrFeasibility {
     fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, _rng: &mut dyn RngCore) {
         exact_successes_into(&self.cache, attempts, out);
     }
@@ -294,7 +239,7 @@ mod tests {
     #[test]
     fn lone_transmission_succeeds_without_noise() {
         let net = net_at(&[0.0], SinrParams::default_noiseless());
-        let oracle = SinrFeasibility::new(net, UniformPower::unit());
+        let oracle = SinrFeasibility::new(&net, &UniformPower::unit());
         assert_eq!(oracle.successes(&[attempt(0, 1)], &mut rng()), vec![true]);
     }
 
@@ -302,7 +247,7 @@ mod tests {
     fn overwhelming_noise_blocks_even_lone_transmission() {
         // Unit link, unit power: signal 1; β(ν) = 2·1 > 1.
         let net = net_at(&[0.0], SinrParams::with_noise(1.0));
-        let oracle = SinrFeasibility::new(net, UniformPower::unit());
+        let oracle = SinrFeasibility::new(&net, &UniformPower::unit());
         assert_eq!(oracle.successes(&[attempt(0, 1)], &mut rng()), vec![false]);
     }
 
@@ -313,8 +258,8 @@ mod tests {
         // Gap 0.5 puts the cross distance at √1.25 ≈ 1.12 (collision);
         // gap 50 is far beyond it.
         let params = SinrParams::default_noiseless();
-        let near = SinrFeasibility::new(net_at(&[0.0, 0.5], params), UniformPower::unit());
-        let far = SinrFeasibility::new(net_at(&[0.0, 50.0], params), UniformPower::unit());
+        let near = SinrFeasibility::new(&net_at(&[0.0, 0.5], params), &UniformPower::unit());
+        let far = SinrFeasibility::new(&net_at(&[0.0, 50.0], params), &UniformPower::unit());
         let atts = [attempt(0, 1), attempt(1, 2)];
         assert_eq!(near.successes(&atts, &mut rng()), vec![false, false]);
         assert_eq!(far.successes(&atts, &mut rng()), vec![true, true]);
@@ -327,7 +272,7 @@ mod tests {
         // ≈ 0.64 ≥ 0.5 — accumulation is what kills the centre link.
         let params = SinrParams::default_noiseless();
         let net = net_at(&[0.0, 1.2, 2.4, 3.6, 4.8], params);
-        let oracle = SinrFeasibility::new(net, UniformPower::unit());
+        let oracle = SinrFeasibility::new(&net, &UniformPower::unit());
         // Middle link with one active neighbour: passes.
         let two = [attempt(2, 1), attempt(3, 2)];
         let res = oracle.successes(&two, &mut rng());
@@ -345,7 +290,7 @@ mod tests {
     #[test]
     fn same_link_collision_fails_both() {
         let net = net_at(&[0.0], SinrParams::default_noiseless());
-        let oracle = SinrFeasibility::new(net, UniformPower::unit());
+        let oracle = SinrFeasibility::new(&net, &UniformPower::unit());
         let res = oracle.successes(&[attempt(0, 1), attempt(0, 2)], &mut rng());
         assert_eq!(res, vec![false, false]);
     }
@@ -363,8 +308,8 @@ mod tests {
         let _long = b.add_isolated_link((0.0, 20.0), (0.0, 12.0));
         let net = b.build();
         let atts = [attempt(0, 1), attempt(1, 2)];
-        let uni = SinrFeasibility::new(net.clone(), UniformPower::unit());
-        let lin = SinrFeasibility::new(net, LinearPower::new(params.alpha));
+        let uni = SinrFeasibility::new(&net, &UniformPower::unit());
+        let lin = SinrFeasibility::new(&net, &LinearPower::new(params.alpha));
         let res_uni = uni.successes(&atts, &mut rng());
         let res_lin = lin.successes(&atts, &mut rng());
         assert!(res_uni[0], "short link passes under uniform power");
@@ -378,16 +323,16 @@ mod tests {
     #[test]
     fn set_feasible_helper_agrees_with_successes() {
         let params = SinrParams::default_noiseless();
-        let oracle = SinrFeasibility::new(net_at(&[0.0, 50.0], params), UniformPower::unit());
+        let oracle = SinrFeasibility::new(&net_at(&[0.0, 50.0], params), &UniformPower::unit());
         assert!(oracle.set_feasible(&[LinkId(0), LinkId(1)]));
-        let near = SinrFeasibility::new(net_at(&[0.0, 0.5], params), UniformPower::unit());
+        let near = SinrFeasibility::new(&net_at(&[0.0, 0.5], params), &UniformPower::unit());
         assert!(!near.set_feasible(&[LinkId(0), LinkId(1)]));
     }
 
     #[test]
     fn empty_attempt_set_is_trivially_fine() {
         let net = net_at(&[0.0], SinrParams::default_noiseless());
-        let oracle = SinrFeasibility::new(net, UniformPower::unit());
+        let oracle = SinrFeasibility::new(&net, &UniformPower::unit());
         assert!(oracle.successes(&[], &mut rng()).is_empty());
     }
 }

@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn star_shorts_always_succeed_together() {
         let star = star_instance(16);
-        let oracle = SinrFeasibility::new(star.net.clone(), UniformPower::unit());
+        let oracle = SinrFeasibility::new(&star.net, &UniformPower::unit());
         // All shorts plus the long link transmitting: every short succeeds.
         let mut all = star.short_links.clone();
         all.push(star.long_link);
@@ -184,14 +184,14 @@ mod tests {
     #[test]
     fn star_long_link_succeeds_alone() {
         let star = star_instance(16);
-        let oracle = SinrFeasibility::new(star.net.clone(), UniformPower::unit());
+        let oracle = SinrFeasibility::new(&star.net, &UniformPower::unit());
         assert!(oracle.set_feasible(&[star.long_link]));
     }
 
     #[test]
     fn star_any_single_short_blocks_long() {
         let star = star_instance(16);
-        let oracle = SinrFeasibility::new(star.net.clone(), UniformPower::unit());
+        let oracle = SinrFeasibility::new(&star.net, &UniformPower::unit());
         use dps_core::feasibility::Feasibility;
         let mut rng = ChaCha12Rng::seed_from_u64(2);
         for &short in &star.short_links {
@@ -216,7 +216,7 @@ mod tests {
         for m in [2usize, 4, 32, 64] {
             let star = star_instance(m);
             assert_eq!(star.short_links.len(), m - 1);
-            let oracle = SinrFeasibility::new(star.net.clone(), UniformPower::unit());
+            let oracle = SinrFeasibility::new(&star.net, &UniformPower::unit());
             assert!(oracle.set_feasible(&[star.long_link]), "m={m}: long alone");
             if let Some(&first_short) = star.short_links.first() {
                 assert!(

@@ -66,11 +66,9 @@ impl SinrInterference {
     /// topology serves matrix builds and the exact oracle alike. Dense
     /// and on-the-fly caches yield bit-for-bit identical matrices.
     ///
-    /// The cache must have been built for `net` and the intended power
-    /// assignment; with no power value to compare against, only the
-    /// link count is checked here (construct through
-    /// [`crate::feasibility::SinrFeasibility::with_cache`] first for
-    /// the full pairing check).
+    /// The cache fixes the power assignment, so the matrix is the one
+    /// for whatever power the cache was built under; only its link count
+    /// is checked against `net`.
     ///
     /// # Panics
     ///
@@ -97,8 +95,8 @@ impl SinrInterference {
     /// The monotone-power construction over an already-built (possibly
     /// shared) cache. As with
     /// [`fixed_power_with_cache`](Self::fixed_power_with_cache), the
-    /// `(network, power)` pairing beyond the link count is the caller's
-    /// contract.
+    /// cache fixes the power assignment and only its link count is
+    /// checked against `net`.
     ///
     /// # Panics
     ///

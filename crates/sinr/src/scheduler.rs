@@ -254,7 +254,7 @@ mod tests {
             })
             .collect();
         let i = requests_measure(scheduler.matrix(), &requests);
-        let oracle = SinrFeasibility::new(net.clone(), SquareRootPower::new(params.alpha));
+        let oracle = SinrFeasibility::new(&net, &SquareRootPower::new(params.alpha));
         let budget = 8 * scheduler.slots_needed(i, requests.len()) + 2000;
         let result = run_static(&scheduler, &requests, i, &oracle, budget, &mut rng);
         assert!(

@@ -279,7 +279,7 @@ mod tests {
         slots: u64,
         seed: u64,
     ) -> (u64, u64) {
-        let oracle = SinrFeasibility::new(star.net.clone(), UniformPower::unit());
+        let oracle = SinrFeasibility::new(&star.net, &UniformPower::unit());
         let routes: Vec<_> = star
             .short_links
             .iter()

@@ -56,7 +56,8 @@
 //!   charges through the cube differ from `powf` by rounding only, far
 //!   inside the `ε·margin` contract.
 //! * **Panels.** Near tile pairs store their pairwise gains as small
-//!   dense *panels* (one `|S|×|R|` block per leaf pair). Under
+//!   dense *panels* (one `|S|×|R|` block per leaf pair); an index with
+//!   no far pair reads none and builds none. Under
 //!   [`PanelCacheMode::Fixed`] panels are allocated once at build time
 //!   in deterministic row-major tile order within a byte budget and
 //!   indexed receiver-major, like the far bitsets: each receiver tile

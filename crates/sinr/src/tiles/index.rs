@@ -68,8 +68,6 @@ pub struct TiledSinrCache {
     pub(super) cache: Arc<SinrCache>,
     pub(super) grid: TileGrid,
     epsilon: f64,
-    panel_budget_bytes: usize,
-    panel_mode: PanelCacheMode,
 
     /// Per-link tile of the *sender* position.
     pub(super) sender_tile: Vec<u32>,
@@ -189,9 +187,14 @@ impl TiledSinrCache {
         // stopping at the first panel that no longer fits the budget
         // (so build work is bounded by the budget, not by g⁴), and
         // indexes them receiver-major. Adaptive mode starts empty and
-        // fills on demand.
+        // fills on demand. With no far pair the oracle runs the exact
+        // check and the measure the trait default, so no path reads a
+        // panel and none is built.
         let panels = match panel_mode {
             PanelCacheMode::Adaptive => PanelStore::adaptive(panel_budget_bytes),
+            PanelCacheMode::Fixed if far_pairs == 0 => {
+                PanelStore::Fixed(FixedPanels::new(t, &[], Vec::new()))
+            }
             PanelCacheMode::Fixed => {
                 let budget_cells = panel_budget_bytes / std::mem::size_of::<f64>();
                 let occupied = |start: &[u32]| -> Vec<usize> {
@@ -240,8 +243,6 @@ impl TiledSinrCache {
             cache,
             grid,
             epsilon,
-            panel_budget_bytes,
-            panel_mode,
             sender_tile,
             receiver_tile,
             sender_rank,
@@ -275,16 +276,6 @@ impl TiledSinrCache {
     /// The far-field error knob `ε` the index was built with.
     pub fn epsilon(&self) -> f64 {
         self.epsilon
-    }
-
-    /// The panel byte budget the index was built with.
-    pub fn panel_budget_bytes(&self) -> usize {
-        self.panel_budget_bytes
-    }
-
-    /// The panel residency mode the index was built with.
-    pub fn panel_mode(&self) -> PanelCacheMode {
-        self.panel_mode
     }
 
     /// Number of links covered.

@@ -26,9 +26,7 @@ use super::index::TiledSinrCache;
 use super::panels::{PanelRef, PlanPanels};
 use super::pyramid::{leaf_ancestors, Pyramid, Visit};
 use crate::cache::SinrCache;
-use crate::feasibility::{
-    assert_cache_pairing, dedup_attempts, exact_successes_into, verdicts_per_attempt,
-};
+use crate::feasibility::{dedup_attempts, exact_successes_into, verdicts_per_attempt};
 use crate::network::SinrNetwork;
 use crate::power::PowerAssignment;
 use dps_core::feasibility::{Attempt, Feasibility};
@@ -157,53 +155,49 @@ thread_local! {
 /// kernel included, so its verdicts are that oracle's bits
 /// (property-tested in the `tiles::tests::contract` unit tests).
 ///
+/// Like [`SinrFeasibility`], the oracle is a handle to its shared
+/// index, whose geometry cache fixes the network and the power
+/// assignment; it adds only the kernel's thread count.
+///
 /// [`SinrFeasibility`]: crate::feasibility::SinrFeasibility
 #[derive(Clone, Debug)]
-pub struct TiledSinrFeasibility<P> {
-    net: SinrNetwork,
-    power: P,
+pub struct TiledSinrFeasibility {
     tiles: Arc<TiledSinrCache>,
     threads: usize,
 }
 
-impl<P: PowerAssignment> TiledSinrFeasibility<P> {
+impl TiledSinrFeasibility {
     /// Creates the flat (single-level) tiled oracle, deriving a
     /// geometry cache (the flat dense gain table is materialized only
     /// under [`crate::cache::SinrCache`]'s dense cap, so metro-scale
     /// instances stay `O(m)` — panels and far-field aggregation replace
     /// the table beyond it) and the tiled index under
     /// [`super::DEFAULT_PANEL_BUDGET_BYTES`].
-    pub fn new(net: SinrNetwork, power: P, tiles_per_side: usize, epsilon: f64) -> Self {
+    pub fn new<P: PowerAssignment + ?Sized>(
+        net: &SinrNetwork,
+        power: &P,
+        tiles_per_side: usize,
+        epsilon: f64,
+    ) -> Self {
         Self::with_options(net, power, super::TileOptions::new(tiles_per_side, epsilon))
     }
 
     /// Creates the tiled oracle from full [`super::TileOptions`] —
     /// hierarchy depth and panel residency included.
-    pub fn with_options(net: SinrNetwork, power: P, options: super::TileOptions) -> Self {
-        let cache = Arc::new(SinrCache::new(&net, &power));
-        let tiles = Arc::new(TiledSinrCache::with_options(cache, options));
-        Self::with_tiles(net, power, tiles)
+    pub fn with_options<P: PowerAssignment + ?Sized>(
+        net: &SinrNetwork,
+        power: &P,
+        options: super::TileOptions,
+    ) -> Self {
+        let cache = Arc::new(SinrCache::new(net, power));
+        Self::from_tiles(Arc::new(TiledSinrCache::with_options(cache, options)))
     }
 
     /// Creates the oracle around an already-built shared tiled index —
     /// the substrate-sharing path. The kernel starts single-threaded;
     /// see [`TiledSinrFeasibility::kernel_threads`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index's underlying cache was not built for this
-    /// `(network, power)` pair: the link count must match and every
-    /// link's cached transmission power and signal strength must be
-    /// bit-for-bit what `power` produces on `net` (the same pairing
-    /// contract as [`crate::feasibility::SinrFeasibility::with_cache`]).
-    pub fn with_tiles(net: SinrNetwork, power: P, tiles: Arc<TiledSinrCache>) -> Self {
-        assert_cache_pairing("TiledSinrCache", tiles.cache(), &net, &power);
-        TiledSinrFeasibility {
-            net,
-            power,
-            tiles,
-            threads: 1,
-        }
+    pub fn from_tiles(tiles: Arc<TiledSinrCache>) -> Self {
+        TiledSinrFeasibility { tiles, threads: 1 }
     }
 
     /// Sets the worker thread count of the slot kernel's per-receiver
@@ -227,16 +221,6 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
     /// The configured worker thread count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The network the oracle judges.
-    pub fn network(&self) -> &SinrNetwork {
-        &self.net
-    }
-
-    /// The power assignment the oracle judges under.
-    pub fn power(&self) -> &P {
-        &self.power
     }
 
     /// The tiled index the oracle judges from.
@@ -389,10 +373,6 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
 /// reads) or on-the-fly gains when the pair is un-panelled. At `α = 3`
 /// far charges take `d³` as `d·d·d`, which moves far sums from the
 /// `powf` ones by rounding only, well inside the `ε·margin` contract.
-///
-/// A free function over the (fully `Sync`) tiled index rather than a
-/// method, so the parallel verdict closure never captures the oracle's
-/// power-assignment type parameter.
 #[inline]
 fn interference_with_plans(
     tiles: &TiledSinrCache,
@@ -486,7 +466,7 @@ fn accumulate<const CUBE: bool>(
     interference
 }
 
-impl<P: PowerAssignment> Feasibility for TiledSinrFeasibility<P> {
+impl Feasibility for TiledSinrFeasibility {
     fn successes_into(&self, attempts: &[Attempt], out: &mut Vec<bool>, _rng: &mut dyn RngCore) {
         out.clear();
         if attempts.is_empty() {
@@ -541,7 +521,7 @@ impl<P: PowerAssignment> Feasibility for TiledSinrFeasibility<P> {
 }
 
 #[cfg(test)]
-impl<P: PowerAssignment> TiledSinrFeasibility<P> {
+impl TiledSinrFeasibility {
     /// The accumulated tiled interference each *distinct* attempted
     /// link sees this slot, in ascending link order — the exact value
     /// the kernel compares against `β·(I + ν)`. The referee tests pin
@@ -596,7 +576,6 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
 /// measure stays the trait default, bit-for-bit.
 #[derive(Clone, Debug)]
 pub struct TiledInterference {
-    cache: Arc<SinrCache>,
     tiles: Arc<TiledSinrCache>,
 }
 
@@ -605,28 +584,25 @@ impl TiledInterference {
     /// affectances, the measure routes through the index's far-field
     /// aggregation under its `ε·margin` error contract.
     pub fn with_tiles(tiles: Arc<TiledSinrCache>) -> Self {
-        TiledInterference {
-            cache: tiles.shared_cache().clone(),
-            tiles,
-        }
+        TiledInterference { tiles }
     }
 
     /// The shared handle to the underlying geometry cache.
     pub fn shared_cache(&self) -> &Arc<SinrCache> {
-        &self.cache
+        self.tiles.shared_cache()
     }
 }
 
 impl InterferenceModel for TiledInterference {
     fn num_links(&self) -> usize {
-        self.cache.num_links()
+        self.tiles.num_links()
     }
 
     fn weight(&self, on: LinkId, from: LinkId) -> f64 {
         if on == from {
             1.0
         } else {
-            self.cache.affectance(from, on).clamp(0.0, 1.0)
+            self.tiles.cache.affectance(from, on).clamp(0.0, 1.0)
         }
     }
 

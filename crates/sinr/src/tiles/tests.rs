@@ -94,21 +94,17 @@ fn grid_rejects_invalid_resolutions() {
 #[test]
 fn options_validation_rejects_bad_levels_and_threads() {
     let net = line_instance(3, 2.0, SinrParams::default_noiseless());
+    let power = UniformPower::unit();
     for bad_levels in [0, MAX_TILE_LEVELS + 1] {
-        let net = net.clone();
-        let result = std::panic::catch_unwind(move || {
-            TiledSinrFeasibility::with_options(
-                net,
-                UniformPower::unit(),
-                TileOptions::new(2, 0.0).with_levels(bad_levels),
-            )
+        let result = std::panic::catch_unwind(|| {
+            let options = TileOptions::new(2, 0.0).with_levels(bad_levels);
+            TiledSinrFeasibility::with_options(&net, &power, options)
         });
         assert!(result.is_err(), "levels = {bad_levels} must be rejected");
     }
     for bad_threads in [0, MAX_KERNEL_THREADS + 1] {
-        let net = net.clone();
-        let result = std::panic::catch_unwind(move || {
-            TiledSinrFeasibility::new(net, UniformPower::unit(), 2, 0.0).kernel_threads(bad_threads)
+        let result = std::panic::catch_unwind(|| {
+            TiledSinrFeasibility::new(&net, &power, 2, 0.0).kernel_threads(bad_threads)
         });
         assert!(result.is_err(), "threads = {bad_threads} must be rejected");
     }
@@ -120,8 +116,8 @@ fn one_tile_grid_is_bitwise_exact_for_any_epsilon() {
     let params = SinrParams::with_noise(0.01);
     let net = random_instance(24, 50.0, 1.0, 3.0, params, &mut rng_geo);
     let power = LinearPower::new(params.alpha);
-    let exact = SinrFeasibility::new(net.clone(), power);
-    let tiled = TiledSinrFeasibility::new(net, power, 1, 0.5);
+    let exact = SinrFeasibility::new(&net, &power);
+    let tiled = TiledSinrFeasibility::new(&net, &power, 1, 0.5);
     // One tile: no pair can satisfy d_min > ρ_S, so nothing is far.
     assert_eq!(tiled.tiles().far_pairs(), 0);
     let attempts: Vec<Attempt> = (0..24).map(|i| attempt(i % 24, i as u64)).collect();
@@ -137,12 +133,12 @@ fn epsilon_zero_never_qualifies_far_pairs() {
     // ε = 0 tolerates no perturbation at all — at any hierarchy depth.
     let net = cluster_instance(10_000.0);
     let zero = TiledSinrFeasibility::with_options(
-        net.clone(),
-        UniformPower::unit(),
+        &net,
+        &UniformPower::unit(),
         TileOptions::new(8, 0.0).with_levels(4),
     );
     assert_eq!(zero.tiles().far_pairs(), 0);
-    let loose = TiledSinrFeasibility::new(net, UniformPower::unit(), 8, 1e-2);
+    let loose = TiledSinrFeasibility::new(&net, &UniformPower::unit(), 8, 1e-2);
     assert!(
         loose.tiles().far_pairs() > 0,
         "well-separated clusters must far-qualify under ε = 1e-2"
@@ -209,10 +205,10 @@ fn hierarchical_far_aggregation_matches_exact_verdicts() {
         b.add_isolated_link((x + 500.0, 0.0), (x + 500.0, 1.0));
     }
     let net = b.build();
-    let exact = SinrFeasibility::new(net.clone(), UniformPower::unit());
+    let exact = SinrFeasibility::new(&net, &UniformPower::unit());
     let hier = TiledSinrFeasibility::with_options(
-        net,
-        UniformPower::unit(),
+        &net,
+        &UniformPower::unit(),
         TileOptions::new(16, 1e-2).with_levels(3),
     );
     let coarse_far: usize = (1..hier.tiles().num_levels())
@@ -358,19 +354,67 @@ fn far_tables_hold_at_the_budget_boundary() {
     assert!(cube_would_flip > 0, "no sweep crossed the cube-powf gap");
 }
 
+/// With no far pair the oracle runs the exact check and the measure the
+/// trait default, so no path reads a panel: at ε = 0 the fixed store
+/// stays empty under any budget, and the verdicts are the exact
+/// oracle's bits.
 #[test]
-fn panel_budget_boundary_controls_allocation_but_not_bits() {
+fn epsilon_zero_builds_no_panels_and_judges_exactly() {
     let mut rng_geo = ChaCha12Rng::seed_from_u64(7);
     let params = SinrParams::default_noiseless();
     let net = random_instance(16, 40.0, 1.0, 2.0, params, &mut rng_geo);
     let power = UniformPower::unit();
+    let exact = SinrFeasibility::new(&net, &power);
+    let options = TileOptions::new(2, 0.0)
+        .with_levels(2)
+        .with_panel_budget(usize::MAX);
+    let tiled = TiledSinrFeasibility::with_options(&net, &power, options);
+    let tiles = tiled.tiles();
+    assert_eq!(tiles.far_pairs(), 0);
+    assert_eq!(tiles.panel_count(), 0);
+    assert_eq!(tiles.panel_bytes(), 0);
+    assert_eq!(tiles.panel_cells_filled(), 0);
+    let slots: Vec<Vec<Attempt>> = vec![
+        (0..16).map(|i| attempt(i, i as u64)).collect(),
+        (0..16).step_by(3).map(|i| attempt(i, i as u64)).collect(),
+        vec![attempt(2, 0), attempt(9, 1), attempt(2, 2)],
+    ];
+    for attempts in &slots {
+        assert_eq!(
+            exact.successes(attempts, &mut rng()),
+            tiled.successes(attempts, &mut rng())
+        );
+    }
+    let all = exact.successes(&slots[0], &mut rng());
+    assert!(all.contains(&true) && all.contains(&false));
+    let diag = tiles.diagnostics();
+    assert_eq!((diag.panel_hits, diag.panel_misses), (0, 0));
+    assert_eq!(diag.panel_resident_bytes, 0);
+}
+
+#[test]
+fn panel_budget_boundary_controls_allocation_but_not_bits() {
+    // The lattice far-qualifies tile pairs, so the fixed store panels
+    // the near leaf pairs only.
+    let mut rng_geo = ChaCha12Rng::seed_from_u64(7);
+    let net = lattice_instance(&mut rng_geo, 4, 12, 3.0);
+    let m = net.num_links() as u32;
+    let power = UniformPower::unit();
     let cache = Arc::new(SinrCache::with_dense_limit(&net, &power, 0));
-    let budget = |bytes: usize| TileOptions::new(2, 0.0).with_panel_budget(bytes);
+    let budget = |bytes: usize| TileOptions::new(4, 1e-2).with_panel_budget(bytes);
     let full = TiledSinrCache::with_options(Arc::clone(&cache), budget(usize::MAX));
-    // Every non-empty (S, R) pair panelled under an unlimited
-    // budget; total cells = m² when every tile pair is populated
-    // with all members (here Σ|S|·Σ|R| over pairs = m·m).
-    assert_eq!(full.panel_bytes(), 16 * 16 * 8);
+    assert!(full.far_pairs() > 0, "the lattice must far-qualify a pair");
+    let near = |tiles: &TiledSinrCache, from: LinkId, on: LinkId| {
+        !tiles.is_far(tiles.sender_tile_of(from), tiles.receiver_tile_of(on))
+    };
+    // Every near (S, R) pair panelled under an unlimited budget: one
+    // cell per (sender, receiver) link pair whose leaf tiles are near.
+    let near_cells = (0..m)
+        .flat_map(|from| (0..m).map(move |on| (LinkId(from), LinkId(on))))
+        .filter(|&(from, on)| near(&full, from, on))
+        .count();
+    assert!(near_cells < (m * m) as usize, "far pairs hold no cells");
+    assert_eq!(full.panel_bytes(), near_cells * 8);
     // One byte below the full requirement: allocation stops at the
     // first pair that no longer fits (build work is bounded by the
     // budget, not by the tile-pair count).
@@ -381,15 +425,16 @@ fn panel_budget_boundary_controls_allocation_but_not_bits() {
     let none = TiledSinrCache::with_options(Arc::clone(&cache), budget(0));
     assert_eq!(none.panel_count(), 0);
     assert_eq!(none.panel_bytes(), 0);
-    // Budget is a speed knob only: every resident panel cell is
-    // bitwise the flat cache expression.
+    // Budget is a speed knob only: every resident panel cell is a near
+    // pair's, bitwise the flat cache expression.
     let reference = SinrCache::new(&net, &power);
     for (tiles, cells) in [
-        (&full, 16 * 16),
+        (&full, near_cells),
         (&trimmed, trimmed.panel_bytes() / 8),
         (&none, 0),
     ] {
         let visited = tiles.for_each_panel_gain(|from, on, gain| {
+            assert!(near(tiles, from, on), "{from} on {on} is far");
             if from != on {
                 assert_eq!(gain.to_bits(), reference.gain(from, on).to_bits());
             }
@@ -413,11 +458,11 @@ fn adaptive_panels_evict_under_tiny_budget_without_changing_verdicts() {
     let cluster_a: Vec<Attempt> = (0..4).map(|i| attempt(2 * i, i as u64)).collect();
     let cluster_b: Vec<Attempt> = (0..4).map(|i| attempt(2 * i + 1, 10 + i as u64)).collect();
     let both: Vec<Attempt> = (0..8).map(|i| attempt(i, 20 + i as u64)).collect();
-    let fixed = TiledSinrFeasibility::new(net.clone(), UniformPower::unit(), 8, 1e-2);
+    let fixed = TiledSinrFeasibility::new(&net, &UniformPower::unit(), 8, 1e-2);
     assert!(fixed.tiles().far_pairs() > 0);
     let adaptive = TiledSinrFeasibility::with_options(
-        net,
-        UniformPower::unit(),
+        &net,
+        &UniformPower::unit(),
         TileOptions::new(8, 1e-2)
             .with_panel_mode(PanelCacheMode::Adaptive)
             // One 4×4 panel is 128 bytes: room for exactly one of the
@@ -512,8 +557,8 @@ fn kernel_threads_do_not_change_verdicts() {
     let power = LinearPower::new(params.alpha);
     for epsilon in [0.0, 1e-2] {
         let base = TiledSinrFeasibility::with_options(
-            net.clone(),
-            power,
+            &net,
+            &power,
             TileOptions::new(16, epsilon).with_levels(3),
         );
         if epsilon > 0.0 {
@@ -534,8 +579,8 @@ fn kernel_threads_do_not_change_verdicts() {
         }
         for threads in [2, 4] {
             let threaded = TiledSinrFeasibility::with_options(
-                net.clone(),
-                power,
+                &net,
+                &power,
                 TileOptions::new(16, epsilon).with_levels(3),
             )
             .kernel_threads(threads);
@@ -558,11 +603,11 @@ fn shared_node_zero_distances_stay_exact() {
     // Those pairs always share a tile, so they can never be far —
     // the blockage rule survives any epsilon and any hierarchy depth.
     let net = line_instance(6, 1.0, SinrParams::default_noiseless());
-    let exact = SinrFeasibility::new(net.clone(), UniformPower::unit());
+    let exact = SinrFeasibility::new(&net, &UniformPower::unit());
     for eps in [0.0, 1e-2, 0.5] {
         let tiled = TiledSinrFeasibility::with_options(
-            net.clone(),
-            UniformPower::unit(),
+            &net,
+            &UniformPower::unit(),
             TileOptions::new(4, eps).with_levels(3),
         );
         let attempts: Vec<Attempt> = (0..6).map(|i| attempt(i, i as u64)).collect();
@@ -586,32 +631,14 @@ fn far_aggregation_flips_no_verdict_on_well_separated_clusters() {
         b.add_isolated_link((x + 500.0, 0.0), (x + 500.0, 1.0));
     }
     let net = b.build();
-    let exact = SinrFeasibility::new(net.clone(), UniformPower::unit());
-    let tiled = TiledSinrFeasibility::new(net, UniformPower::unit(), 8, 1e-2);
+    let exact = SinrFeasibility::new(&net, &UniformPower::unit());
+    let tiled = TiledSinrFeasibility::new(&net, &UniformPower::unit(), 8, 1e-2);
     assert!(tiled.tiles().far_pairs() > 0);
     let attempts: Vec<Attempt> = (0..12).map(|i| attempt(i, i as u64)).collect();
     assert_eq!(
         exact.successes(&attempts, &mut rng()),
         tiled.successes(&attempts, &mut rng())
     );
-}
-
-#[test]
-fn with_tiles_rejects_mismatched_pairing() {
-    let params = SinrParams::default_noiseless();
-    // Spacing 2: on unit-length links every power assignment
-    // coincides at p(1) and the pairing check could not tell them
-    // apart.
-    let net = line_instance(3, 2.0, params);
-    let cache = Arc::new(SinrCache::new(&net, &UniformPower::unit()));
-    let tiles = Arc::new(TiledSinrCache::with_options(
-        cache,
-        TileOptions::new(2, 0.0).with_panel_budget(0),
-    ));
-    let result = std::panic::catch_unwind(|| {
-        TiledSinrFeasibility::with_tiles(net.clone(), LinearPower::new(params.alpha), tiles)
-    });
-    assert!(result.is_err(), "mismatched power assignment must panic");
 }
 
 #[test]
@@ -643,7 +670,7 @@ fn slot_interference_reports_kernel_sums() {
     let mut rng_geo = ChaCha12Rng::seed_from_u64(31);
     let params = SinrParams::default_noiseless();
     let net = random_instance(8, 25.0, 1.0, 2.0, params, &mut rng_geo);
-    let tiled = TiledSinrFeasibility::new(net, UniformPower::unit(), 2, 0.0);
+    let tiled = TiledSinrFeasibility::new(&net, &UniformPower::unit(), 2, 0.0);
     let attempts: Vec<Attempt> = (0..8).map(|i| attempt(i, i as u64)).collect();
     let sums = tiled.slot_interference(&attempts);
     assert_eq!(sums.len(), 8);
@@ -660,8 +687,8 @@ fn slot_interference_reports_kernel_sums() {
 fn diagnostics_count_slots_and_walk_activity() {
     let net = cluster_instance(10_000.0);
     let tiled = TiledSinrFeasibility::with_options(
-        net,
-        UniformPower::unit(),
+        &net,
+        &UniformPower::unit(),
         TileOptions::new(8, 1e-2).with_levels(2),
     );
     let attempts: Vec<Attempt> = (0..8).map(|i| attempt(i, i as u64)).collect();
@@ -694,8 +721,8 @@ fn diagnostics_count_slots_and_walk_activity() {
 #[test]
 fn rate_measure_leaves_the_kernel_diagnostics_alone() {
     let tiled = TiledSinrFeasibility::with_options(
-        cluster_instance(10_000.0),
-        UniformPower::unit(),
+        &cluster_instance(10_000.0),
+        &UniformPower::unit(),
         TileOptions::new(8, 1e-2).with_levels(2),
     );
     let tiles = tiled.shared_tiles();
@@ -778,7 +805,7 @@ proptest! {
                 .with_panel_mode(PanelCacheMode::Adaptive)
                 .with_panel_budget(budget),
         ));
-        let oracle = TiledSinrFeasibility::with_tiles(net, UniformPower::unit(), Arc::clone(&tiles));
+        let oracle = TiledSinrFeasibility::from_tiles(Arc::clone(&tiles));
         for mask in &masks {
             let attempts: Vec<Attempt> = (0..16u32)
                 .filter(|l| mask & (1 << l) != 0)
@@ -1065,7 +1092,7 @@ proptest! {
             .with_panel_mode(mode)
             .with_panel_budget(budget);
         let power = LinearPower::new(alpha);
-        let oracle = TiledSinrFeasibility::with_options(net, power, options);
+        let oracle = TiledSinrFeasibility::with_options(&net, &power, options);
         let tiles = oracle.tiles();
         prop_assert!(tiles.far_pairs() > 0, "the lattice must far-qualify a pair");
         for (slot, &mask) in masks.iter().enumerate() {
@@ -1155,7 +1182,7 @@ proptest! {
             }
         }
 
-        let oracle = TiledSinrFeasibility::with_tiles(net, power, Arc::clone(&tiles));
+        let oracle = TiledSinrFeasibility::from_tiles(Arc::clone(&tiles));
         prop_assert!(tiles.far_pairs() > 0, "the lattice must far-qualify a pair");
         for &mask in &masks {
             let attempts: Vec<Attempt> = (0..m)

@@ -81,10 +81,9 @@ fn referee_at<P: PowerAssignment + Clone>(
     dense_limit: usize,
 ) -> Result<(), TestCaseError> {
     let shared = Arc::new(SinrCache::with_dense_limit(net, &power, dense_limit));
-    let exact = SinrFeasibility::with_cache(net.clone(), power.clone(), Arc::clone(&shared));
+    let exact = SinrFeasibility::from_cache(Arc::clone(&shared));
     let tiles = Arc::new(TiledSinrCache::with_options(shared, options));
-    let tiled =
-        TiledSinrFeasibility::with_tiles(net.clone(), power.clone(), tiles).kernel_threads(threads);
+    let tiled = TiledSinrFeasibility::from_tiles(tiles).kernel_threads(threads);
     let eps = options.epsilon;
     // Always true at ε = 0, which qualifies no pair.
     let bitwise = tiled.tiles().far_pairs() == 0;
@@ -308,8 +307,8 @@ proptest! {
         let attempts: Vec<Attempt> = (0..32u32).map(|l| attempt(l, l as u64)).collect();
         let eps = EPSILONS[eps_sel];
         let flat = TiledSinrFeasibility::with_options(
-            net.clone(),
-            UniformPower::unit(),
+            &net,
+            &UniformPower::unit(),
             TileOptions::new(grid, eps),
         );
         let flat_sums = flat.slot_interference(&attempts);
@@ -321,8 +320,8 @@ proptest! {
                     DEFAULT_DENSE_GAIN_LIMIT)?;
                 if eps == 0.0 {
                     let deep = TiledSinrFeasibility::with_options(
-                        net.clone(),
-                        UniformPower::unit(),
+                        &net,
+                        &UniformPower::unit(),
                         TileOptions::new(grid, eps).with_levels(levels),
                     )
                     .kernel_threads(threads);
@@ -358,14 +357,14 @@ proptest! {
         let attempts: Vec<Attempt> = (0..16u32).map(|l| attempt(l, l as u64)).collect();
         let eps = EPSILONS[eps_sel];
         let fixed = TiledSinrFeasibility::with_options(
-            net.clone(),
-            UniformPower::unit(),
+            &net,
+            &UniformPower::unit(),
             TileOptions::new(grid, eps).with_levels(levels),
         );
         // Budget fits at most one 4×4 panel, so any second panel evicts.
         let adaptive = TiledSinrFeasibility::with_options(
-            net,
-            UniformPower::unit(),
+            &net,
+            &UniformPower::unit(),
             TileOptions::new(grid, eps)
                 .with_levels(levels)
                 .with_panel_mode(PanelCacheMode::Adaptive)
@@ -408,8 +407,8 @@ proptest! {
         let net = random_instance(16, 80.0, 0.8, 3.0, params, &mut rng);
         let eps = EPSILONS[eps_sel];
         let fixed = TiledSinrFeasibility::with_options(
-            net.clone(),
-            UniformPower::unit(),
+            &net,
+            &UniformPower::unit(),
             TileOptions::new(grid, eps).with_levels(levels),
         );
         let tiles = fixed.tiles();
@@ -429,8 +428,8 @@ proptest! {
             budget_panels * panel_bytes
         };
         let adaptive = TiledSinrFeasibility::with_options(
-            net,
-            UniformPower::unit(),
+            &net,
+            &UniformPower::unit(),
             TileOptions::new(grid, eps)
                 .with_levels(levels)
                 .with_panel_mode(PanelCacheMode::Adaptive)
@@ -490,11 +489,11 @@ proptest! {
         let eps = [1e-3, 1e-2][eps_sel];
         let attempts: Vec<Attempt> = (0..12u32).map(|l| attempt(l, l as u64)).collect();
         let full = TiledSinrFeasibility::new(
-            net.clone(), UniformPower::unit(), grid, eps);
+            &net, &UniformPower::unit(), grid, eps);
         prop_assert!(full.tiles().far_pairs() > 0, "the geometry must far-qualify a pair");
         let starved = TiledSinrFeasibility::with_options(
-            net,
-            UniformPower::unit(),
+            &net,
+            &UniformPower::unit(),
             TileOptions::new(grid, eps)
                 .with_panel_budget(budget_cells * std::mem::size_of::<f64>()),
         );

@@ -35,11 +35,14 @@ fn attempt(link: LinkId, id: u64) -> Attempt {
 /// to `dense_limit` links (`0`: always the on-the-fly fallback).
 fn with_dense_limit<P: PowerAssignment>(
     net: &SinrNetwork,
-    power: P,
+    power: &P,
     dense_limit: usize,
-) -> SinrFeasibility<P> {
-    let cache = Arc::new(SinrCache::with_dense_limit(net, &power, dense_limit));
-    SinrFeasibility::with_cache(net.clone(), power, cache)
+) -> SinrFeasibility {
+    SinrFeasibility::from_cache(Arc::new(SinrCache::with_dense_limit(
+        net,
+        power,
+        dense_limit,
+    )))
 }
 
 /// One slot's verdicts from the exact oracle under `dense_limit`, and
@@ -51,7 +54,7 @@ fn fast_and_naive<P: PowerAssignment>(
     attempts: &[Attempt],
 ) -> (Vec<bool>, Vec<bool>) {
     let naive = successes_naive(net, &power, attempts);
-    let oracle = with_dense_limit(net, power, dense_limit);
+    let oracle = with_dense_limit(net, &power, dense_limit);
     let fast = oracle.successes(attempts, &mut ChaCha12Rng::seed_from_u64(1));
     (fast, naive)
 }
@@ -73,7 +76,7 @@ proptest! {
             .map(LinkId)
             .collect();
         prop_assume!(!active.is_empty());
-        let oracle = SinrFeasibility::new(net.clone(), power);
+        let oracle = SinrFeasibility::new(&net, &power);
         let attempts: Vec<Attempt> = active
             .iter()
             .enumerate()
@@ -207,13 +210,14 @@ proptest! {
     fn cached_oracle_matches_naive_on_shared_nodes(hops in 2usize..7, spacing in 0.5f64..3.0) {
         let net = dps_sinr::instances::line_instance(
             hops, spacing, SinrParams::default_noiseless());
-        let oracle = SinrFeasibility::new(net, UniformPower::unit());
+        let power = UniformPower::unit();
+        let oracle = SinrFeasibility::new(&net, &power);
         let attempts: Vec<Attempt> = (0..hops as u32)
             .map(|l| attempt(LinkId(l), l as u64))
             .collect();
         let mut srng = ChaCha12Rng::seed_from_u64(3);
         let fast = oracle.successes(&attempts, &mut srng);
-        let naive = successes_naive(oracle.network(), oracle.power(), &attempts);
+        let naive = successes_naive(&net, &power, &attempts);
         prop_assert_eq!(fast, naive);
     }
 
@@ -249,9 +253,9 @@ proptest! {
         attempts.push(attempt(LinkId(dup_b), 101));
         let power = LinearPower::new(params.alpha);
         let oracles = [
-            SinrFeasibility::new(net.clone(), power),
-            with_dense_limit(&net, power, 0),
-            with_dense_limit(&net, power, 24),
+            SinrFeasibility::new(&net, &power),
+            with_dense_limit(&net, &power, 0),
+            with_dense_limit(&net, &power, 24),
         ];
         prop_assert!(oracles[0].cache().is_dense());
         prop_assert!(!oracles[1].cache().is_dense());
@@ -275,14 +279,15 @@ proptest! {
     ) {
         let net = dps_sinr::instances::line_instance(
             hops, spacing, SinrParams::default_noiseless());
-        let oracle = SinrFeasibility::new(net, UniformPower::unit());
+        let power = UniformPower::unit();
+        let oracle = SinrFeasibility::new(&net, &power);
         let mut attempts: Vec<Attempt> = (0..hops as u32)
             .map(|l| attempt(LinkId(l), l as u64))
             .collect();
         attempts.push(attempt(LinkId(dup % hops as u32), 99));
         let mut srng = ChaCha12Rng::seed_from_u64(3);
         let fast = oracle.successes(&attempts, &mut srng);
-        let naive = successes_naive(oracle.network(), oracle.power(), &attempts);
+        let naive = successes_naive(&net, &power, &attempts);
         prop_assert_eq!(fast, naive);
     }
 
@@ -294,7 +299,7 @@ proptest! {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let params = SinrParams::default_noiseless();
         let net = random_instance(6, 40.0, 1.0, 3.0, params, &mut rng);
-        let oracle = SinrFeasibility::new(net, UniformPower::unit());
+        let oracle = SinrFeasibility::new(&net, &UniformPower::unit());
         let all: Vec<Attempt> = (0..6u32).map(|l| attempt(LinkId(l), l as u64)).collect();
         let mut srng = ChaCha12Rng::seed_from_u64(2);
         let full = oracle.successes(&all, &mut srng);

@@ -46,7 +46,7 @@ impl SubstrateSpec for StarSubstrate {
             num_links,
             m: num_links,
             model: Arc::new(IdentityInterference::new(num_links)),
-            feasibility: Arc::new(SinrFeasibility::new(star.net.clone(), UniformPower::unit())),
+            feasibility: Arc::new(SinrFeasibility::new(&star.net, &UniformPower::unit())),
             routes,
             conflict: None,
             sinr_cache: None,

@@ -89,7 +89,7 @@ fn sinr_linear_power_protocol_is_stable_at_half_rate() {
     let net = random_instance(m, 80.0, 1.0, 3.0, params, &mut geo_rng);
     let power = LinearPower::new(params.alpha);
     let model = SinrInterference::fixed_power(&net, &power);
-    let phy = SinrFeasibility::new(net.clone(), power);
+    let phy = SinrFeasibility::new(&net, &power);
     let scheduler = TwoStageDecayScheduler::new(m);
     let lambda = 0.5 / scheduler.f_of(m);
     let routes: Vec<_> = net
@@ -144,7 +144,7 @@ fn mac_symmetric_threshold_is_between_quarter_and_one() {
 #[test]
 fn star_instance_separates_global_from_local_clock() {
     let star = star_instance(12);
-    let oracle = SinrFeasibility::new(star.net.clone(), UniformPower::unit());
+    let oracle = SinrFeasibility::new(&star.net, &UniformPower::unit());
     let routes: Vec<_> = star
         .short_links
         .iter()
