@@ -115,8 +115,9 @@ fn bench_tiled_slot(c: &mut Criterion) {
         let net = instance(m);
         let alpha = net.params().alpha;
         let grid = grid_for(m);
-        // Above DEFAULT_DENSE_GAIN_LIMIT (1024) the exact oracle runs on
-        // the on-the-fly powf fallback — the path the tiles replace.
+        // Above DEFAULT_DENSE_GAIN_LIMIT (1024) the exact oracle computes
+        // gains on the fly, as certified cubes at α = 3 — the path the
+        // tiles replace.
         let exact = SinrFeasibility::new(&net, &LinearPower::new(alpha));
         let tiled = |epsilon| {
             TiledSinrFeasibility::with_options(
@@ -255,7 +256,7 @@ fn bench_tiled_slot(c: &mut Criterion) {
 
         // ε = 0 is bit-for-bit exact at every depth and thread count.
         // The assert drives a m/16 attempt subset: the exact oracle is
-        // O(k²) powf at this size, and the full-k contract is already
+        // O(k²) on-the-fly gains at this size, and the full-k contract is already
         // referee-tested across (levels, threads) in the tiled
         // contract unit tests (`dps_sinr::tiles::tests::contract`).
         {

@@ -187,8 +187,9 @@ fn check(rest: &[String]) {
     }
 }
 
-/// The tiled substrate's far-walk and panel-cache counters as a JSON
-/// map, spliced next to the outcome table under `tile_diagnostics`.
+/// The tiled substrate's far-walk and panel-cache counters, and its
+/// geometry cache's cube fallbacks, as a JSON map spliced next to the
+/// outcome table under `tile_diagnostics`.
 fn tile_diagnostics_value(tiles: &dps_sinr::tiles::TiledSinrCache) -> serde::Value {
     let diag = tiles.diagnostics();
     let seq_u64 =
@@ -233,6 +234,10 @@ fn tile_diagnostics_value(tiles: &dps_sinr::tiles::TiledSinrCache) -> serde::Val
         (
             "panel_cells_filled".to_string(),
             serde::Value::U64(tiles.panel_cells_filled()),
+        ),
+        (
+            "cube_fallbacks".to_string(),
+            serde::Value::U64(tiles.cache().cube_fallbacks()),
         ),
     ])
 }

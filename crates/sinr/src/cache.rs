@@ -30,6 +30,14 @@
 //! network) is stored as `NaN`: any interference sum it enters fails the
 //! SINR comparison, which is exactly the naive oracle's "distance zero
 //! blocks the receiver" rule, and `NaN`-poisoned affectances clamp to 1.
+//!
+//! Slot kernels that compute gains on the fly (no dense table) at
+//! `α = 3` sum them as certified cubes instead and decide a verdict
+//! from that sum only where it provably falls as the `powf` sum's does;
+//! elsewhere they recompute the `powf` sum, and
+//! [`SinrCache::cube_fallbacks`] counts those recomputations.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::network::SinrNetwork;
 use crate::power::PowerAssignment;
@@ -57,7 +65,10 @@ const KERNEL_LANES: usize = 4;
 
 /// Precomputed per-link and pairwise SINR quantities for one
 /// `(network, power assignment)` pair.
-#[derive(Clone, Debug)]
+///
+/// Not `Clone`: the cube fallback counter is shared state, and every
+/// consumer holds the cache behind an [`std::sync::Arc`] anyway.
+#[derive(Debug)]
 pub struct SinrCache {
     m: usize,
     alpha: f64,
@@ -78,6 +89,13 @@ pub struct SinrCache {
     sender: Vec<crate::geom::Point>,
     /// Per-link receiver positions, for the on-the-fly fallback.
     receiver: Vec<crate::geom::Point>,
+    /// Whether on-the-fly gains take the certified cube path: `α = 3`,
+    /// no dense table, `β ≥ 0` and every power finite and non-negative
+    /// (the preconditions of [`CubeSum::verdict`]).
+    cube_gains: bool,
+    /// Receivers whose cube verdict was not certified and were judged
+    /// from the `powf` sum instead (relaxed: diagnostics only).
+    cube_fallbacks: AtomicU64,
 }
 
 impl SinrCache {
@@ -122,6 +140,10 @@ impl SinrCache {
             }
             table
         });
+        let cube_gains = params.alpha == 3.0
+            && gains.is_none()
+            && params.beta >= 0.0
+            && tx_power.iter().all(|p| (0.0..f64::INFINITY).contains(p));
         SinrCache {
             m,
             alpha: params.alpha,
@@ -133,6 +155,8 @@ impl SinrCache {
             gains,
             sender,
             receiver,
+            cube_gains,
+            cube_fallbacks: AtomicU64::new(0),
         }
     }
 
@@ -144,6 +168,26 @@ impl SinrCache {
     /// Whether the dense pairwise gain table was materialized.
     pub fn is_dense(&self) -> bool {
         self.gains.is_some()
+    }
+
+    /// Receivers the slot kernels judged from the `powf` sum because
+    /// their certified cube sum could not decide the verdict: the SINR
+    /// slack lay inside the rounding window, or a cube left the normal
+    /// range (a zero cross distance included).
+    pub fn cube_fallbacks(&self) -> u64 {
+        self.cube_fallbacks.load(Ordering::Relaxed)
+    }
+
+    /// Whether on-the-fly gains take the certified cube path
+    /// ([`CubeSum`]); otherwise slot kernels sum [`SinrCache::gain`].
+    pub(crate) fn cube_gains(&self) -> bool {
+        self.cube_gains
+    }
+
+    /// Counts one receiver judged from the `powf` sum after its cube sum
+    /// did not decide.
+    pub(crate) fn count_cube_fallback(&self) {
+        self.cube_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The SINR threshold `β`.
@@ -341,6 +385,128 @@ pub(crate) fn raw_gain(
     tx_power[from] / d.powf(alpha)
 }
 
+/// One receiver's interference, summed with certified cube gains: at
+/// `α = 3` an on-the-fly term `count·p/d^α` is added as
+/// `count·(p/(d·d·d))` ([`CubeSum::add_cube`]) instead of
+/// `count·(p/d.powf(3))` ([`raw_gain`]), and [`CubeSum::verdict`]
+/// decides the SINR comparison from this sum only where the `powf` sum
+/// provably decides it the same way.
+///
+/// **The window.** Let `I` be the `powf` sum and `I′` this one: the
+/// same `n` terms (`n` counts every `add` and `add_cube`) in the same
+/// order, where each cube term `t′` replaces the `powf` term `t` built
+/// from the same `count`, `p` and `d`, and every other term is the same
+/// value in both. Write `u = 2⁻⁵³` and `x = count·p/d³`, exact for the
+/// computed `d`; bounds are to first order in `u`.
+/// - Per term: `t′` is two multiplications, a division and a
+///   multiplication by `count`, so `|t′ − x| ≤ 4u·x`; `t` is a `powf`
+///   (allowed 2 ulps, `4u`), a division and a multiplication, so
+///   `|t − x| ≤ 6u·x`. Together `|t − t′| ≤ 10u·x`.
+/// - Summation: adding `n` terms in order is off the exact sum by at
+///   most `(n − 1)u·Σ|t|`. Every term is non-negative. The cache admits
+///   the cube only for non-negative powers ([`SinrCache::cube_gains`]),
+///   and the tiled kernel's far aggregates are non-negative too: one
+///   that subtracts the receiver's own power `p_on` does so from a
+///   rounded sum of non-negative weights that includes `p_on` itself,
+///   and rounding is monotone, so that sum is at least `p_on` and the
+///   difference is at least `0`. So `Σ|t′| = Σt′ ≤ (1 + nu)·I′`.
+/// - Hence `|I − I′| ≤ 2(n − 1)u·Σt′ + 10u·Σt′ ≤ (n + 4)·2u·I′`. The
+///   window `Δ = 4·(n + 4)·2u·I′` keeps a factor of four over that,
+///   which covers the second-order terms (`nu ≤ 2⁻²⁰` for `n < 2³³`)
+///   and the rounding of `Δ` and of `I′ ± Δ`.
+/// - The relative bounds need every cube, and so `d·d` and the `powf`
+///   cube, normal: the sum tracks its cubes' range and decides nothing
+///   unless it lies in `[2·f64::MIN_POSITIVE, f64::MAX/2]`, normal with
+///   a factor of two to spare. Nor does it decide unless
+///   `I′ ≤ f64::MAX/4`, so that no term or partial sum of either sum
+///   overflows. `NaN` fails both tests. So a zero cross distance, which
+///   the `powf` sum turns into `NaN` and a cube into `inf` or `NaN`,
+///   always falls back. A division or multiplication that underflows is
+///   off by at most `2⁻¹⁰⁷⁵` absolute instead (an underflowing addition
+///   is exact), and `count` scales the division's error at most
+///   `count`-fold, so underflow adds at most `Σ(count + 1)·2⁻¹⁰⁷⁴` to
+///   `|I − I′|`; the floor `(n + 4)·2⁻¹⁰²²` of `Δ` covers it for any
+///   count below `2⁵²`.
+///
+/// **The verdict.** The computed comparison `signal ≥ β·(I + ν)` is
+/// monotone in `I` for `β ≥ 0`, since rounding is monotone. With
+/// `I ∈ [I′ − Δ, I′ + Δ]`, `signal ≥ β·((I′ + Δ) + ν)` means the `powf`
+/// verdict is a success and `signal < β·((I′ − Δ) + ν)` that it is a
+/// failure: outside the window, the slack `signal − β·(I′ + ν)` has the
+/// `powf` slack's sign. Inside it, `verdict` returns `None` and the
+/// caller recomputes the `powf` sum in the same order. Verdicts are
+/// therefore the `powf` sum's bits by construction; the window is
+/// derived, not tuned to any data.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CubeSum {
+    sum: f64,
+    terms: usize,
+    cube_min: f64,
+    cube_max: f64,
+}
+
+impl CubeSum {
+    /// The empty sum.
+    pub(crate) fn new() -> Self {
+        CubeSum {
+            sum: 0.0,
+            terms: 0,
+            cube_min: f64::INFINITY,
+            cube_max: 0.0,
+        }
+    }
+
+    /// Adds a term the `powf` sum adds with the same bits (a panel
+    /// entry, a far aggregate, a `powf` gain).
+    #[inline(always)]
+    pub(crate) fn add(&mut self, term: f64) {
+        self.sum += term;
+        self.terms += 1;
+    }
+
+    /// Adds `count·(power/(d·d·d))`, the cube of the `powf` term
+    /// `count·(power/d^3)` at cross distance `d`.
+    #[inline(always)]
+    pub(crate) fn add_cube(&mut self, count: u32, power: f64, d: f64) {
+        let cube = d * d * d;
+        self.cube_min = self.cube_min.min(cube);
+        self.cube_max = self.cube_max.max(cube);
+        self.add(count as f64 * (power / cube));
+    }
+
+    /// The sum itself.
+    #[inline(always)]
+    pub(crate) fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    /// `signal ≥ β·(I + ν)` for the `powf` sum `I` of the same terms,
+    /// when this cube sum certifies it (see [`CubeSum`]); `None` when
+    /// the caller must compute `I`.
+    #[inline]
+    pub(crate) fn verdict(&self, signal: f64, beta: f64, noise: f64) -> Option<bool> {
+        let CubeSum {
+            sum,
+            terms,
+            cube_min,
+            cube_max,
+        } = *self;
+        let in_range = cube_min >= 2.0 * f64::MIN_POSITIVE && cube_max <= 0.5 * f64::MAX;
+        if !(in_range && sum <= 0.25 * f64::MAX) {
+            return None;
+        }
+        let n = terms as f64 + 4.0;
+        let window = 4.0 * n * f64::EPSILON * sum + n * f64::MIN_POSITIVE;
+        if signal >= beta * (sum + window + noise) {
+            Some(true)
+        } else if signal < beta * (sum - window + noise) {
+            Some(false)
+        } else {
+            None
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,7 +515,7 @@ mod tests {
     use crate::network::SinrNetworkBuilder;
     use crate::params::SinrParams;
     use crate::power::{LinearPower, UniformPower};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha12Rng;
 
     #[test]
@@ -484,6 +650,108 @@ mod tests {
         // The fallback cache declines, leaving the caller to go scalar.
         let lazy = SinrCache::with_dense_limit(&net, &power, 0);
         assert!(!lazy.active_interference_into(&active, &mut acc, &mut scratch));
+    }
+
+    /// One- and two-term sums of random gains, where the cube and `powf`
+    /// sums lie furthest apart relative to the window. With `β = 1` and
+    /// `ν = 0` the signal is put at either sum and 1 to 256 ulps either
+    /// side of it, inside and outside the window. Whenever the cube sum
+    /// decides, it must decide as the `powf` sum does.
+    #[test]
+    fn cube_verdicts_are_the_powf_verdicts_where_the_sums_differ() {
+        let step = |mut x: f64, ulps: i32| {
+            for _ in 0..ulps.unsigned_abs() {
+                x = if ulps > 0 { x.next_up() } else { x.next_down() };
+            }
+            x
+        };
+        let mut rng = ChaCha12Rng::seed_from_u64(41);
+        let (mut apart, mut decided, mut fell_back) = (0, 0, 0);
+        for case in 0..100_000 {
+            let mut cube = CubeSum::new();
+            let mut powf = 0.0;
+            for _ in 0..1 + case % 2 {
+                let d: f64 = rng.gen_range(1.0..60.0);
+                let p: f64 = rng.gen_range(1.0..27.0);
+                let count: u32 = rng.gen_range(1..4);
+                cube.add_cube(count, p, d);
+                powf += count as f64 * (p / d.powf(3.0));
+            }
+            apart += usize::from(cube.sum() != powf);
+            for threshold in [powf, cube.sum()] {
+                for ulps in [0, 1, -1, 4, -4, 16, -16, 64, -64, 256, -256] {
+                    let signal = step(threshold, ulps);
+                    match cube.verdict(signal, 1.0, 0.0) {
+                        Some(ok) => {
+                            decided += 1;
+                            assert_eq!(ok, signal >= powf, "case {case}: {cube:?} vs {powf}");
+                        }
+                        None => fell_back += 1,
+                    }
+                }
+            }
+        }
+        assert!(apart > 10_000, "the sums must differ often: {apart}");
+        assert!(
+            decided > 100_000 && fell_back > 100_000,
+            "{decided} / {fell_back}"
+        );
+    }
+
+    /// The widest cube-against-`powf` gaps an offline search of 6·10⁷
+    /// random terms (count 3, `d` in `[1, 60)`, `p` in `[1, 27)`) found:
+    /// the widest single term, pair and triple, whose two sums lie 13%,
+    /// 15% and 15% of the window apart. A signal at the `powf` sum, or
+    /// a few ulps from it, must still be judged as that sum judges it.
+    #[test]
+    fn cube_window_covers_the_widest_gaps_found() {
+        let widest: [&[(f64, f64)]; 3] = [
+            &[(50.832323116644126, 16.247736397749087)],
+            &[
+                (16.014591161856877, 4.066435575243075),
+                (32.061077508631314, 16.431007643890275),
+            ],
+            &[
+                (16.009100850017063, 8.155863206165602),
+                (25.47279420848068, 16.739276901155538),
+                (40.32454847654665, 8.20134810176738),
+            ],
+        ];
+        for terms in widest {
+            let mut cube = CubeSum::new();
+            let mut powf = 0.0;
+            for &(d, p) in terms {
+                cube.add_cube(3, p, d);
+                powf += 3.0 * (p / d.powf(3.0));
+            }
+            assert_ne!(cube.sum(), powf);
+            let mut below = powf;
+            let mut above = powf;
+            for _ in 0..8 {
+                for signal in [below, above] {
+                    if let Some(ok) = cube.verdict(signal, 1.0, 0.0) {
+                        assert_eq!(ok, signal >= powf, "{terms:?} at {signal}");
+                    }
+                }
+                below = below.next_down();
+                above = above.next_up();
+            }
+        }
+    }
+
+    #[test]
+    fn cube_sum_declines_cubes_out_of_range() {
+        for d in [0.0, f64::NAN, 1e-110, 1e110, f64::INFINITY] {
+            let mut sum = CubeSum::new();
+            sum.add(0.25);
+            sum.add_cube(1, 1.0, d);
+            assert_eq!(sum.verdict(1e9, 1.0, 0.0), None, "d = {d}");
+        }
+        let mut huge = CubeSum::new();
+        huge.add(f64::MAX);
+        assert_eq!(huge.verdict(f64::MAX, 1.0, 0.0), None);
+        // An empty sum decides from the noise alone.
+        assert_eq!(CubeSum::new().verdict(1.0, 2.0, 0.25), Some(true));
     }
 
     #[test]

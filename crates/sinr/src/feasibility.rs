@@ -6,18 +6,22 @@
 //! attempts actually made in a slot. Since this runs once per slot for the
 //! whole simulation, it is the hottest kernel in the workspace; the
 //! implementation therefore judges a slot from a [`SinrCache`] — cached
-//! signals, margins and pairwise gains, no `sqrt`/`powf` — and iterates
-//! only the `k` *attempted* links (`O(k²)` per slot) instead of scanning
-//! all `m` links per attempt (`O(k·m)` with transcendentals, as the naive
-//! referee in `tests/support/referee.rs` does). The two make bit-for-bit
-//! identical decisions; the equivalence is property-tested in
+//! signals and margins, and up to the dense cap cached pairwise gains —
+//! and iterates only the `k` *attempted* links (`O(k²)` per slot) instead
+//! of scanning all `m` links per attempt (`O(k·m)` with transcendentals,
+//! as the naive referee in `tests/support/referee.rs` does). Above the
+//! dense cap each pair's gain is computed on the fly: one `sqrt` and, at
+//! `α = 3`, a certified cube `d·d·d` that falls back to `powf` only for a
+//! receiver whose verdict it cannot certify (see [`crate::cache`]); other
+//! exponents pay one `powf` per pair. Every path makes bit-for-bit the
+//! naive referee's decisions; the equivalence is property-tested in
 //! `tests/prop_sinr.rs`.
 //!
 //! The slot check itself is one crate-internal function, shared with the
 //! tiled oracle ([`crate::tiles::TiledSinrFeasibility`]), which hands it
 //! every slot of an index that far-qualifies no tile pair.
 
-use crate::cache::SinrCache;
+use crate::cache::{CubeSum, SinrCache};
 use crate::network::SinrNetwork;
 use crate::power::PowerAssignment;
 use dps_core::feasibility::{Attempt, Feasibility};
@@ -135,7 +139,11 @@ thread_local! {
 /// ([`SinrCache::active_interference_into`]) accumulates every receiver's
 /// interference at once; without one, [`exact_interference`] sums the
 /// on-the-fly gains per receiver. Both add the same terms in the same
-/// order, so the verdicts are the same bits either way.
+/// order, so the verdicts are the same bits either way. Without a dense
+/// table at `α = 3`, each receiver first sums its terms as certified
+/// cubes ([`CubeSum`]), which decide the verdict unless its slack lies
+/// inside their rounding window; only then does [`exact_interference`]
+/// run, so the verdicts are still its bits.
 pub(crate) fn exact_successes_into(cache: &SinrCache, attempts: &[Attempt], out: &mut Vec<bool>) {
     out.clear();
     if attempts.is_empty() {
@@ -152,17 +160,28 @@ pub(crate) fn exact_successes_into(cache: &SinrCache, attempts: &[Attempt], out:
         } = &mut *scratch.borrow_mut();
         dedup_attempts(attempts, active);
         let dense = cache.active_interference_into(active, interference, lanes);
+        let cube = cache.cube_gains();
         verdicts.clear();
         verdicts.extend(active.iter().enumerate().map(|(i, &(on_raw, count))| {
             // A shared transmitter collides regardless of SINR.
-            count == 1 && {
-                let sum = if dense {
-                    interference[i]
-                } else {
-                    exact_interference(cache, active, on_raw)
-                };
-                cache.signal(LinkId(on_raw)) >= beta * (sum + noise)
+            if count != 1 {
+                return false;
             }
+            let signal = cache.signal(LinkId(on_raw));
+            if cube {
+                if let Some(ok) =
+                    cube_interference(cache, active, on_raw).verdict(signal, beta, noise)
+                {
+                    return ok;
+                }
+                cache.count_cube_fallback();
+            }
+            let sum = if dense {
+                interference[i]
+            } else {
+                exact_interference(cache, active, on_raw)
+            };
+            signal >= beta * (sum + noise)
         }));
         verdicts_per_attempt(attempts, active, verdicts, out);
     });
@@ -182,6 +201,25 @@ pub(crate) fn exact_interference(cache: &SinrCache, active: &[(u32, u32)], on_ra
         }
     }
     interference
+}
+
+/// [`exact_interference`]'s terms as certified cubes ([`CubeSum`]), in
+/// the same order.
+fn cube_interference(cache: &SinrCache, active: &[(u32, u32)], on_raw: u32) -> CubeSum {
+    let receiver = cache.receiver_positions()[on_raw as usize];
+    let (senders, tx_power) = (cache.sender_positions(), cache.tx_powers());
+    let mut sum = CubeSum::new();
+    for &(from_raw, from_count) in active {
+        if from_raw != on_raw {
+            let from = from_raw as usize;
+            sum.add_cube(
+                from_count,
+                tx_power[from],
+                senders[from].distance(&receiver),
+            );
+        }
+    }
+    sum
 }
 
 /// Maps per-distinct-link verdicts (parallel to `active`) back onto the

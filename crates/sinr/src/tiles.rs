@@ -54,7 +54,12 @@
 //!   whose cube spread lies within a rounding-error window of the
 //!   budget, so every table is the `powf` build's, bit for bit. Far
 //!   charges through the cube differ from `powf` by rounding only, far
-//!   inside the `ε·margin` contract.
+//!   inside the `ε·margin` contract. The slot kernel's un-panelled near
+//!   terms are gains on the fly; without a dense gain table at `α = 3`
+//!   they are certified cubes (the cache's `CubeSum`), which decide a
+//!   verdict unless its slack lies inside their rounding window, where
+//!   the `powf` sum decides instead, so verdicts keep the `powf` sum's
+//!   bits.
 //! * **Panels.** Near tile pairs store their pairwise gains as small
 //!   dense *panels* (one `|S|×|R|` block per leaf pair); an index with
 //!   no far pair reads none and builds none. Under

@@ -16,7 +16,12 @@
 //!    in locals and added to the shared counters once per slot; the
 //!    adaptive store resolves (and counts) under its lock.
 //! 3. **Verdicts.** Each receiver replays its tile's plan, optionally
-//!    split over [`parallel_map`] workers.
+//!    split over [`parallel_map`] workers. Without a dense gain table at
+//!    `α = 3`, un-panelled near terms are summed as certified cubes
+//!    (`d·d·d`, see [`CubeSum`]), which decide the verdict unless its
+//!    slack lies inside their rounding window; then the receiver's
+//!    `powf` sum is recomputed in the same order and decides, and the
+//!    cache counts the fallback ([`SinrCache::cube_fallbacks`]).
 
 use std::cell::RefCell;
 use std::sync::atomic::Ordering;
@@ -25,7 +30,7 @@ use std::sync::Arc;
 use super::index::TiledSinrCache;
 use super::panels::{PanelRef, PlanPanels};
 use super::pyramid::{leaf_ancestors, Pyramid, Visit};
-use crate::cache::SinrCache;
+use crate::cache::{CubeSum, SinrCache};
 use crate::feasibility::{dedup_attempts, exact_successes_into, verdicts_per_attempt};
 use crate::network::SinrNetwork;
 use crate::power::PowerAssignment;
@@ -363,7 +368,9 @@ impl TiledSinrFeasibility {
 }
 
 /// The tiled interference accumulated at distinct active link `on_raw`
-/// of a slot whose index far-qualifies some tile pair.
+/// of a slot whose index far-qualifies some tile pair: the sum the
+/// verdict loop falls back to when the certified cube sum cannot decide
+/// a verdict.
 ///
 /// The kernel replays its receiver tile's walk plan in DFS term
 /// order: a far term contributes one aggregated subtree term
@@ -382,25 +389,27 @@ fn interference_with_plans(
     plans: &SlotPlans,
 ) -> f64 {
     if tiles.cache.alpha() == 3.0 {
-        accumulate::<true>(tiles, on_raw, groups, pyramid, plans)
+        accumulate::<true, false>(tiles, on_raw, groups, pyramid, plans).sum()
     } else {
-        accumulate::<false>(tiles, on_raw, groups, pyramid, plans)
+        accumulate::<false, false>(tiles, on_raw, groups, pyramid, plans).sum()
     }
 }
 
 /// [`interference_with_plans`] with far charges `W / d^α` through
-/// `pow_alpha::<CUBE>`.
+/// `pow_alpha::<CUBE>`, and un-panelled near terms as [`CubeSum`] cubes
+/// when `NEAR_CUBE` (only for a cache with [`SinrCache::cube_gains`]),
+/// as [`SinrCache::gain`] otherwise.
 #[inline(always)]
-fn accumulate<const CUBE: bool>(
+fn accumulate<const CUBE: bool, const NEAR_CUBE: bool>(
     tiles: &TiledSinrCache,
     on_raw: u32,
     groups: &TileGroups,
     pyramid: &Pyramid,
     plans: &SlotPlans,
-) -> f64 {
+) -> CubeSum {
     let cache = &*tiles.cache;
     let on = LinkId(on_raw);
-    let mut interference = 0.0;
+    let mut interference = CubeSum::new();
     let r_leaf = tiles.receiver_tile[on_raw as usize];
     let r_rank = tiles.receiver_rank[on_raw as usize] as usize;
     let plan = plans
@@ -412,6 +421,7 @@ fn accumulate<const CUBE: bool>(
         plans.panels[plans.panel_start[plan] as usize..plans.panel_start[plan + 1] as usize].iter();
     let arena = tiles.panels.arena();
     let alpha = cache.alpha();
+    let (senders, tx_power) = (cache.sender_positions(), cache.tx_powers());
     let receiver = cache.receiver_positions()[on_raw as usize];
     let own_tile = leaf_ancestors(&tiles.levels, tiles.sender_tile[on_raw as usize]);
     for &term in terms {
@@ -428,10 +438,10 @@ fn accumulate<const CUBE: bool>(
                 // slot with their own multiplicity > 1 are judged
                 // failed before interference is evaluated, so one
                 // transmission is exact here.
-                weight -= cache.tx_powers()[on_raw as usize];
+                weight -= tx_power[on_raw as usize];
             }
             let d = occ.center[idx].distance(&receiver);
-            interference += weight / pow_alpha::<CUBE>(d, alpha);
+            interference.add(weight / pow_alpha::<CUBE>(d, alpha));
             continue;
         }
         let group_entries =
@@ -443,22 +453,27 @@ fn accumulate<const CUBE: bool>(
             PanelRef::Owned(data) => Some(&data[r_rank * s_count..][..s_count]),
             PanelRef::None => None,
         };
+        let others = group_entries
+            .iter()
+            .filter(|&&(_, from_raw, _)| from_raw != on_raw);
         match row {
             Some(row) => {
-                for &(_, from_raw, from_count) in group_entries {
-                    if from_raw == on_raw {
-                        continue;
-                    }
-                    interference +=
-                        from_count as f64 * row[tiles.sender_rank[from_raw as usize] as usize];
+                for &(_, from_raw, from_count) in others {
+                    interference.add(
+                        from_count as f64 * row[tiles.sender_rank[from_raw as usize] as usize],
+                    );
+                }
+            }
+            None if NEAR_CUBE => {
+                for &(_, from_raw, from_count) in others {
+                    let from = from_raw as usize;
+                    let d = senders[from].distance(&receiver);
+                    interference.add_cube(from_count, tx_power[from], d);
                 }
             }
             None => {
-                for &(_, from_raw, from_count) in group_entries {
-                    if from_raw == on_raw {
-                        continue;
-                    }
-                    interference += from_count as f64 * cache.gain(LinkId(from_raw), on);
+                for &(_, from_raw, from_count) in others {
+                    interference.add(from_count as f64 * cache.gain(LinkId(from_raw), on));
                 }
             }
         }
@@ -495,13 +510,22 @@ impl Feasibility for TiledSinrFeasibility {
             self.group_active_by_tile(active, groups, pyramid);
             self.build_plans(active, pyramid, plans, stack, receivers);
             let tiles: &TiledSinrCache = &self.tiles;
+            let cube = cache.cube_gains();
             let judge = |on_raw: u32, count: u32| -> bool {
                 if count != 1 {
                     // A shared transmitter collides regardless of SINR.
                     return false;
                 }
+                let signal = cache.signal(LinkId(on_raw));
+                if cube {
+                    let sum = accumulate::<true, true>(tiles, on_raw, groups, pyramid, plans);
+                    if let Some(ok) = sum.verdict(signal, beta, noise) {
+                        return ok;
+                    }
+                    cache.count_cube_fallback();
+                }
                 let interference = interference_with_plans(tiles, on_raw, groups, pyramid, plans);
-                cache.signal(LinkId(on_raw)) >= beta * (interference + noise)
+                signal >= beta * (interference + noise)
             };
             verdicts.clear();
             if self.threads <= 1 {

@@ -21,6 +21,9 @@ use std::sync::Arc;
 
 mod contract;
 
+#[path = "../../tests/support/slack.rs"]
+mod slack;
+
 fn attempt(link: u32, packet: u64) -> Attempt {
     Attempt {
         link: LinkId(link),
@@ -615,6 +618,44 @@ fn shared_node_zero_distances_stay_exact() {
             exact.successes(&attempts, &mut rng()),
             tiled.successes(&attempts, &mut rng()),
             "eps = {eps}"
+        );
+    }
+}
+
+/// The same blockage through certified cube gains: a shared-node line
+/// next to a far cluster, gains on the fly and no panels, so the line's
+/// near terms are cubes and a zero cross distance makes a cube of `0`.
+/// Each blocked receiver must fall back and fail, as the naive referee
+/// says, on the tiled kernel at ε > 0 (with far pairs) and on the exact
+/// path alike.
+#[test]
+fn zero_cross_distances_block_through_cube_gains() {
+    let mut b = SinrNetworkBuilder::new(SinrParams::default_noiseless());
+    let line: Vec<_> = (0..7).map(|i| b.add_node((i as f64, 0.0))).collect();
+    for pair in line.windows(2) {
+        b.add_link(pair[0], pair[1]);
+    }
+    for i in 0..4 {
+        let x = 500.0 + i as f64 * 3.0;
+        b.add_isolated_link((x, 0.0), (x, 1.0));
+    }
+    let net = b.build();
+    let power = UniformPower::unit();
+    let attempts: Vec<Attempt> = (0..10).map(|i| attempt(i, i as u64)).collect();
+    let naive = contract::referee::successes_naive(&net, &power, &attempts);
+    // Link `i + 1` sends from link `i`'s receiver, for `i` in 0..5.
+    assert_eq!(naive[..6], [false, false, false, false, false, true]);
+    for eps in [0.0, 1e-2, 0.5] {
+        let cache = Arc::new(SinrCache::with_dense_limit(&net, &power, 0));
+        let options = TileOptions::new(8, eps).with_levels(2).with_panel_budget(0);
+        let tiled = TiledSinrFeasibility::from_tiles(Arc::new(TiledSinrCache::with_options(
+            cache, options,
+        )));
+        assert_eq!(tiled.tiles().far_pairs() > 0, eps > 0.0, "eps = {eps}");
+        assert_eq!(tiled.successes(&attempts, &mut rng()), naive, "eps = {eps}");
+        assert!(
+            tiled.tiles().cache().cube_fallbacks() >= 5,
+            "eps = {eps}: every blocked receiver falls back"
         );
     }
 }
@@ -1217,5 +1258,102 @@ proptest! {
             prop_assert_eq!(after.panel_misses - before.panel_misses, misses);
             prop_assert_eq!(after.near_terms - before.near_terms, hits + misses);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Certified cube verdicts at the SINR threshold. On lattice
+    /// instances with far pairs, gains computed on the fly and panels
+    /// under zero, small and ample budgets, `β` and `ν` put one
+    /// receiver's slack at 0, ±1, ±4 and ±64 ulps of its `powf` sum's
+    /// threshold. Every verdict of the slot, at one and two kernel
+    /// threads, must be the one the kernel's `powf` sums give. At α = 3
+    /// the receiver at slack 0 must fall back to the `powf` sum; at
+    /// α = 2.5 the cube is never used.
+    #[test]
+    fn cube_verdicts_are_the_powf_verdicts_at_the_threshold(
+        seed in 0u64..10_000,
+        grid in 2usize..7,
+        levels in 1usize..4,
+        alpha_sel in 0usize..2,
+        budget_sel in 0usize..3,
+        mask in 0u64..u64::MAX,
+        pick in 0usize..1_000,
+    ) {
+        let alpha = [3.0, 2.5][alpha_sel];
+        let mut rng_geo = ChaCha12Rng::seed_from_u64(seed);
+        let geometry = lattice_instance(&mut rng_geo, grid, 4 + grid * grid / 2, alpha);
+        let power = LinearPower::new(alpha);
+        let options = TileOptions::new(grid, 1e-2)
+            .with_levels(levels)
+            .with_panel_budget([0, 64 * 8, usize::MAX][budget_sel]);
+        let oracle_for = |params: SinrParams| {
+            let net = slack::with_params(&geometry, params);
+            let cache = Arc::new(SinrCache::with_dense_limit(&net, &power, 0));
+            TiledSinrFeasibility::from_tiles(Arc::new(TiledSinrCache::with_options(cache, options)))
+        };
+        let m = geometry.num_links() as u32;
+        let attempts: Vec<Attempt> = (0..m)
+            .filter(|&l| l == 0 || mask >> (l % 64) & 1 == 1)
+            .map(|l| attempt(l, l as u64))
+            .collect();
+        // One attempt per link, ascending: verdicts are per distinct link.
+        let active = contract::dedup(&attempts);
+        let on = active[pick % active.len()].0;
+        let mut at_zero = false;
+        for ulps in [0, 1, -1, 4, -4, 64, -64] {
+            // `β` and `ν` move tile margins, and with them far
+            // qualification and the sums: settle them against the sum
+            // of the index they build.
+            let mut params = *geometry.params();
+            let mut settled = None;
+            for _ in 0..4 {
+                let oracle = oracle_for(params);
+                let signal = oracle.tiles().cache().signal(LinkId(on));
+                let (_, sum) = oracle
+                    .slot_interference(&attempts)
+                    .into_iter()
+                    .find(|&(link, _)| link == LinkId(on))
+                    .expect("the receiver is active");
+                match slack::params_for_slack(alpha, signal, sum, ulps) {
+                    Some(next) if next == params => {
+                        settled = Some(oracle);
+                        break;
+                    }
+                    Some(next) => params = next,
+                    None => break,
+                }
+            }
+            let Some(oracle) = settled else { continue };
+            if oracle.tiles().far_pairs() == 0 {
+                continue;
+            }
+            let cache = oracle.tiles().cache();
+            let (beta, noise) = (cache.beta(), cache.noise());
+            let want: Vec<bool> = oracle
+                .slot_interference(&attempts)
+                .iter()
+                .zip(&active)
+                .map(|(&(link, sum), &(_, count))| {
+                    count == 1 && cache.signal(link) >= beta * (sum + noise)
+                })
+                .collect();
+            let before = cache.cube_fallbacks();
+            prop_assert_eq!(oracle.successes(&attempts, &mut rng()), want.clone(), "ulps {}", ulps);
+            let fallbacks = cache.cube_fallbacks() - before;
+            let threaded =
+                TiledSinrFeasibility::from_tiles(Arc::clone(oracle.shared_tiles())).kernel_threads(2);
+            let verdicts = threaded.successes(&attempts, &mut rng());
+            prop_assert_eq!(verdicts, want, "ulps {} at two threads", ulps);
+            if alpha != 3.0 {
+                prop_assert_eq!(cache.cube_fallbacks(), 0);
+            } else if ulps == 0 {
+                prop_assert!(fallbacks >= 1, "the receiver at its threshold must fall back");
+                at_zero = true;
+            }
+        }
+        prop_assume!(alpha != 3.0 || at_zero);
     }
 }

@@ -19,7 +19,7 @@
 //!   far-qualify at strictly positive centre separation.
 
 #[path = "../../../tests/support/referee.rs"]
-mod referee;
+pub(super) mod referee;
 
 use crate::cache::{SinrCache, DEFAULT_DENSE_GAIN_LIMIT};
 use crate::feasibility::SinrFeasibility;

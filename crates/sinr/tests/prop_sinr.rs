@@ -3,6 +3,8 @@
 
 #[path = "support/referee.rs"]
 mod referee;
+#[path = "support/slack.rs"]
+mod slack;
 
 use dps_core::feasibility::{Attempt, Feasibility};
 use dps_core::ids::{LinkId, PacketId};
@@ -211,14 +213,20 @@ proptest! {
         let net = dps_sinr::instances::line_instance(
             hops, spacing, SinrParams::default_noiseless());
         let power = UniformPower::unit();
-        let oracle = SinrFeasibility::new(&net, &power);
         let attempts: Vec<Attempt> = (0..hops as u32)
             .map(|l| attempt(LinkId(l), l as u64))
             .collect();
-        let mut srng = ChaCha12Rng::seed_from_u64(3);
-        let fast = oracle.successes(&attempts, &mut srng);
         let naive = successes_naive(&net, &power, &attempts);
-        prop_assert_eq!(fast, naive);
+        // The dense table, then on-the-fly cube gains, where a zero
+        // cross distance makes a cube of 0 and must fall back.
+        for limit in [DEFAULT_DENSE_GAIN_LIMIT, 0] {
+            let oracle = with_dense_limit(&net, &power, limit);
+            let mut srng = ChaCha12Rng::seed_from_u64(3);
+            let fast = oracle.successes(&attempts, &mut srng);
+            prop_assert_eq!(&fast, &naive, "dense limit {}", limit);
+            let blocked = hops as u64 - 1;
+            prop_assert!(limit > 0 || oracle.cache().cube_fallbacks() >= blocked);
+        }
     }
 
     /// The blocked kernel at slot sizes spanning several lane blocks plus
@@ -289,6 +297,55 @@ proptest! {
         let fast = oracle.successes(&attempts, &mut srng);
         let naive = successes_naive(&net, &power, &attempts);
         prop_assert_eq!(fast, naive);
+    }
+
+    /// Certified cube verdicts at the SINR threshold on the exact path:
+    /// random instances with gains on the fly (dense limit 0), where `β`
+    /// and `ν` put one receiver's slack at 0, ±1, ±4 and ±64 ulps of its
+    /// `powf` sum's threshold. Every verdict must be the naive referee's;
+    /// at α = 3 the receiver at slack 0 must fall back to the `powf`
+    /// sum, and at α = 2.5 the cube is never used.
+    #[test]
+    fn cube_verdicts_are_the_naive_verdicts_at_the_threshold(
+        seed in 0u64..10_000,
+        m in 2usize..14,
+        alpha_sel in 0usize..2,
+        pick in 0u32..14,
+        subset_bits in 0u32..0x4000,
+    ) {
+        let alpha = [3.0, 2.5][alpha_sel];
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let params = SinrParams::new(alpha, 2.0, 0.0);
+        let geometry = random_instance(m, 12.0, 0.8, 3.0, params, &mut rng);
+        let power = LinearPower::new(alpha);
+        let on = pick % m as u32;
+        let attempts: Vec<Attempt> = (0..m as u32)
+            .filter(|&l| l == on || subset_bits & (1 << l) != 0)
+            .map(|l| attempt(LinkId(l), l as u64))
+            .collect();
+        // The receiver's `powf` sum, in the oracle's order.
+        let base = with_dense_limit(&geometry, &power, 0);
+        let sum = attempts
+            .iter()
+            .filter(|a| a.link.0 != on)
+            .fold(0.0, |sum, a| sum + base.cache().gain(a.link, LinkId(on)));
+        let signal = base.cache().signal(LinkId(on));
+        prop_assume!(sum > 0.0 && sum.is_finite());
+        for ulps in [0, 1, -1, 4, -4, 64, -64] {
+            let params = slack::params_for_slack(alpha, signal, sum, ulps)
+                .expect("a finite positive sum has every slack");
+            let net = slack::with_params(&geometry, params);
+            let oracle = with_dense_limit(&net, &power, 0);
+            let verdicts = oracle.successes(&attempts, &mut ChaCha12Rng::seed_from_u64(1));
+            let naive = successes_naive(&net, &power, &attempts);
+            prop_assert_eq!(&verdicts, &naive, "ulps {}", ulps);
+            let fallbacks = oracle.cache().cube_fallbacks();
+            if alpha != 3.0 {
+                prop_assert_eq!(fallbacks, 0);
+            } else if ulps == 0 {
+                prop_assert!(fallbacks >= 1, "the receiver at its threshold must fall back");
+            }
+        }
     }
 
     /// Feasibility is monotone under removal: if a set of transmissions
