@@ -12,9 +12,9 @@
 //! as a perf smoke test; the checked-in file is the PR's baseline.
 //!
 //! A separate scale section benches `m = 65536` flat (one tile level)
-//! against the hierarchical walk (four coarsening levels) and the
-//! threaded kernel on the same leaf grid, with the same
-//! in-harness `ε = 0` bit-for-bit assertion at every configuration. It
+//! against the hierarchical walk (four coarsening levels) on the same
+//! leaf grid, with the same in-harness `ε = 0` bit-for-bit assertion at
+//! both depths. It
 //! also times one tiled rate normalisation `‖W·R‖∞` of a uniform unit
 //! load over the hierarchical index (`measure_secs`).
 
@@ -222,9 +222,7 @@ fn bench_tiled_slot(c: &mut Criterion) {
     // (thousands per receiver), while the four-level hierarchy walks
     // the same leaf grid from an 8-per-side coarsest level and only
     // descends where the centre-substitution bound forces it,
-    // replacing those leaf terms with a few coarse aggregates. The
-    // threaded row splits the receivers over worker threads and must
-    // stay bit-for-bit.
+    // replacing those leaf terms with a few coarse aggregates.
     const HIER_M: usize = 65536;
     const HIER_LEVELS: usize = 4;
     let hier_json = {
@@ -242,7 +240,7 @@ fn bench_tiled_slot(c: &mut Criterion) {
         let alpha = net.params().alpha;
         let grid = grid_for(HIER_M);
         let attempts = slot_attempts(HIER_M);
-        let make = |eps: f64, levels: usize, threads: usize| {
+        let make = |eps: f64, levels: usize| {
             TiledSinrFeasibility::with_options(
                 &net,
                 &LinearPower::new(alpha),
@@ -251,32 +249,29 @@ fn bench_tiled_slot(c: &mut Criterion) {
                     .with_panel_budget(PANEL_BUDGET)
                     .with_panel_mode(PanelCacheMode::Adaptive),
             )
-            .kernel_threads(threads)
         };
 
-        // ε = 0 is bit-for-bit exact at every depth and thread count.
+        // ε = 0 is bit-for-bit exact at every depth.
         // The assert drives a m/16 attempt subset: the exact oracle is
         // O(k²) on-the-fly gains at this size, and the full-k contract is already
-        // referee-tested across (levels, threads) in the tiled
+        // referee-tested across levels in the tiled
         // contract unit tests (`dps_sinr::tiles::tests::contract`).
         {
             let assert_attempts: Vec<Attempt> = attempts.iter().step_by(4).copied().collect();
             let exact = SinrFeasibility::new(&net, &LinearPower::new(alpha));
             let rng = split_stream(10, HIER_M as u64);
             let reference = exact.successes(&assert_attempts, &mut rng.clone());
-            for (levels, threads) in [(1usize, 1usize), (HIER_LEVELS, 1), (HIER_LEVELS, 2)] {
+            for levels in [1, HIER_LEVELS] {
                 assert_eq!(
                     reference,
-                    make(0.0, levels, threads).successes(&assert_attempts, &mut rng.clone()),
-                    "m = {HIER_M}, levels = {levels}, threads = {threads}: \
-                     ε = 0 must match the exact oracle"
+                    make(0.0, levels).successes(&assert_attempts, &mut rng.clone()),
+                    "m = {HIER_M}, levels = {levels}: ε = 0 must match the exact oracle"
                 );
             }
         }
 
-        let flat = make(1e-3, 1, 1);
-        let hier = make(1e-3, HIER_LEVELS, 1);
-        let hier_t2 = make(1e-3, HIER_LEVELS, 2);
+        let flat = make(1e-3, 1);
+        let hier = make(1e-3, HIER_LEVELS);
         let mut out = Vec::new();
         let mut rng = split_stream(10, HIER_M as u64);
         let flat_t = measure_slot(
@@ -288,12 +283,6 @@ fn bench_tiled_slot(c: &mut Criterion) {
         let hier_t = measure_slot(
             || {
                 hier.successes_into(&attempts, &mut out, &mut rng);
-            },
-            budget,
-        );
-        let hier_t2_t = measure_slot(
-            || {
-                hier_t2.successes_into(&attempts, &mut out, &mut rng);
             },
             budget,
         );
@@ -316,11 +305,10 @@ fn bench_tiled_slot(c: &mut Criterion) {
         println!(
             "tiles_slot_throughput/scale m={HIER_M} (grid {grid}, L={HIER_LEVELS}): \
              flat ε=1e-3 {:.3e} slots/s, hier {:.3e} slots/s ({hier_speedup:.2}x), \
-             hier 2-thread {:.3e} slots/s, far pairs flat {} vs per-level [{}], \
+             far pairs flat {} vs per-level [{}], \
              unit-load measure {measure_secs:.3} s",
             per_sec(flat_t),
             per_sec(hier_t),
-            per_sec(hier_t2_t),
             flat.tiles().far_pairs(),
             far_per_level.join(", "),
         );
@@ -331,7 +319,6 @@ fn bench_tiled_slot(c: &mut Criterion) {
              \"flat_eps1e3_slots_per_sec\": {:.2},\n    \
              \"hier_eps1e3_slots_per_sec\": {:.2},\n    \
              \"hier_speedup_vs_flat\": {:.2},\n    \
-             \"hier_t2_eps1e3_slots_per_sec\": {:.2},\n    \
              \"flat_far_pairs\": {},\n    \"hier_far_pairs_per_level\": [{}],\n    \
              \"measure_secs\": {measure_secs:.3}\n  }}",
             80.0 * (HIER_M as f64).sqrt(),
@@ -339,7 +326,6 @@ fn bench_tiled_slot(c: &mut Criterion) {
             per_sec(flat_t),
             per_sec(hier_t),
             hier_speedup,
-            per_sec(hier_t2_t),
             flat.tiles().far_pairs(),
             far_per_level.join(", "),
         )

@@ -71,7 +71,6 @@ pub mod interference;
 pub mod invariants;
 pub mod load;
 pub mod packet;
-pub mod parallel;
 pub mod path;
 pub mod potential;
 pub mod protocol;

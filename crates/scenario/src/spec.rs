@@ -101,8 +101,9 @@ pub enum SubstrateConfig {
         /// Near-field panel residency policy (`"fixed"` build-time
         /// allocation or `"adaptive"` LRU evict/refill).
         panel_cache: dps_sinr::tiles::PanelCacheMode,
-        /// Worker threads of the slot kernel (`1..=64`). Verdicts are
-        /// bit-for-bit identical at any setting.
+        /// Must be `1`: the slot kernel is single-threaded. The key is
+        /// read (default `1`) but never written; it remains only while
+        /// the benchmark definition still sets it.
         threads: usize,
     },
     /// The multiple-access channel (Section 7.1): `stations` stations on
@@ -520,10 +521,11 @@ impl SubstrateConfig {
                         dps_sinr::tiles::MAX_TILE_LEVELS
                     )));
                 }
-                if !(1..=dps_sinr::tiles::MAX_KERNEL_THREADS).contains(threads) {
+                if *threads != 1 {
                     return Err(ScenarioError::spec(format!(
-                        "substrate.threads must be in 1..={}, got {threads}",
-                        dps_sinr::tiles::MAX_KERNEL_THREADS
+                        "substrate.threads must be 1, got {threads}: the tiled slot kernel \
+                         is single-threaded, and the key remains only until the benchmark \
+                         definition drops it"
                     )));
                 }
             }
@@ -671,7 +673,7 @@ impl Serialize for SubstrateConfig {
                 panel_budget,
                 levels,
                 panel_cache,
-                threads,
+                ..
             } => map(vec![
                 ("kind", "sinr-tiled".to_value()),
                 ("links", links.to_value()),
@@ -697,7 +699,6 @@ impl Serialize for SubstrateConfig {
                         .to_string(),
                     ),
                 ),
-                ("threads", threads.to_value()),
             ]),
             SubstrateConfig::Mac { stations } => map(vec![
                 ("kind", "mac".to_value()),
@@ -1074,7 +1075,7 @@ lambda = 0.4
             panel_budget: 1 << 20,
             levels: 3,
             panel_cache: dps_sinr::tiles::PanelCacheMode::Adaptive,
-            threads: 2,
+            threads: 1,
         }
     }
 
@@ -1087,6 +1088,8 @@ lambda = 0.4
         assert_eq!(ScenarioSpec::from_toml(&toml).unwrap(), spec);
         let json = spec.to_json();
         assert_eq!(ScenarioSpec::from_json(&json).unwrap(), spec);
+        // `threads` is read but never written.
+        assert!(!toml.contains("threads") && !json.contains("threads"));
 
         // grid/epsilon/panel_budget/levels/panel_cache/threads may be
         // omitted.
@@ -1159,7 +1162,7 @@ lambda = 0.4
     #[test]
     fn sinr_tiled_rejects_bad_levels_threads_and_panel_cache() {
         let mut spec = sample_spec();
-        for (levels, threads) in [(0, 1), (9, 1), (1, 0), (1, 65)] {
+        for (levels, threads) in [(0, 1), (9, 1), (1, 0), (1, 2), (1, 65)] {
             let mut substrate = tiled_substrate();
             if let SubstrateConfig::SinrTiled {
                 levels: l,
@@ -1175,6 +1178,28 @@ lambda = 0.4
                 spec.validate().is_err(),
                 "levels {levels}, threads {threads} must be rejected"
             );
+        }
+        // A spec file asking for kernel threads gets a typed error.
+        let toml = r#"
+name = "tiled threads"
+[substrate]
+kind = "sinr-tiled"
+links = 64
+side = 100.0
+min_len = 1.0
+max_len = 2.0
+power = "uniform"
+threads = 2
+[protocol]
+kind = "frame-two-stage"
+[injection]
+lambda = 0.4
+"#;
+        match ScenarioSpec::from_toml(toml) {
+            Err(ScenarioError::Spec(message)) => {
+                assert!(message.contains("single-threaded"), "{message}")
+            }
+            other => panic!("threads = 2 must be a spec error, got {other:?}"),
         }
         // An unknown residency policy fails at parse time.
         spec.substrate = tiled_substrate();

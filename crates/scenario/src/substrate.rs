@@ -17,7 +17,7 @@ use dps_core::interference::{CompleteInterference, IdentityInterference, Interfe
 use dps_core::path::RoutePath;
 use dps_core::rng::split_stream;
 use dps_routing::workloads::RoutingSetup;
-use dps_sinr::cache::SinrCache;
+use dps_sinr::cache::{SinrCache, DEFAULT_DENSE_GAIN_LIMIT};
 use dps_sinr::feasibility::SinrFeasibility;
 use dps_sinr::instances::random_instance;
 use dps_sinr::matrix::SinrInterference;
@@ -133,7 +133,6 @@ impl SubstrateSpec for SubstrateConfig {
                 grid,
                 epsilon,
                 levels,
-                threads,
                 ..
             } => {
                 let power = match power {
@@ -141,10 +140,7 @@ impl SubstrateSpec for SubstrateConfig {
                     PowerConfig::Linear => "linear",
                     PowerConfig::SquareRoot => "sqrt",
                 };
-                format!(
-                    "SINR tiled(m={links}, g={grid}, L={levels}, eps={epsilon}, th={threads}), \
-                     {power} power"
-                )
+                format!("SINR tiled(m={links}, g={grid}, L={levels}, eps={epsilon}), {power} power")
             }
             SubstrateConfig::Mac { stations } => format!("MAC({stations} stations)"),
             SubstrateConfig::ConflictGeometric { links, .. } => {
@@ -181,7 +177,7 @@ impl SubstrateSpec for SubstrateConfig {
                 // build and the exact oracle read the same precomputed
                 // signals, margins and gains — the `O(m²)` `powf` work
                 // happens exactly once per substrate.
-                let cache = power_cache(&net, power, params.alpha);
+                let cache = power_cache(&net, power, params.alpha, DEFAULT_DENSE_GAIN_LIMIT);
                 let matrix = match power {
                     PowerConfig::Uniform | PowerConfig::Linear => {
                         SinrInterference::fixed_power_with_cache
@@ -214,7 +210,7 @@ impl SubstrateSpec for SubstrateConfig {
                 panel_budget,
                 levels,
                 panel_cache,
-                threads,
+                ..
             } => {
                 let params = SinrParams::default_noiseless();
                 // Same geometry stream as `SinrRandom`: a tiled spec
@@ -225,10 +221,10 @@ impl SubstrateSpec for SubstrateConfig {
                     .with_levels(levels)
                     .with_panel_budget(panel_budget)
                     .with_panel_mode(panel_cache);
-                // The dense gain table stays under the default cap, so
-                // metro-scale instances are `O(m)`: panels and far-field
-                // aggregation stand in beyond it.
-                let cache = power_cache(&net, power, params.alpha);
+                // No dense gain table at any size: the slot path reads
+                // panels, far aggregates and, for un-panelled near pairs
+                // (and every pair without far ones), gains on the fly.
+                let cache = power_cache(&net, power, params.alpha, 0);
                 let tiles = Arc::new(TiledSinrCache::with_options(cache.clone(), options));
                 // Tiles-backed model: entries stay exact, but the
                 // whole-matrix measure (injection-rate normalization)
@@ -236,9 +232,7 @@ impl SubstrateSpec for SubstrateConfig {
                 // m = 2²⁰ the trait-default O(m²) row walk costs hours,
                 // the tiled walk seconds.
                 let model = Arc::new(TiledInterference::with_tiles(tiles.clone()));
-                let feasibility = Arc::new(
-                    TiledSinrFeasibility::from_tiles(tiles.clone()).kernel_threads(threads),
-                );
+                let feasibility = Arc::new(TiledSinrFeasibility::from_tiles(tiles.clone()));
                 Ok(Substrate {
                     label,
                     num_links: links,
@@ -295,12 +289,23 @@ impl SubstrateSpec for SubstrateConfig {
 
 /// The geometry cache of `net` under the configured power assignment:
 /// the one [`SinrCache`] a SINR substrate's matrix, oracle and tile index
-/// share.
-fn power_cache(net: &SinrNetwork, power: PowerConfig, alpha: f64) -> Arc<SinrCache> {
+/// share. The dense gain table is built only for `m ≤ dense_limit`.
+fn power_cache(
+    net: &SinrNetwork,
+    power: PowerConfig,
+    alpha: f64,
+    dense_limit: usize,
+) -> Arc<SinrCache> {
     Arc::new(match power {
-        PowerConfig::Uniform => SinrCache::new(net, &UniformPower::unit()),
-        PowerConfig::Linear => SinrCache::new(net, &LinearPower::new(alpha)),
-        PowerConfig::SquareRoot => SinrCache::new(net, &SquareRootPower::new(alpha)),
+        PowerConfig::Uniform => {
+            SinrCache::with_dense_limit(net, &UniformPower::unit(), dense_limit)
+        }
+        PowerConfig::Linear => {
+            SinrCache::with_dense_limit(net, &LinearPower::new(alpha), dense_limit)
+        }
+        PowerConfig::SquareRoot => {
+            SinrCache::with_dense_limit(net, &SquareRootPower::new(alpha), dense_limit)
+        }
     })
 }
 
@@ -390,8 +395,8 @@ mod tests {
         }
         .build()
         .unwrap();
-        // Hierarchy depth, adaptive panels and worker threads are all
-        // bitwise-neutral knobs — ε = 0 is the whole contract.
+        // Hierarchy depth, adaptive panels and the dense gain table
+        // are all bitwise-neutral knobs — ε = 0 is the whole contract.
         let tiled = SubstrateConfig::SinrTiled {
             links,
             side: 60.0,
@@ -404,7 +409,7 @@ mod tests {
             panel_budget: 1 << 16,
             levels: 3,
             panel_cache: dps_sinr::tiles::PanelCacheMode::Adaptive,
-            threads: 2,
+            threads: 1,
         }
         .build()
         .unwrap();
@@ -432,12 +437,14 @@ mod tests {
     /// Both SINR substrates, under every power assignment, hold one
     /// geometry cache that their oracle judges from, and that oracle
     /// decides like an exact oracle built directly from the spec's
-    /// geometry and power.
+    /// geometry and power. Below the dense limit only the exact
+    /// substrate keeps a dense gain table.
     #[test]
     fn sinr_substrates_share_one_cache_per_power_assignment() {
         use dps_core::feasibility::Attempt;
         use dps_core::ids::PacketId;
-        let (links, side, min_len, max_len, seed) = (24, 40.0, 1.0, 3.0, 13);
+        let (links, side, min_len, max_len, seed) = (64, 60.0, 1.0, 3.0, 13);
+        assert!(links <= DEFAULT_DENSE_GAIN_LIMIT);
         let params = SinrParams::default_noiseless();
         let net = random_instance(
             links,
@@ -496,9 +503,15 @@ mod tests {
                 let substrate = config.build().unwrap();
                 let cache = substrate.sinr_cache.as_ref().expect("a SINR substrate");
                 match &substrate.sinr_tiles {
-                    Some(tiles) => assert!(Arc::ptr_eq(cache, tiles.shared_cache())),
-                    // The substrate's handle and the oracle's.
-                    None => assert_eq!(Arc::strong_count(cache), 2, "{config:?}"),
+                    Some(tiles) => {
+                        assert!(Arc::ptr_eq(cache, tiles.shared_cache()));
+                        assert!(!cache.is_dense(), "{config:?}");
+                    }
+                    None => {
+                        // The substrate's handle and the oracle's.
+                        assert_eq!(Arc::strong_count(cache), 2, "{config:?}");
+                        assert!(cache.is_dense(), "{config:?}");
+                    }
                 }
                 for link in (0..links as u32).map(LinkId) {
                     let (got, want) = (cache.tx_power(link), exact.cache().tx_power(link));

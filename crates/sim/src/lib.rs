@@ -9,6 +9,9 @@
 //!
 //! * [`runner`] — the slot loop, its event-driven fast path, and
 //!   [`runner::SimulationReport`];
+//! * [`parallel`] — repetitions over independent RNG streams, and
+//!   [`parallel::parallel_map`], the order-preserving thread-pool map
+//!   that repetitions and scenario sweeps share;
 //! * [`stats`] — summary statistics and least-squares fits;
 //! * [`stability`] — the bounded-vs-growing backlog verdict used for the
 //!   stability-threshold experiments;

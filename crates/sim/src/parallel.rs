@@ -6,6 +6,10 @@
 //! slopes fluctuate near thresholds). Repetitions use
 //! [`dps_core::rng::split_stream`] streams, so repetition `k` is the same
 //! regardless of how many repetitions run or on how many threads.
+//!
+//! [`parallel_map`] is the workspace's one parallel-execution primitive:
+//! repetition runs ([`run_repetitions`]) and scenario sweeps build on
+//! it.
 
 use crate::runner::{run_simulation, SimulationConfig, SimulationReport};
 use crate::stability::{classify_stability, StabilityVerdict};
@@ -104,14 +108,59 @@ impl AggregateReport {
     }
 }
 
-/// The workspace's one parallel-execution primitive, re-exported from
-/// [`dps_core::parallel`] where it moved so the tiled SINR slot kernel
-/// can split a slot's receivers over the same pool without a dependency
-/// cycle.
-/// Repetition runs ([`run_repetitions`]) and scenario sweeps build on
-/// it; see the crate of origin for the chunking and order-preservation
-/// contract.
-pub use dps_core::parallel::parallel_map;
+/// Maps `job` over `0..jobs` on up to `threads` OS threads, returning the
+/// results in job order.
+///
+/// Work is handed out through an atomic counter in contiguous *chunks* —
+/// each `fetch_add` claims a run of consecutive job indices, and a
+/// chunk's results enter the result vector under one lock acquisition —
+/// so the per-job dispatch cost (one contended atomic plus one mutex
+/// round trip) is amortized away for the many-tiny-jobs workloads the
+/// shared-substrate sweeps produce. The chunk size only affects *which
+/// thread* computes a job, never *what* the job computes: results are a
+/// pure function of the job index, making runs reproducible across
+/// thread counts (and chunkings).
+pub fn parallel_map<R, F>(jobs: usize, threads: usize, job: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    if jobs == 0 {
+        return Vec::new();
+    }
+    let threads = threads.max(1).min(jobs);
+    if threads == 1 {
+        return (0..jobs).map(job).collect();
+    }
+    // Aim for several chunks per thread so stragglers still balance,
+    // while long grids hand out whole runs of cells at a time.
+    let chunk = jobs.div_ceil(threads * 8).max(1);
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let results: std::sync::Mutex<Vec<(usize, R)>> =
+        std::sync::Mutex::new(Vec::with_capacity(jobs));
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let start = next.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
+                if start >= jobs {
+                    break;
+                }
+                let end = (start + chunk).min(jobs);
+                let mut batch: Vec<(usize, R)> = Vec::with_capacity(end - start);
+                for index in start..end {
+                    batch.push((index, job(index)));
+                }
+                results
+                    .lock()
+                    .expect("no panics while holding the lock")
+                    .append(&mut batch);
+            });
+        }
+    });
+    let mut results = results.into_inner().expect("threads joined");
+    results.sort_by_key(|(index, _)| *index);
+    results.into_iter().map(|(_, r)| r).collect()
+}
 
 /// Runs `reps` independent repetitions, spreading them over up to
 /// `threads` OS threads. `make_protocol` and `make_injector` build a fresh
@@ -169,12 +218,17 @@ mod tests {
     }
 
     #[test]
-    fn reexported_parallel_map_is_order_preserving() {
-        // The full chunking/order property suite lives with the
-        // primitive in `dps_core::parallel`; this pins the re-export.
-        let got = parallel_map(7, 3, |i| i + 1);
-        let want: Vec<usize> = (1..=7).collect();
-        assert_eq!(got, want);
+    fn parallel_map_is_order_preserving_and_complete() {
+        // Job counts straddling chunk boundaries: exact multiples, a
+        // remainder chunk, fewer jobs than threads, and a single job.
+        for jobs in [1usize, 3, 7, 16, 23, 64, 97] {
+            for threads in [1usize, 2, 3, 8] {
+                let got = parallel_map(jobs, threads, |i| i * i);
+                let want: Vec<usize> = (0..jobs).map(|i| i * i).collect();
+                assert_eq!(got, want, "jobs={jobs} threads={threads}");
+            }
+        }
+        assert!(parallel_map(0, 4, |i| i).is_empty());
     }
 
     #[test]

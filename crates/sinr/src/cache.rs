@@ -108,7 +108,7 @@ impl SinrCache {
 
     /// Builds the cache, materializing the dense gain table only when the
     /// network has at most `dense_limit` links (`dense_limit = 0` forces
-    /// the on-the-fly fallback, which the equivalence tests exercise).
+    /// on-the-fly gains, as tiled substrates do).
     pub fn with_dense_limit<P: PowerAssignment + ?Sized>(
         net: &SinrNetwork,
         power: &P,

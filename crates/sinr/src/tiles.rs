@@ -1,7 +1,7 @@
 //! Spatially-tiled SINR substrate: hierarchical far-field tile
 //! aggregation, panel-blocked near-field gain storage with fixed or
-//! adaptive residency, and an optionally threaded slot kernel for
-//! metro- to megacity-scale instances.
+//! adaptive residency, and a slot kernel for metro- to megacity-scale
+//! instances.
 //!
 //! The exact oracle ([`crate::feasibility::SinrFeasibility`]) judges a
 //! slot in `O(k²)` pairwise gain evaluations; beyond the dense-table
@@ -78,14 +78,9 @@
 //!   table and the naive oracle ([`crate::cache`]'s `raw_gain`), so
 //!   panel hits, misses, refills and evictions are all bit-for-bit
 //!   interchangeable.
-//! * **Parallel slot kernel.** [`TiledSinrFeasibility`] can fan the
-//!   per-receiver interference accumulation across worker threads
-//!   ([`dps_core::parallel::parallel_map`], re-exported as
-//!   `dps_sim::parallel::parallel_map`): the active receivers are
-//!   split into contiguous chunks, every receiver's accumulation order
-//!   is independent of the split, and `parallel_map` returns the
-//!   verdicts in receiver order — so verdicts are bit-for-bit
-//!   identical at any thread count.
+//! * **One thread per slot.** [`TiledSinrFeasibility`] judges a slot on
+//!   the calling thread; per-thread slot scratch keeps it callable
+//!   through `&self` from the threads of a sweep sharing one substrate.
 //!
 //! **Exactness knob.** `epsilon = 0` disables far-field aggregation
 //! entirely: no tile pair qualifies as far at any level. An index with
@@ -93,8 +88,8 @@
 //! qualifies) has nothing for the tiled kernel to do, so the oracle
 //! hands each slot to the exact check the flat oracle runs, and the
 //! verdicts are bit-for-bit identical — property-tested in
-//! `tiles::tests::contract` across level and thread counts, with and
-//! without a dense gain table. `epsilon > 0` trades a bounded verdict
+//! `tiles::tests::contract` across level counts, with and without a
+//! dense gain table. `epsilon > 0` trades a bounded verdict
 //! perturbation for `O(active tiles at the coarsest qualifying level)`
 //! far-field work.
 //!
@@ -146,9 +141,6 @@ pub const MAX_FAR_TABLE_SIDE: usize = 64;
 /// level). Eight levels coarsen a `1024`-side leaf grid down to `8`
 /// tiles per side; building more would only duplicate the coarsest.
 pub const MAX_TILE_LEVELS: usize = 8;
-
-/// Most worker threads the slot kernel will fan receiver shards over.
-pub const MAX_KERNEL_THREADS: usize = 64;
 
 /// `d^α`, the one path-loss power of the tiled substrate's own terms
 /// (far qualification, far charges, the measure's near field). `CUBE`

@@ -1,8 +1,8 @@
 //! The tiled slot kernel: per-slot active grouping, per-receiver-tile
-//! walk plans over the shared occupied-tile pyramid, and the
-//! (optionally multi-threaded) verdict loop.
+//! walk plans over the shared occupied-tile pyramid, and the verdict
+//! loop.
 //!
-//! A slot runs in three phases on the calling thread, then judges:
+//! A slot runs in three phases, all on the calling thread:
 //!
 //! 1. **Grouping.** The active links are bucketed by sender leaf tile
 //!    ([`TileGroups`]), and the groups' weights fill the leaf of the
@@ -11,17 +11,17 @@
 //! 2. **Walk plans.** The pyramid's walk, once per distinct receiver
 //!    leaf tile ([`SlotPlans`]), emits packed 4-byte [`PlanTerm`]s in
 //!    DFS order. Near terms resolve their panels here, before any
-//!    fan-out: the fixed store's receiver row is fetched once per plan
+//!    verdict: the fixed store's receiver row is fetched once per plan
 //!    and searched per near term, and its hits and misses are counted
 //!    in locals and added to the shared counters once per slot; the
 //!    adaptive store resolves (and counts) under its lock.
-//! 3. **Verdicts.** Each receiver replays its tile's plan, optionally
-//!    split over [`parallel_map`] workers. Without a dense gain table at
-//!    `α = 3`, un-panelled near terms are summed as certified cubes
-//!    (`d·d·d`, see [`CubeSum`]), which decide the verdict unless its
-//!    slack lies inside their rounding window; then the receiver's
-//!    `powf` sum is recomputed in the same order and decides, and the
-//!    cache counts the fallback ([`SinrCache::cube_fallbacks`]).
+//! 3. **Verdicts.** Each receiver replays its tile's plan. Without a
+//!    dense gain table at `α = 3`, un-panelled near terms are summed as
+//!    certified cubes (`d·d·d`, see [`CubeSum`]), which decide the
+//!    verdict unless its slack lies inside their rounding window; then
+//!    the receiver's `powf` sum is recomputed in the same order and
+//!    decides, and the cache counts the fallback
+//!    ([`SinrCache::cube_fallbacks`]).
 
 use std::cell::RefCell;
 use std::sync::atomic::Ordering;
@@ -38,10 +38,9 @@ use dps_core::feasibility::{Attempt, Feasibility};
 use dps_core::ids::LinkId;
 use dps_core::interference::{max_row_load, InterferenceModel};
 use dps_core::load::LinkLoad;
-use dps_core::parallel::parallel_map;
 use rand::RngCore;
 
-use super::{pow_alpha, MAX_KERNEL_THREADS, MAX_TILES_PER_SIDE, MAX_TILE_LEVELS};
+use super::{pow_alpha, MAX_TILES_PER_SIDE, MAX_TILE_LEVELS};
 
 /// The active set bucketed by sender leaf tile, rebuilt per slot:
 /// `entries` holds `(tile, link, count)` sorted by `(tile, link)`, and
@@ -139,8 +138,8 @@ struct TiledSlotScratch {
 
 thread_local! {
     /// Keeps [`TiledSinrFeasibility`] callable through `&self`/`Arc`
-    /// across threads while the slot loop stays allocation-free in
-    /// steady state.
+    /// from every thread of a sweep sharing one substrate, while the
+    /// slot loop stays allocation-free in steady state.
     static TILED_SLOT_SCRATCH: RefCell<TiledSlotScratch> =
         RefCell::new(TiledSlotScratch::default());
 }
@@ -148,11 +147,8 @@ thread_local! {
 /// The tiled accumulative SINR oracle: near-field terms exactly (from
 /// panels or on-the-fly gains), far-field regions as one aggregated
 /// term each at the coarsest qualifying hierarchy level, within the
-/// `ε·margin` error contract of [`TiledSinrCache`]. The per-receiver
-/// verdict loop optionally splits the slot's receivers over
-/// [`dps_core::parallel::parallel_map`] worker threads; every
-/// receiver's accumulation order is independent of the split, so
-/// verdicts are bit-for-bit identical at any thread count.
+/// `ε·margin` error contract of [`TiledSinrCache`]. A slot is judged
+/// on the calling thread.
 ///
 /// An index that far-qualifies no tile pair (always the case at
 /// `epsilon = 0`) has nothing to aggregate: the oracle then hands every
@@ -162,13 +158,12 @@ thread_local! {
 ///
 /// Like [`SinrFeasibility`], the oracle is a handle to its shared
 /// index, whose geometry cache fixes the network and the power
-/// assignment; it adds only the kernel's thread count.
+/// assignment.
 ///
 /// [`SinrFeasibility`]: crate::feasibility::SinrFeasibility
 #[derive(Clone, Debug)]
 pub struct TiledSinrFeasibility {
     tiles: Arc<TiledSinrCache>,
-    threads: usize,
 }
 
 impl TiledSinrFeasibility {
@@ -199,33 +194,9 @@ impl TiledSinrFeasibility {
     }
 
     /// Creates the oracle around an already-built shared tiled index —
-    /// the substrate-sharing path. The kernel starts single-threaded;
-    /// see [`TiledSinrFeasibility::kernel_threads`].
+    /// the substrate-sharing path.
     pub fn from_tiles(tiles: Arc<TiledSinrCache>) -> Self {
-        TiledSinrFeasibility { tiles, threads: 1 }
-    }
-
-    /// Sets the worker thread count of the slot kernel's per-receiver
-    /// verdict loop. `1` (the default) judges inline on the calling
-    /// thread; higher counts split the slot's receivers into contiguous
-    /// chunks over [`parallel_map`] workers. Verdicts are bit-for-bit
-    /// identical at any setting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is `0` or exceeds [`MAX_KERNEL_THREADS`].
-    pub fn kernel_threads(mut self, threads: usize) -> Self {
-        assert!(
-            (1..=MAX_KERNEL_THREADS).contains(&threads),
-            "kernel threads must be in 1..={MAX_KERNEL_THREADS}, got {threads}"
-        );
-        self.threads = threads;
-        self
-    }
-
-    /// The configured worker thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
+        TiledSinrFeasibility { tiles }
     }
 
     /// The tiled index the oracle judges from.
@@ -240,9 +211,7 @@ impl TiledSinrFeasibility {
 
     /// Buckets the active list by sender leaf tile (entries sorted by
     /// `(tile, link)`) and builds the slot's pyramid from the occupied
-    /// leaf tiles' summed transmission weights `W_S = Σ count·p` —
-    /// deterministic regardless of thread count, since this runs before
-    /// the fan-out.
+    /// leaf tiles' summed transmission weights `W_S = Σ count·p`.
     fn group_active_by_tile(
         &self,
         active: &[(u32, u32)],
@@ -275,9 +244,9 @@ impl TiledSinrFeasibility {
     /// active set from the pyramid's walk, which charges each far
     /// subtree at the coarsest qualifying level and descends otherwise,
     /// in ascending-tile DFS order. Near terms resolve their panel
-    /// here — on the calling thread, before any fan-out — so the
-    /// adaptive panel cache's evict/refill order is deterministic and
-    /// the parallel verdict loop reads panels lock-free. A fixed
+    /// here, before any verdict, so the adaptive panel cache's
+    /// evict/refill order is deterministic and the verdict loop reads
+    /// panels lock-free. A fixed
     /// store's row for the plan's receiver tile is fetched once and
     /// searched per near term; its hits and misses are counted here and
     /// added to the shared counters once per slot. Each adaptive
@@ -511,7 +480,7 @@ impl Feasibility for TiledSinrFeasibility {
             self.build_plans(active, pyramid, plans, stack, receivers);
             let tiles: &TiledSinrCache = &self.tiles;
             let cube = cache.cube_gains();
-            let judge = |on_raw: u32, count: u32| -> bool {
+            let judge = |&(on_raw, count): &(u32, u32)| -> bool {
                 if count != 1 {
                     // A shared transmitter collides regardless of SINR.
                     return false;
@@ -528,17 +497,7 @@ impl Feasibility for TiledSinrFeasibility {
                 signal >= beta * (interference + noise)
             };
             verdicts.clear();
-            if self.threads <= 1 {
-                verdicts.extend(active.iter().map(|&(on_raw, count)| judge(on_raw, count)));
-            } else {
-                // Every receiver's accumulation is independent and
-                // parallel_map returns verdicts in receiver order, so
-                // this is bit-for-bit the single-threaded loop above.
-                verdicts.extend(parallel_map(active.len(), self.threads, |at| {
-                    let (on_raw, count) = active[at];
-                    judge(on_raw, count)
-                }));
-            }
+            verdicts.extend(active.iter().map(judge));
             verdicts_per_attempt(attempts, active, verdicts, out);
         });
     }

@@ -47,10 +47,6 @@ fn attempt(link: u32, id: u64) -> Attempt {
 /// The epsilon lattice the referee pins: exact, tight, loose.
 const EPSILONS: [f64; 3] = [0.0, 1e-6, 1e-2];
 
-/// Kernel thread counts the referee exercises; verdicts must be
-/// bit-for-bit identical across all of them.
-const THREADS: [usize; 3] = [1, 2, 4];
-
 /// Distinct attempted links with multiplicities, ascending — the shared
 /// preamble of both kernels, reproduced independently here.
 pub(super) fn dedup(attempts: &[Attempt]) -> Vec<(u32, u32)> {
@@ -67,8 +63,8 @@ pub(super) fn dedup(attempts: &[Attempt]) -> Vec<(u32, u32)> {
 }
 
 /// Runs the full referee for one `(net, power, attempts, options)` cell
-/// at one kernel thread count, over a geometry cache that keeps a dense
-/// gain table up to `dense_limit` links (`0`: the on-the-fly fallback):
+/// over a geometry cache that keeps a dense gain table up to
+/// `dense_limit` links (`0`: the on-the-fly fallback):
 /// naive-vs-cached sanity, interference-sum pinning, and band-aware
 /// verdict comparison. An index without far pairs must be bitwise
 /// exact at any epsilon.
@@ -77,13 +73,12 @@ fn referee_at<P: PowerAssignment + Clone>(
     power: P,
     attempts: &[Attempt],
     options: TileOptions,
-    threads: usize,
     dense_limit: usize,
 ) -> Result<(), TestCaseError> {
     let shared = Arc::new(SinrCache::with_dense_limit(net, &power, dense_limit));
     let exact = SinrFeasibility::from_cache(Arc::clone(&shared));
     let tiles = Arc::new(TiledSinrCache::with_options(shared, options));
-    let tiled = TiledSinrFeasibility::from_tiles(tiles).kernel_threads(threads);
+    let tiled = TiledSinrFeasibility::from_tiles(tiles);
     let eps = options.epsilon;
     // Always true at ε = 0, which qualifies no pair.
     let bitwise = tiled.tiles().far_pairs() == 0;
@@ -215,7 +210,7 @@ fn referee<P: PowerAssignment + Clone>(
 ) -> Result<(), TestCaseError> {
     for dense_limit in [DEFAULT_DENSE_GAIN_LIMIT, 0] {
         let options = TileOptions::new(grid, eps);
-        referee_at(net, power.clone(), attempts, options, 1, dense_limit)?;
+        referee_at(net, power.clone(), attempts, options, dense_limit)?;
     }
     Ok(())
 }
@@ -241,7 +236,6 @@ proptest! {
         noisy in 0u32..2,
         power_sel in 0u32..2,
         levels in 1usize..5,
-        threads_sel in 0usize..3,
         dense in 0u32..2,
         alpha_sel in 0usize..3,
     ) {
@@ -258,13 +252,12 @@ proptest! {
         attempts.push(attempt(dup_a, 100));
         attempts.push(attempt(dup_b, 101));
         let options = TileOptions::new(grid, EPSILONS[eps_sel]).with_levels(levels);
-        let threads = THREADS[threads_sel];
         let dense_limit = if dense == 1 { DEFAULT_DENSE_GAIN_LIMIT } else { 0 };
         if power_sel == 0 {
-            referee_at(&net, UniformPower::unit(), &attempts, options, threads, dense_limit)?;
+            referee_at(&net, UniformPower::unit(), &attempts, options, dense_limit)?;
         } else {
             let power = LinearPower::new(alpha);
-            referee_at(&net, power, &attempts, options, threads, dense_limit)?;
+            referee_at(&net, power, &attempts, options, dense_limit)?;
         }
     }
 
@@ -285,16 +278,14 @@ proptest! {
             .collect();
         attempts.push(attempt(dup % hops as u32, 99));
         let options = TileOptions::new(grid, EPSILONS[eps_sel]).with_levels(1 + (hops % 3));
-        referee_at(
-            &net, UniformPower::unit(), &attempts, options, THREADS[hops % 3],
-            DEFAULT_DENSE_GAIN_LIMIT)?;
+        referee_at(&net, UniformPower::unit(), &attempts, options, DEFAULT_DENSE_GAIN_LIMIT)?;
     }
 
     /// Hierarchical coarsening vs the flat grid vs the naive oracle:
-    /// ε = 0 is bit-for-bit at every depth and thread count, and every
-    /// depth independently honours the ε-band contract. On top of the
-    /// per-config referee, all configs must agree bitwise with the
-    /// flat single-threaded sums at ε = 0.
+    /// ε = 0 is bit-for-bit at every depth, and every depth
+    /// independently honours the ε-band contract. On top of the
+    /// per-config referee, all depths must agree bitwise with the flat
+    /// sums at ε = 0.
     #[test]
     fn hierarchy_depth_and_threads_preserve_the_contract(
         seed in 0u64..200,
@@ -313,29 +304,17 @@ proptest! {
         );
         let flat_sums = flat.slot_interference(&attempts);
         for levels in [2usize, 4] {
-            for threads in THREADS {
-                let options = TileOptions::new(grid, eps).with_levels(levels);
-                referee_at(
-                    &net, UniformPower::unit(), &attempts, options, threads,
-                    DEFAULT_DENSE_GAIN_LIMIT)?;
-                if eps == 0.0 {
-                    let deep = TiledSinrFeasibility::with_options(
-                        &net,
-                        &UniformPower::unit(),
-                        TileOptions::new(grid, eps).with_levels(levels),
-                    )
-                    .kernel_threads(threads);
-                    let deep_sums = deep.slot_interference(&attempts);
-                    for (&(link_a, sum_a), &(link_b, sum_b)) in
-                        flat_sums.iter().zip(&deep_sums)
-                    {
-                        prop_assert_eq!(link_a, link_b);
-                        prop_assert_eq!(
-                            sum_a.to_bits(), sum_b.to_bits(),
-                            "levels {} threads {} diverged at {}",
-                            levels, threads, link_a
-                        );
-                    }
+            let options = TileOptions::new(grid, eps).with_levels(levels);
+            referee_at(&net, UniformPower::unit(), &attempts, options, DEFAULT_DENSE_GAIN_LIMIT)?;
+            if eps == 0.0 {
+                let deep = TiledSinrFeasibility::with_options(&net, &UniformPower::unit(), options);
+                let deep_sums = deep.slot_interference(&attempts);
+                for (&(link_a, sum_a), &(link_b, sum_b)) in flat_sums.iter().zip(&deep_sums) {
+                    prop_assert_eq!(link_a, link_b);
+                    prop_assert_eq!(
+                        sum_a.to_bits(), sum_b.to_bits(),
+                        "levels {} diverged at {}", levels, link_a
+                    );
                 }
             }
         }
@@ -531,7 +510,7 @@ fn referee_at_m_256_across_epsilons() {
 }
 
 /// The same m = 256 instance through the hierarchy: every
-/// (levels, threads) cell of the lattice refereed at grid 16, which
+/// (levels, ε) cell of the lattice refereed at grid 16, which
 /// gives the 4-level build genuine 8- and 4-per-side coarse levels.
 #[test]
 fn referee_at_m_256_across_levels_and_threads() {
@@ -542,18 +521,15 @@ fn referee_at_m_256_across_levels_and_threads() {
     attempts.push(attempt(17, 500));
     attempts.push(attempt(200, 501));
     for levels in [2usize, 4] {
-        for threads in THREADS {
-            for eps in EPSILONS {
-                referee_at(
-                    &net,
-                    LinearPower::new(params.alpha),
-                    &attempts,
-                    TileOptions::new(16, eps).with_levels(levels),
-                    threads,
-                    DEFAULT_DENSE_GAIN_LIMIT,
-                )
-                .unwrap_or_else(|e| panic!("levels {levels}, threads {threads}, eps {eps}: {e}"));
-            }
+        for eps in EPSILONS {
+            referee_at(
+                &net,
+                LinearPower::new(params.alpha),
+                &attempts,
+                TileOptions::new(16, eps).with_levels(levels),
+                DEFAULT_DENSE_GAIN_LIMIT,
+            )
+            .unwrap_or_else(|e| panic!("levels {levels}, eps {eps}: {e}"));
         }
     }
 }
